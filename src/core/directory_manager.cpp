@@ -231,13 +231,11 @@ void DirectoryManager::on_message(const net::Message& m) {
 // ---- lookup helpers -----------------------------------------------------
 
 DirectoryManager::ViewRecord* DirectoryManager::find(ViewId v) {
-  auto it = views_.find(v);
-  return it == views_.end() ? nullptr : &it->second;
+  return v < index_.size() ? index_[v].rec : nullptr;
 }
 
 const DirectoryManager::ViewRecord* DirectoryManager::find(ViewId v) const {
-  auto it = views_.find(v);
-  return it == views_.end() ? nullptr : &it->second;
+  return v < index_.size() ? index_[v].rec : nullptr;
 }
 
 bool DirectoryManager::is_active(ViewId v) const {
@@ -255,25 +253,39 @@ Mode DirectoryManager::mode_of(ViewId v) const {
   return r == nullptr ? Mode::kWeak : r->mode;
 }
 
-std::uint64_t DirectoryManager::quality(ViewId v) const {
+Version DirectoryManager::last_sync(ViewId v) const {
   const auto* r = find(v);
+  return r == nullptr ? 0 : r->last_sync;
+}
+
+std::uint64_t DirectoryManager::quality(ViewId v) const {
+  const ViewRecord* r = find(v);
   if (r == nullptr) return 0;
-  return log_.unseen_if(r->last_sync, [&](const MergeRecord& rec) {
-    if (rec.source == v) return false;
-    // Live sources go through the full conflict relation (static map
-    // first); for departed views fall back to the property snapshot the
-    // log kept.
-    if (find(rec.source) != nullptr) return conflicts(v, rec.source);
-    return rec.touched.conflicts_with(r->properties);
-  });
+  // Live sources count through the conflict index (static map first);
+  // departed ones by the property snapshot the log kept.
+  std::uint64_t n = log_.unseen_departed(r->properties, r->last_sync);
+  for (const ViewId id : index_[v].neighbours) {
+    n += log_.unseen_from(id, r->last_sync);
+  }
+  return n;
 }
 
 bool DirectoryManager::conflicts(ViewId a, ViewId b) const {
-  if (a == b) return false;
-  const auto* ra = find(a);
-  const auto* rb = find(b);
-  if (ra == nullptr || rb == nullptr) return false;
-  switch (static_map_.query(ra->name, rb->name)) {
+  const auto& n = conflicting_views(a);
+  return std::binary_search(n.begin(), n.end(), b);
+}
+
+const std::vector<ViewId>& DirectoryManager::conflicting_views(
+    ViewId v) const {
+  static const std::vector<ViewId> kNone;
+  return v < index_.size() ? index_[v].neighbours : kNone;
+}
+
+// ---- conflict adjacency index ---------------------------------------------
+
+bool DirectoryManager::rule_conflicts(const ViewRecord& a,
+                                      const ViewRecord& b) const {
+  switch (static_map_.query(a.name, b.name)) {
     case Relation::kConflict:
       return true;
     case Relation::kNoConflict:
@@ -282,16 +294,50 @@ bool DirectoryManager::conflicts(ViewId a, ViewId b) const {
       break;
   }
   // Definition 1: dynConfl via property-set intersection.
-  return ra->properties.conflicts_with(rb->properties);
+  return a.properties.conflicts_with(b.properties);
 }
 
-std::vector<ViewId> DirectoryManager::conflicting_views(ViewId v) const {
-  std::vector<ViewId> out;
-  for (const auto& [id, rec] : views_) {
-    (void)rec;
-    if (id != v && conflicts(v, id)) out.push_back(id);
+void DirectoryManager::link(ViewRecord& rec) {
+  if (index_.size() <= rec.id) index_.resize(std::size_t{rec.id} + 1);
+  index_[rec.id].rec = &rec;
+  auto& mine = index_[rec.id].neighbours;
+  for (const auto& [id, other] : views_) {
+    if (id == rec.id || !rule_conflicts(rec, other)) continue;
+    mine.push_back(id);  // views_ is ascending
+    auto& theirs = index_[id].neighbours;
+    theirs.insert(std::upper_bound(theirs.begin(), theirs.end(), rec.id),
+                  rec.id);
   }
-  return out;
+}
+
+void DirectoryManager::unlink(ViewRecord& rec) {
+  auto& mine = index_[rec.id].neighbours;
+  for (const ViewId id : mine) {
+    auto& theirs = index_[id].neighbours;
+    theirs.erase(std::lower_bound(theirs.begin(), theirs.end(), rec.id));
+  }
+  mine.clear();
+}
+
+DirectoryManager::ViewMap::iterator DirectoryManager::drop_view(
+    ViewMap::iterator it) {
+  unlink(it->second);
+  log_.retire(it->first);
+  index_[it->first] = IndexEntry{};
+  return views_.erase(it);
+}
+
+void DirectoryManager::set_static_map(StaticMap m) {
+  static_map_ = std::move(m);
+  for (auto& entry : index_) entry.neighbours.clear();
+  for (auto a = views_.begin(); a != views_.end(); ++a) {
+    auto& mine = index_[a->first].neighbours;
+    for (auto b = std::next(a); b != views_.end(); ++b) {
+      if (!rule_conflicts(a->second, b->second)) continue;
+      mine.push_back(b->first);
+      index_[b->first].neighbours.push_back(a->first);
+    }
+  }
 }
 
 void DirectoryManager::send_to_view(const ViewRecord& rec, const char* type,
@@ -403,14 +449,16 @@ void DirectoryManager::liveness_sweep() {
     if (now - rec.last_seen_at > cfg_.liveness_timeout) dead.push_back(id);
   }
   for (const ViewId id : dead) {
+    const auto it = views_.find(id);
+    if (it == views_.end()) continue;  // dropped by an earlier eviction
     stats_.inc("view.evicted.liveness");
-    const bool held_token = views_.at(id).exclusive;
+    const bool held_token = it->second.exclusive;
     FLECC_TRACE_EVENT(cfg_.trace, now, obs::EventKind::kViewEvicted,
                       obs::Role::kDirectory, obs::agent_key(self_), 0,
-                      views_.at(id).name.c_str(), id,
+                      it->second.name.c_str(), id,
                       static_cast<std::uint64_t>(now -
-                                                 views_.at(id).last_seen_at));
-    views_.erase(id);
+                                                 it->second.last_seen_at));
+    drop_view(it);
     complete_fetch_or_acquire_for_dead_view(id);
     if (held_token) {
       // A dead STRONG holder's token is released to the FIFO acquire
@@ -509,8 +557,10 @@ void DirectoryManager::handle_register(const net::Message& m) {
         abort_migration(req.resume_view, "source resumed");
       }
       rec->cache_addr = m.from;
+      unlink(*rec);
       rec->name = req.view_name;
       rec->properties = req.properties;
+      link(*rec);
       rec->mode = req.mode;
       rec->validity = std::move(validity);
       rec->validity_src = req.validity_trigger;
@@ -540,7 +590,7 @@ void DirectoryManager::handle_register(const net::Message& m) {
   for (auto it = views_.begin(); it != views_.end();) {
     if (it->second.cache_addr == m.from) {
       const ViewId ghost = it->first;
-      it = views_.erase(it);
+      it = drop_view(it);
       complete_fetch_or_acquire_for_dead_view(ghost);
       stats_.inc("op.register.superseded");
     } else {
@@ -559,7 +609,7 @@ void DirectoryManager::handle_register(const net::Message& m) {
   rec.last_seen_at = fabric_.now();
   const ViewId id = rec.id;
   wal_append(register_record(rec));
-  views_.emplace(id, std::move(rec));
+  link(views_.emplace(id, std::move(rec)).first->second);
 
   msg::RegisterAck ack{id, true, {}, req.req, generation_};
   const auto bytes = msg::wire_size(ack);
@@ -640,12 +690,10 @@ void DirectoryManager::handle_pull(const net::Message& m) {
 
   std::set<ViewId> candidates;
   if (need_fetch) {
-    for (const auto& [id, other] : views_) {
-      if (id == req.view || !other.active) continue;
+    for (const ViewId id : conflicting_views(req.view)) {
       // A migrating view is sealed: it cannot answer a FetchReq, and
       // its dirty state reaches the primary through the handoff anyway.
-      if (migrating(id)) continue;
-      if (conflicts(req.view, id)) candidates.insert(id);
+      if (find(id)->active && !migrating(id)) candidates.insert(id);
     }
   }
 
@@ -683,9 +731,9 @@ void DirectoryManager::handle_pull(const net::Message& m) {
   PendingPull pp;
   pp.token = next_token_++;
   pp.requester = req.view;
-  pp.outstanding = candidates;
-  for (const ViewId id : candidates) {
-    pp.target_props.emplace(id, views_.at(id).properties);
+  pp.outstanding = std::move(candidates);
+  for (const ViewId id : pp.outstanding) {
+    pp.target_props.emplace(id, find(id)->properties);
   }
   pp.unseen_before = unseen;
   pp.req = req.req;
@@ -705,13 +753,13 @@ void DirectoryManager::handle_pull(const net::Message& m) {
       wal_append(w);
     }
   }
-  for (const ViewId id : candidates) {
+  for (const ViewId id : pp.outstanding) {
     stats_.inc("op.fetch.sent");
     msg::FetchReq freq{token, generation_};
     FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMsgSent,
                       obs::Role::kDirectory, obs::agent_key(self_), pp.span,
                       msg::kFetchReq, token, id);
-    send_to_view(views_.at(id), msg::kFetchReq, box(freq),
+    send_to_view(*find(id), msg::kFetchReq, box(freq),
                  msg::wire_size(freq));
   }
   pp.timeout = fabric_.schedule(self_, cfg_.fetch_timeout, [this, token] {
@@ -1021,7 +1069,9 @@ void DirectoryManager::merge_update(const ObjectImage& image, ViewId source,
   primary_.merge_into_object(image, touched);
   ++version_;
   last_merge_at_ = fabric_.now();
-  log_.record(MergeRecord{version_, source, touched, fabric_.now()});
+  log_.record(MergeRecord{version_, source, touched});
+  // A straggler from an evicted view: index it as departed at once.
+  if (find(source) == nullptr) log_.retire(source);
   stats_.inc("merge.count");
   // label = delivery path, a = fetch token / invalidate epoch (0 for
   // push/kill), b = source view: the monitor's exactly-once-merge key.
@@ -1031,9 +1081,9 @@ void DirectoryManager::merge_update(const ObjectImage& image, ViewId source,
   maybe_prune_log();
 
   if (cfg_.notify_on_update) {
-    for (const auto& [id, other] : views_) {
-      if (id == source || !other.active) continue;
-      if (!conflicts(source, id)) continue;
+    for (const ViewId id : conflicting_views(source)) {
+      const ViewRecord& other = *find(id);
+      if (!other.active) continue;
       msg::UpdateNotify note{version_, generation_};
       FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMsgSent,
                         obs::Role::kDirectory, obs::agent_key(self_), 0,
@@ -1108,9 +1158,9 @@ void DirectoryManager::start_next_acquire() {
     const bool ro_share =
         cfg_.use_rw_semantics && req.intent == AccessIntent::kReadOnly;
     if (!cfg_.chaos_ignore_conflicts) {
-      for (const auto& [id, other] : views_) {
-        if (id == req.view || !other.active) continue;
-        if (!conflicts(req.view, id)) continue;
+      for (const ViewId id : conflicting_views(req.view)) {
+        const ViewRecord& other = *find(id);
+        if (!other.active) continue;
         if (ro_share && !other.exclusive) continue;  // RO can coexist
         pa.awaiting.insert(id);
         pa.target_props.emplace(id, other.properties);
@@ -1140,7 +1190,7 @@ void DirectoryManager::start_next_acquire() {
       FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMsgSent,
                         obs::Role::kDirectory, obs::agent_key(self_), pa.span,
                         msg::kInvalidateReq, pa.epoch, id);
-      send_to_view(views_.at(id), msg::kInvalidateReq, box(inv),
+      send_to_view(*find(id), msg::kInvalidateReq, box(inv),
                    msg::wire_size(inv));
     }
     const std::uint64_t epoch = pa.epoch;
@@ -1355,7 +1405,7 @@ void DirectoryManager::handle_kill(const net::Message& m) {
     }
   }
   const net::Address addr = rec->cache_addr;
-  views_.erase(req.view);
+  drop_view(views_.find(req.view));
   complete_fetch_or_acquire_for_dead_view(req.view);
   msg::KillAck ack{req.req, generation_};
   reply(addr, req.req, msg::kKillAck, box(ack), msg::wire_size(ack));
@@ -1760,11 +1810,12 @@ std::size_t DirectoryManager::replay_checkpoint(
         rec.last_seen_at = fabric_.now();
         rec.incarnation = w.req == 0 ? 1 : w.req;
         next_view_id_ = std::max(next_view_id_, w.view + 1);
-        views_[w.view] = std::move(rec);
+        if (auto* old = find(w.view); old != nullptr) unlink(*old);
+        link(views_[w.view] = std::move(rec));
         break;
       }
       case WalKind::kDeregister:
-        views_.erase(w.view);
+        if (auto it = views_.find(w.view); it != views_.end()) drop_view(it);
         break;
       case WalKind::kModeChange:
         if (auto* rec = find(w.view); rec != nullptr) rec->mode = w.mode;
@@ -1941,8 +1992,10 @@ void DirectoryManager::handle_rebuild_reply(const net::Message& m) {
   }
   // The cache manager is authoritative over the (possibly stale)
   // checkpoint: adopt its registration data and cached-copy state.
+  unlink(*rec);
   rec->name = rep.view_name;
   rec->properties = rep.properties;
+  link(*rec);
   rec->mode = rep.mode;
   rec->validity_src = rep.validity_trigger;
   rec->validity.reset();
@@ -1984,10 +2037,11 @@ void DirectoryManager::finish_rebuild() {
     // survivor that merely lost every probe reconnects from scratch via
     // its heartbeat (known == false → re-register).
     stats_.inc("recovery.dropped");
+    const auto it = views_.find(v);
     FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kViewEvicted,
                       obs::Role::kDirectory, obs::agent_key(self_), 0,
-                      views_.at(v).name.c_str(), v, generation_);
-    views_.erase(v);
+                      it->second.name.c_str(), v, generation_);
+    drop_view(it);
     complete_fetch_or_acquire_for_dead_view(v);
   }
   stats_.inc("recovery.completed");

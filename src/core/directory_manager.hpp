@@ -2,7 +2,8 @@
 //
 // One directory manager is colocated with the original component. It
 // tracks every registered view, decides which views conflict (static map
-// first, dynamic property intersection as fallback), arbitrates
+// first, dynamic property intersection as fallback; decided once per
+// registration and kept in an adjacency index), arbitrates
 // strong-mode exclusivity via invalidations, serves weak-mode pulls
 // (honoring validity triggers with demand fetches from conflicting
 // active views), merges pushed updates into the primary copy, and keeps
@@ -147,8 +148,8 @@ class DirectoryManager : public net::Endpoint {
   DirectoryManager& operator=(const DirectoryManager&) = delete;
 
   /// Install statically-known sharing relationships (entries default to
-  /// Relation::kDynamic).
-  void set_static_map(StaticMap m) { static_map_ = std::move(m); }
+  /// Relation::kDynamic). Re-indexes every registered view.
+  void set_static_map(StaticMap m);
 
   /// Open a live migration of view `v` to the cache manager awaiting
   /// installation at `dest` (PROTOCOL.md, "View migration & CM
@@ -180,17 +181,21 @@ class DirectoryManager : public net::Endpoint {
   [[nodiscard]] std::size_t registered_count() const noexcept {
     return views_.size();
   }
-  [[nodiscard]] bool known(ViewId v) const { return views_.count(v) != 0; }
+  [[nodiscard]] bool known(ViewId v) const { return find(v) != nullptr; }
   [[nodiscard]] bool is_active(ViewId v) const;
   [[nodiscard]] bool is_exclusive(ViewId v) const;
   [[nodiscard]] Mode mode_of(ViewId v) const;
+  /// Primary version `v` last synchronised with (0 for unknown views).
+  [[nodiscard]] Version last_sync(ViewId v) const;
 
   /// Remote unseen updates for `v` right now (the paper's data-quality
   /// metric; Figures 5 and 6 sample this).
   [[nodiscard]] std::uint64_t quality(ViewId v) const;
 
-  /// Views whose data conflicts with `v` (static map or dynConfl).
-  [[nodiscard]] std::vector<ViewId> conflicting_views(ViewId v) const;
+  /// Views whose data conflicts with `v` (static map or dynConfl), in
+  /// ascending id order; empty for unknown views. The reference is into
+  /// the conflict index and is invalidated by the next message.
+  [[nodiscard]] const std::vector<ViewId>& conflicting_views(ViewId v) const;
 
   /// Do two registered views conflict?
   [[nodiscard]] bool conflicts(ViewId a, ViewId b) const;
@@ -219,6 +224,18 @@ class DirectoryManager : public net::Endpoint {
     /// Life number of the serving cache manager; a journal-replaying
     /// resume must register with a strictly greater incarnation.
     std::uint64_t incarnation = 1;
+  };
+  using ViewMap = std::map<ViewId, ViewRecord>;
+
+  /// One view id's slot in the conflict adjacency index (PERFORMANCE.md,
+  /// "Directory conflict index").
+  struct IndexEntry {
+    /// Its node in views_ (nodes never move); nullptr while the id is
+    /// not registered.
+    ViewRecord* rec = nullptr;
+    /// The registered views this one conflicts with, ascending.
+    /// Maintained by link()/unlink().
+    std::vector<ViewId> neighbours;
   };
 
   /// One in-flight view migration (per-view FSM; see MigratePhase).
@@ -316,6 +333,22 @@ class DirectoryManager : public net::Endpoint {
   // helpers
   ViewRecord* find(ViewId v);
   const ViewRecord* find(ViewId v) const;
+
+  // conflict adjacency index (PERFORMANCE.md, "Directory conflict index")
+  /// The conflict rule of paper §4.1: the static map first, Definition
+  /// 1's dynConfl on property sets for kDynamic pairs. Only the index
+  /// calls it.
+  [[nodiscard]] bool rule_conflicts(const ViewRecord& a,
+                                    const ViewRecord& b) const;
+  /// Index rec, a node of views_: fill its neighbour list (empty on
+  /// entry) from every other registered view and add rec to each
+  /// neighbour's list. O(views).
+  void link(ViewRecord& rec);
+  /// Remove rec from each neighbour's list and clear its own.
+  void unlink(ViewRecord& rec);
+  /// Deregister: unlink, retire the view's merge-log records, erase.
+  /// Returns the record after `it`.
+  ViewMap::iterator drop_view(ViewMap::iterator it);
   void touch(ViewRecord& rec) { rec.last_seen_at = fabric_.now(); }
   /// Merge a dirty image into the primary. `path` labels the protocol
   /// path that delivered the extraction ("push", "kill", "fetch",
@@ -412,7 +445,16 @@ class DirectoryManager : public net::Endpoint {
   Config cfg_;
 
   StaticMap static_map_;
-  std::map<ViewId, ViewRecord> views_;
+  /// Registered views in id order: the WAL snapshot, rebuild probes and
+  /// liveness sweep iterate it, so their output order is fixed.
+  ViewMap views_;
+  /// The conflict index, one slot per view id issued so far: ids are
+  /// dense from 1 and never reused, so a departed view leaves an empty
+  /// slot behind. Changed only with views_, through link() and
+  /// drop_view(). Also the lookup behind find(): one array access, so a
+  /// per-op walk over a neighbour list touches the slot and the list
+  /// even when the records are cold.
+  std::vector<IndexEntry> index_;
   ViewId next_view_id_ = 1;
   Version version_ = 0;
   sim::Time last_merge_at_ = 0;

@@ -3,15 +3,22 @@
 // quality(v) = number of *remote unseen updates* — merges newer than
 // v's last sync, originating from a different view whose data actually
 // conflicts with v's (paper §5.2, Figures 5 and 6).
+//
+// Besides the version-ordered records, the log keeps a per-source
+// version index, so the directory counts one conflicting source's
+// unseen merges by binary search instead of walking the log. Records
+// whose source has left (retire()) move to one departed index and are
+// judged by the property snapshot they carry.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <unordered_map>
+#include <vector>
 
 #include "core/types.hpp"
 #include "props/property.hpp"
-#include "sim/time.hpp"
 
 namespace flecc::core {
 
@@ -19,28 +26,28 @@ struct MergeRecord {
   Version version = 0;
   ViewId source = kInvalidViewId;  // kInvalidViewId = direct primary write
   props::PropertySet touched;      // properties covered by the merge
-  sim::Time at = 0;
 };
 
 class MergeLog {
  public:
-  void record(MergeRecord r) { records_.push_back(std::move(r)); }
+  /// Append a record (versions strictly increasing), indexed under its
+  /// source.
+  void record(MergeRecord r);
 
-  /// Count records newer than `since` whose source is not `self` and
-  /// whose touched properties conflict with `viewer_props`.
-  [[nodiscard]] std::uint64_t unseen_for(
-      const props::PropertySet& viewer_props, ViewId self,
-      Version since) const;
+  /// `source` is not (or no longer) a registered view: its records move
+  /// to the departed index, where unseen_departed() counts them.
+  void retire(ViewId source);
 
-  /// Count records newer than `since` matching an arbitrary predicate —
-  /// used by the directory so the conflict decision can consult the
-  /// static map, not only property intersection.
-  [[nodiscard]] std::uint64_t unseen_if(
-      Version since,
-      const std::function<bool(const MergeRecord&)>& pred) const;
+  /// Records from the non-retired `source` newer than `since`.
+  [[nodiscard]] std::uint64_t unseen_from(ViewId source, Version since) const;
+
+  /// Records of retired sources newer than `since` whose touched
+  /// properties conflict with `viewer_props`.
+  [[nodiscard]] std::uint64_t unseen_departed(
+      const props::PropertySet& viewer_props, Version since) const;
 
   /// Drop records with version <= floor (they are seen by every live
-  /// view). Returns the number pruned.
+  /// view), from the log and its indexes. Returns the number pruned.
   std::size_t prune_below(Version floor);
 
   [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
@@ -50,7 +57,32 @@ class MergeLog {
   }
 
  private:
+  /// Ascending versions with amortised O(1) pop_front. Compaction keeps
+  /// the vector's capacity, so a list pruned as fast as it grows stops
+  /// allocating (a std::deque would free and allocate a block every 64).
+  class VersionList {
+   public:
+    void push_back(Version v) { v_.push_back(v); }
+    void pop_front();
+    /// Merge another ascending list in, keeping the order.
+    void merge_in(const VersionList& other);
+    [[nodiscard]] bool empty() const noexcept { return head_ == v_.size(); }
+    [[nodiscard]] Version front() const { return v_[head_]; }
+    [[nodiscard]] const Version* begin() const { return v_.data() + head_; }
+    [[nodiscard]] const Version* end() const { return v_.data() + v_.size(); }
+    /// First version newer than `since`.
+    [[nodiscard]] const Version* after(Version since) const;
+
+   private:
+    void compact();
+
+    std::vector<Version> v_;
+    std::size_t head_ = 0;
+  };
+
   std::deque<MergeRecord> records_;  // version-ordered (append-only)
+  std::unordered_map<ViewId, VersionList> by_source_;
+  VersionList departed_;
 };
 
 }  // namespace flecc::core

@@ -126,10 +126,12 @@ bool TelemetryServer::handle_connection(int fd) {
       }
     }
   }
+  // Count before replying: a client that has read the response must
+  // already see the request in requests_served().
+  ++requests_;
   send_all(fd, render_response(resp));
   ::shutdown(fd, SHUT_RDWR);
   ::close(fd);
-  ++requests_;
   return true;
 }
 

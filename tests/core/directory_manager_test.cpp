@@ -234,6 +234,36 @@ TEST(DirectoryManagerTest, StaticMapForcesConflict) {
   EXPECT_TRUE(h.directory_->conflicts(a.cm->id(), b.cm->id()));
 }
 
+TEST(DirectoryManagerTest, StaticMapInstalledAfterRegistrationChangesConflicts) {
+  Harness h(3);
+  auto a = h.make_member(0, 9);
+  auto b = h.make_member(0, 9);
+  a.cm->init_image();
+  b.cm->init_image();
+  h.run();
+  a.view->increment(1);
+  a.cm->push_image();
+  h.run();
+  ASSERT_TRUE(h.directory_->conflicts(a.cm->id(), b.cm->id()));
+  ASSERT_EQ(h.directory_->quality(b.cm->id()), 1u);
+
+  StaticMap sm;
+  sm.set("kv.View", "kv.View", Relation::kNoConflict);
+  h.directory_->set_static_map(std::move(sm));
+  EXPECT_FALSE(h.directory_->conflicts(a.cm->id(), b.cm->id()));
+  EXPECT_TRUE(h.directory_->conflicting_views(b.cm->id()).empty());
+  EXPECT_EQ(h.directory_->quality(b.cm->id()), 0u);
+
+  // A view registered after the change is indexed under the new map.
+  auto c = h.make_member(50, 59);
+  c.cm->init_image();
+  h.run();
+  h.directory_->set_static_map(StaticMap{});
+  EXPECT_TRUE(h.directory_->conflicts(b.cm->id(), a.cm->id()));
+  EXPECT_FALSE(h.directory_->conflicts(c.cm->id(), a.cm->id()));
+  EXPECT_EQ(h.directory_->quality(b.cm->id()), 1u);
+}
+
 TEST(DirectoryManagerTest, KillMergesFinalImage) {
   Harness h(1);
   auto m = h.make_member(0, 9);

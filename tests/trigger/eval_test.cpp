@@ -144,6 +144,12 @@ struct EvalCase {
   double expected;
 };
 
+// gtest would otherwise print the raw bytes of the case, including the
+// address of `src`, so the test names would change from build to build.
+void PrintTo(const EvalCase& c, std::ostream* os) {
+  *os << c.src << " at x=" << c.x;
+}
+
 class EvalSweepTest : public ::testing::TestWithParam<EvalCase> {};
 
 TEST_P(EvalSweepTest, Evaluates) {
