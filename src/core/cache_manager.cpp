@@ -1012,12 +1012,6 @@ void CacheManager::handle_rebuild_probe(const net::Message& m) {
 }
 
 void CacheManager::queue_echo(msg::DeltaEcho e) {
-  if (cfg_.chaos_drop_echoes) {
-    // Mutation-test fault: pretend the echo was queued but lose it, so
-    // the extraction has no second chance if its reply is dropped.
-    stats_.inc("echo.chaos_dropped");
-    return;
-  }
   unconfirmed_echoes_.push_back(std::move(e));
   stats_.inc("echo.queued");
   if (unconfirmed_echoes_.size() > kUnconfirmedEchoWindow) {

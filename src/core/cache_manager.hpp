@@ -108,11 +108,6 @@ class CacheManager : public net::Endpoint {
     /// Optional protocol trace sink (not owned); nullptr = no tracing.
     /// See OBSERVABILITY.md for the events this manager emits.
     obs::TraceBuffer* trace = nullptr;
-    /// Fault-injection knob (monitor mutation tests ONLY): silently
-    /// discard reply echoes instead of queueing them, so a lost
-    /// FetchReply/InvalidateAck loses its extracted deltas for good —
-    /// the exact bug the monitor's I3 (no-lost-update) check catches.
-    bool chaos_drop_echoes = false;
     // ---- dynamic reconfiguration (PROTOCOL.md "View migration & CM
     // journaling") ---------------------------------------------------
     /// Write-ahead journal (not owned): buffered WEAK writes and

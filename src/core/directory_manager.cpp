@@ -21,63 +21,42 @@ constexpr std::size_t kSettledRoundWindow = 256;
 /// crash, i.e. the recent past.
 constexpr std::size_t kMergedOpWindow = 1024;
 
-/// Generation stamp of a message; 0 = unknown (legacy/unfenced).
-std::uint64_t generation_of(const net::Message& m) {
-  if (m.type == msg::kRegisterReq) {
-    return net::payload_as<msg::RegisterReq>(m).gen;
-  }
-  if (m.type == msg::kInitReq) return net::payload_as<msg::InitReq>(m).gen;
-  if (m.type == msg::kPullReq) return net::payload_as<msg::PullReq>(m).gen;
-  if (m.type == msg::kPushUpdate) {
-    return net::payload_as<msg::PushUpdate>(m).gen;
-  }
-  if (m.type == msg::kAcquireReq) {
-    return net::payload_as<msg::AcquireReq>(m).gen;
-  }
-  if (m.type == msg::kModeChangeReq) {
-    return net::payload_as<msg::ModeChangeReq>(m).gen;
-  }
-  if (m.type == msg::kKillReq) return net::payload_as<msg::KillReq>(m).gen;
-  if (m.type == msg::kInvalidateAck) {
-    return net::payload_as<msg::InvalidateAck>(m).gen;
-  }
-  if (m.type == msg::kFetchReply) {
-    return net::payload_as<msg::FetchReply>(m).gen;
-  }
-  if (m.type == msg::kHeartbeat) {
-    return net::payload_as<msg::Heartbeat>(m).gen;
-  }
-  if (m.type == msg::kRebuildReply) {
-    return net::payload_as<msg::RebuildReply>(m).gen;
-  }
-  if (m.type == msg::kHandoffState) {
-    return net::payload_as<msg::HandoffState>(m).gen;
-  }
-  if (m.type == msg::kViewMoveAck) {
-    return net::payload_as<msg::ViewMoveAck>(m).gen;
-  }
-  return 0;
+/// A message's generation stamp (0 = unknown: legacy/unfenced) and, for
+/// a framed cache-manager request, its request id (0 for unframed
+/// messages and for non-request types: commands, acks, heartbeats).
+struct Stamp {
+  std::uint64_t gen = 0;
+  std::uint64_t req = 0;
+};
+
+template <typename T>
+Stamp request_stamp(const net::Message& m) {
+  const T& p = net::payload_as<T>(m);
+  return {p.gen, p.req};
 }
 
-/// Request id of a framed cache-manager request; 0 for unframed
-/// messages and for non-request types (commands, acks, heartbeats).
-std::uint64_t request_id_of(const net::Message& m) {
-  if (m.type == msg::kRegisterReq) {
-    return net::payload_as<msg::RegisterReq>(m).req;
-  }
-  if (m.type == msg::kInitReq) return net::payload_as<msg::InitReq>(m).req;
-  if (m.type == msg::kPullReq) return net::payload_as<msg::PullReq>(m).req;
-  if (m.type == msg::kPushUpdate) {
-    return net::payload_as<msg::PushUpdate>(m).req;
-  }
-  if (m.type == msg::kAcquireReq) {
-    return net::payload_as<msg::AcquireReq>(m).req;
-  }
+template <typename T>
+Stamp gen_stamp(const net::Message& m) {
+  return {net::payload_as<T>(m).gen, 0};
+}
+
+Stamp stamp_of(const net::Message& m) {
+  if (m.type == msg::kRegisterReq) return request_stamp<msg::RegisterReq>(m);
+  if (m.type == msg::kInitReq) return request_stamp<msg::InitReq>(m);
+  if (m.type == msg::kPullReq) return request_stamp<msg::PullReq>(m);
+  if (m.type == msg::kPushUpdate) return request_stamp<msg::PushUpdate>(m);
+  if (m.type == msg::kAcquireReq) return request_stamp<msg::AcquireReq>(m);
   if (m.type == msg::kModeChangeReq) {
-    return net::payload_as<msg::ModeChangeReq>(m).req;
+    return request_stamp<msg::ModeChangeReq>(m);
   }
-  if (m.type == msg::kKillReq) return net::payload_as<msg::KillReq>(m).req;
-  return 0;
+  if (m.type == msg::kKillReq) return request_stamp<msg::KillReq>(m);
+  if (m.type == msg::kInvalidateAck) return gen_stamp<msg::InvalidateAck>(m);
+  if (m.type == msg::kFetchReply) return gen_stamp<msg::FetchReply>(m);
+  if (m.type == msg::kHeartbeat) return gen_stamp<msg::Heartbeat>(m);
+  if (m.type == msg::kRebuildReply) return gen_stamp<msg::RebuildReply>(m);
+  if (m.type == msg::kHandoffState) return gen_stamp<msg::HandoffState>(m);
+  if (m.type == msg::kViewMoveAck) return gen_stamp<msg::ViewMoveAck>(m);
+  return {};
 }
 
 }  // namespace
@@ -136,21 +115,14 @@ DirectoryManager::DirectoryManager(net::Fabric& fabric, net::Address self,
 }
 
 DirectoryManager::~DirectoryManager() {
-  if (liveness_timer_ != net::kInvalidTimerId) {
-    fabric_.cancel_timer(liveness_timer_);
-  }
-  for (auto& [view, mig] : migrations_) {
-    (void)view;
-    if (mig.resend_timer != net::kInvalidTimerId) {
-      fabric_.cancel_timer(mig.resend_timer);
-    }
-  }
-  if (rebuild_timer_ != net::kInvalidTimerId) {
-    fabric_.cancel_timer(rebuild_timer_);
-  }
-  if (rebuild_resend_timer_ != net::kInvalidTimerId) {
-    fabric_.cancel_timer(rebuild_resend_timer_);
-  }
+  // Every timer captures `this`: left armed, it would fire into the
+  // destroyed directory (crash_directory() mid-round, say).
+  cancel(liveness_timer_);
+  for (auto& [view, mig] : migrations_) cancel(mig.resend_timer);
+  cancel(rebuild_timer_);
+  cancel(rebuild_resend_timer_);
+  for (auto& [token, r] : fetch_rounds_) cancel_timers(r);
+  if (invalidation_.has_value()) cancel_timers(*invalidation_);
   fabric_.set_clock(self_, nullptr);
   fabric_.unbind(self_);
 }
@@ -160,13 +132,13 @@ void DirectoryManager::on_message(const net::Message& m) {
   // addressed to one) is rejected before the dedup window can replay a
   // cached pre-crash reply. gen == 0 means unfenced (legacy senders and
   // first contact) and passes through.
-  if (const std::uint64_t gen = generation_of(m);
-      gen != 0 && gen != generation_) {
+  const Stamp stamp = stamp_of(m);
+  if (stamp.gen != 0 && stamp.gen != generation_) {
     stats_.inc("recovery.fenced");
     FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMsgFenced,
                       obs::Role::kDirectory, obs::agent_key(self_),
-                      obs::span_id(m.from, request_id_of(m)), m.type.c_str(),
-                      gen, generation_);
+                      obs::span_id(m.from, stamp.req), m.type.c_str(),
+                      stamp.gen, generation_);
     if (m.type == msg::kHeartbeat) {
       // known == false drives the sender into its reconnect path, which
       // re-registers under the current generation.
@@ -174,10 +146,10 @@ void DirectoryManager::on_message(const net::Message& m) {
       msg::HeartbeatAck ack{hb.view, hb.seq, false, generation_};
       fabric_.send(self_, m.from, msg::kHeartbeatAck, box(ack),
                    msg::wire_size(ack));
-    } else if (const std::uint64_t rid = request_id_of(m); rid != 0) {
+    } else if (stamp.req != 0) {
       // Framed request: nack (never cached) so the sender aborts the op
       // and re-issues it under the current generation.
-      send_nack(m.from, kInvalidViewId, rid, "stale generation");
+      send_nack(m.from, kInvalidViewId, stamp.req, "stale generation");
     }
     return;
   }
@@ -187,11 +159,11 @@ void DirectoryManager::on_message(const net::Message& m) {
   // Idempotent replay: a framed request we have already seen is either
   // answered from the cached reply (completed) or dropped (a round for
   // it is still in flight; the eventual reply will reach the sender).
-  if (const std::uint64_t rid = request_id_of(m); rid != 0) {
-    if (DedupEntry* e = find_dedup(m.from, rid); e != nullptr) {
+  if (stamp.req != 0) {
+    if (DedupEntry* e = find_dedup(m.from, stamp.req); e != nullptr) {
       FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kDedupHit,
                         obs::Role::kDirectory, obs::agent_key(self_),
-                        obs::span_id(m.from, rid), m.type.c_str(),
+                        obs::span_id(m.from, stamp.req), m.type.c_str(),
                         e->completed ? 1 : 0);
       if (e->completed) {
         stats_.inc("msg.duplicate.replayed");
@@ -203,7 +175,7 @@ void DirectoryManager::on_message(const net::Message& m) {
     }
     FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMsgReceived,
                       obs::Role::kDirectory, obs::agent_key(self_),
-                      obs::span_id(m.from, rid), m.type.c_str());
+                      obs::span_id(m.from, stamp.req), m.type.c_str());
   }
 
   if (m.type == msg::kRegisterReq) return handle_register(m);
@@ -211,8 +183,16 @@ void DirectoryManager::on_message(const net::Message& m) {
   if (m.type == msg::kPullReq) return handle_pull(m);
   if (m.type == msg::kPushUpdate) return handle_push(m);
   if (m.type == msg::kAcquireReq) return handle_acquire(m);
-  if (m.type == msg::kInvalidateAck) return handle_invalidate_ack(m);
-  if (m.type == msg::kFetchReply) return handle_fetch_reply(m);
+  if (m.type == msg::kInvalidateAck) {
+    const auto& ack = net::payload_as<msg::InvalidateAck>(m);
+    return handle_round_reply(RoundKind::kInvalidate, ack.epoch, ack.view,
+                              ack.dirty, ack.image);
+  }
+  if (m.type == msg::kFetchReply) {
+    const auto& rep = net::payload_as<msg::FetchReply>(m);
+    return handle_round_reply(RoundKind::kFetch, rep.token, rep.view,
+                              rep.dirty, rep.image);
+  }
   if (m.type == msg::kModeChangeReq) return handle_mode_change(m);
   if (m.type == msg::kKillReq) return handle_kill(m);
   if (m.type == msg::kRebuildReply) return handle_rebuild_reply(m);
@@ -340,6 +320,12 @@ void DirectoryManager::set_static_map(StaticMap m) {
   }
 }
 
+void DirectoryManager::cancel(net::TimerId& timer) {
+  if (timer == net::kInvalidTimerId) return;
+  fabric_.cancel_timer(timer);
+  timer = net::kInvalidTimerId;
+}
+
 void DirectoryManager::send_to_view(const ViewRecord& rec, const char* type,
                                     std::any payload, std::size_t bytes) {
   fabric_.send(self_, rec.cache_addr, type, std::move(payload), bytes);
@@ -425,12 +411,9 @@ void DirectoryManager::forget_in_progress(const net::Address& from,
 }
 
 std::size_t DirectoryManager::open_rounds_of(ViewId v) const {
-  std::size_t n = 0;
-  for (const auto& [token, pp] : pending_pulls_) {
-    (void)token;
-    if (pp.requester == v) ++n;
-  }
-  return n;
+  return static_cast<std::size_t>(
+      std::count_if(fetch_rounds_.begin(), fetch_rounds_.end(),
+                    [v](const auto& e) { return e.second.requester == v; }));
 }
 
 void DirectoryManager::arm_liveness_timer() {
@@ -466,7 +449,7 @@ void DirectoryManager::liveness_sweep() {
       // round timeout) to discover. Traffic from the dead incarnation
       // is fenced at re-registration (stale incarnation/generation).
       stats_.inc("view.evicted.strong_reclaim");
-      if (!acquire_inflight_.has_value()) start_next_acquire();
+      if (!invalidation_.has_value()) start_next_acquire();
     }
   }
   arm_liveness_timer();
@@ -688,23 +671,18 @@ void DirectoryManager::handle_pull(const net::Message& m) {
     stats_.inc("op.pull.ro_shortcut");
   }
 
-  std::set<ViewId> candidates;
+  Round r;
+  r.requester = req.view;
+  r.req = req.req;
+  r.unseen_before = unseen;
   if (need_fetch) {
     for (const ViewId id : conflicting_views(req.view)) {
       // A migrating view is sealed: it cannot answer a FetchReq, and
       // its dirty state reaches the primary through the handoff anyway.
-      if (find(id)->active && !migrating(id)) candidates.insert(id);
+      if (find(id)->active && !migrating(id)) r.outstanding.insert(id);
     }
   }
-
-  if (candidates.empty()) {
-    PendingPull pp;
-    pp.requester = req.view;
-    pp.unseen_before = unseen;
-    pp.req = req.req;
-    finish_pull(pp);
-    return;
-  }
+  if (r.outstanding.empty()) return answer_requester(r);
 
   // Admission control: opening yet another demand-fetch round past the
   // configured budget is refused with Busy — fetch rounds are the
@@ -714,7 +692,7 @@ void DirectoryManager::handle_pull(const net::Message& m) {
   // post-Busy retry would be dropped as a duplicate of a round that
   // never opened.
   const bool over_global = cfg_.max_fetch_rounds != 0 &&
-                           pending_pulls_.size() >= cfg_.max_fetch_rounds;
+                           fetch_rounds_.size() >= cfg_.max_fetch_rounds;
   const bool over_view = !over_global && cfg_.max_view_rounds != 0 &&
                          open_rounds_of(req.view) >= cfg_.max_view_rounds;
   if (over_global || over_view) {
@@ -728,308 +706,9 @@ void DirectoryManager::handle_pull(const net::Message& m) {
   }
 
   stats_.inc("op.pull.fetch_round");
-  PendingPull pp;
-  pp.token = next_token_++;
-  pp.requester = req.view;
-  pp.outstanding = std::move(candidates);
-  for (const ViewId id : pp.outstanding) {
-    pp.target_props.emplace(id, find(id)->properties);
-  }
-  pp.unseen_before = unseen;
-  pp.req = req.req;
-  pp.resends_left = cfg_.command_retries;
-  FLECC_TRACE_ONLY(pp.span = obs::span_id(m.from, req.req);)
-  const std::uint64_t token = pp.token;
-  if (cfg_.durability != nullptr) {
-    // Checkpoint the round opening per target so a straggler reply or
-    // echo arriving after a crash can still merge from the archive.
-    for (const auto& [id, props] : pp.target_props) {
-      WalRecord w;
-      w.kind = WalKind::kRoundOpen;
-      w.view = id;
-      w.properties = props;
-      w.ns = 0;
-      w.round = token;
-      wal_append(w);
-    }
-  }
-  for (const ViewId id : pp.outstanding) {
-    stats_.inc("op.fetch.sent");
-    msg::FetchReq freq{token, generation_};
-    FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMsgSent,
-                      obs::Role::kDirectory, obs::agent_key(self_), pp.span,
-                      msg::kFetchReq, token, id);
-    send_to_view(*find(id), msg::kFetchReq, box(freq),
-                 msg::wire_size(freq));
-  }
-  pp.timeout = fabric_.schedule(self_, cfg_.fetch_timeout, [this, token] {
-    auto it = pending_pulls_.find(token);
-    if (it == pending_pulls_.end()) return;
-    stats_.inc("op.fetch.timeout");
-    PendingPull pp2 = std::move(it->second);
-    pending_pulls_.erase(it);
-    settle_pull_round(pp2);
-    finish_pull(pp2);
-  });
-  pending_pulls_.emplace(token, std::move(pp));
-  arm_pull_resend(token);
-}
-
-void DirectoryManager::arm_pull_resend(std::uint64_t token) {
-  auto it = pending_pulls_.find(token);
-  if (it == pending_pulls_.end() || it->second.resends_left == 0) return;
-  const sim::Duration interval = std::max<sim::Duration>(
-      1, cfg_.fetch_timeout /
-             static_cast<sim::Duration>(cfg_.command_retries + 1));
-  it->second.resend_timer = fabric_.schedule(self_, interval, [this, token] {
-    auto it2 = pending_pulls_.find(token);
-    if (it2 == pending_pulls_.end()) return;
-    it2->second.resend_timer = net::kInvalidTimerId;
-    if (it2->second.resends_left == 0) return;
-    --it2->second.resends_left;
-    for (const ViewId id : it2->second.outstanding) {
-      const auto* rec = find(id);
-      if (rec == nullptr) continue;
-      stats_.inc("op.fetch.retry");
-      msg::FetchReq freq{token, generation_};
-      FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(),
-                        obs::EventKind::kMsgRetransmitted,
-                        obs::Role::kDirectory, obs::agent_key(self_),
-                        it2->second.span, msg::kFetchReq, token, id);
-      send_to_view(*rec, msg::kFetchReq, box(freq), msg::wire_size(freq));
-    }
-    arm_pull_resend(token);
-  });
-}
-
-void DirectoryManager::finish_pull(PendingPull& pp) {
-  if (pp.timeout != net::kInvalidTimerId) fabric_.cancel_timer(pp.timeout);
-  if (pp.resend_timer != net::kInvalidTimerId) {
-    fabric_.cancel_timer(pp.resend_timer);
-  }
-  auto* rec = find(pp.requester);
-  if (rec == nullptr) return;  // requester died while we fetched
-  msg::PullReply out;
-  out.image = primary_.extract_from_object(rec->properties);
-  out.image.set_version(version_);
-  out.unseen_before = pp.unseen_before;
-  out.req = pp.req;
-  out.gen = generation_;
-  rec->active = true;
-  rec->last_sync = version_;
-  rec->last_sync_at = fabric_.now();
-  const auto bytes = msg::wire_size(out);
-  reply(rec->cache_addr, pp.req, msg::kPullReply, box(std::move(out)),
-        bytes);
-}
-
-void DirectoryManager::settle_pull_round(PendingPull& pp) {
-  if (pp.token == 0) return;  // fast-path pull, no fetch round existed
-  settled_pulls_.emplace(
-      pp.token,
-      SettledRound{std::move(pp.merged), std::move(pp.target_props)});
-  settled_pull_order_.push_back(pp.token);
-  if (settled_pull_order_.size() > kSettledRoundWindow) {
-    settled_pulls_.erase(settled_pull_order_.front());
-    settled_pull_order_.pop_front();
-  }
-}
-
-void DirectoryManager::settle_acquire_round(PendingAcquire& pa) {
-  settled_acquires_.emplace(
-      pa.epoch,
-      SettledRound{std::move(pa.merged), std::move(pa.target_props)});
-  settled_acquire_order_.push_back(pa.epoch);
-  if (settled_acquire_order_.size() > kSettledRoundWindow) {
-    settled_acquires_.erase(settled_acquire_order_.front());
-    settled_acquire_order_.pop_front();
-  }
-}
-
-const props::PropertySet* DirectoryManager::round_props(
-    ViewId v, const std::map<ViewId, props::PropertySet>& snap) const {
-  if (const auto* rec = find(v); rec != nullptr) return &rec->properties;
-  auto it = snap.find(v);
-  return it == snap.end() ? nullptr : &it->second;
-}
-
-void DirectoryManager::process_echoes(
-    const std::vector<msg::DeltaEcho>& echoes) {
-  for (const auto& e : echoes) {
-    if (!e.invalidate) {
-      if (auto it = pending_pulls_.find(e.round);
-          it != pending_pulls_.end()) {
-        // The echo beat (or replaced) the FetchReply for a live round.
-        auto& pp = it->second;
-        if (pp.merged.count(e.view) != 0) {
-          stats_.inc("echo.duplicate");
-          continue;
-        }
-        if (const auto* ps = round_props(e.view, pp.target_props)) {
-          merge_update(e.image, e.view, *ps, "echo.fetch", e.round, pp.span);
-          pp.merged.insert(e.view);
-          note_round_merge(false, e.round, e.view);
-          stats_.inc("echo.merged");
-        }
-        if (pp.outstanding.erase(e.view) != 0 && pp.outstanding.empty()) {
-          PendingPull done = std::move(pp);
-          pending_pulls_.erase(it);
-          settle_pull_round(done);
-          finish_pull(done);
-        }
-        continue;
-      }
-      if (auto sit = settled_pulls_.find(e.round);
-          sit != settled_pulls_.end()) {
-        if (sit->second.merged.count(e.view) != 0) {
-          stats_.inc("echo.duplicate");
-          continue;
-        }
-        if (const auto* ps = round_props(e.view, sit->second.target_props)) {
-          merge_update(e.image, e.view, *ps, "echo.fetch", e.round, 0);
-          sit->second.merged.insert(e.view);
-          note_round_merge(false, e.round, e.view);
-          stats_.inc("echo.merged");
-        }
-        continue;
-      }
-      if (pre_crash_round(e.round)) {
-        // A round a previous incarnation opened and the checkpoint lost.
-        // The echoed extraction may exist nowhere else — re-open an
-        // archive slot and merge it exactly once.
-        auto& slot = revive_settled(false, e.round);
-        if (slot.merged.count(e.view) != 0) {
-          stats_.inc("echo.duplicate");
-        } else if (const auto* ps = round_props(e.view, slot.target_props)) {
-          merge_update(e.image, e.view, *ps, "echo.fetch", e.round, 0);
-          slot.merged.insert(e.view);
-          note_round_merge(false, e.round, e.view);
-          stats_.inc("echo.revived");
-        }
-        continue;
-      }
-      // Round evicted from the window: the reply must have been merged
-      // long ago — treat as confirmed.
-      stats_.inc("echo.unknown");
-      continue;
-    }
-
-    // Invalidate-epoch namespace.
-    if (acquire_inflight_.has_value() && acquire_inflight_->epoch == e.round) {
-      auto& pa = *acquire_inflight_;
-      if (pa.merged.count(e.view) != 0) {
-        stats_.inc("echo.duplicate");
-        continue;
-      }
-      if (const auto* ps = round_props(e.view, pa.target_props)) {
-        merge_update(e.image, e.view, *ps, "echo.invalidate", e.round,
-                     pa.span);
-        pa.merged.insert(e.view);
-        note_round_merge(true, e.round, e.view);
-        stats_.inc("echo.merged");
-      }
-      if (auto* rec = find(e.view); rec != nullptr) {
-        rec->active = false;  // the echoed extraction invalidated the copy
-        rec->exclusive = false;
-      }
-      if (pa.awaiting.erase(e.view) != 0 && pa.awaiting.empty()) {
-        PendingAcquire done = std::move(pa);
-        acquire_inflight_.reset();
-        settle_acquire_round(done);
-        finish_acquire(done);
-        if (!acquire_inflight_.has_value()) start_next_acquire();
-      }
-      continue;
-    }
-    if (auto sit = settled_acquires_.find(e.round);
-        sit != settled_acquires_.end()) {
-      if (sit->second.merged.count(e.view) != 0) {
-        stats_.inc("echo.duplicate");
-        continue;
-      }
-      if (const auto* ps = round_props(e.view, sit->second.target_props)) {
-        merge_update(e.image, e.view, *ps, "echo.invalidate", e.round, 0);
-        sit->second.merged.insert(e.view);
-        note_round_merge(true, e.round, e.view);
-        stats_.inc("echo.merged");
-      }
-      continue;
-    }
-    if (pre_crash_round(e.round)) {
-      // As on the fetch side: a pre-crash invalidate epoch the
-      // checkpoint lost; merge its echoed extraction exactly once.
-      auto& slot = revive_settled(true, e.round);
-      if (slot.merged.count(e.view) != 0) {
-        stats_.inc("echo.duplicate");
-      } else if (const auto* ps = round_props(e.view, slot.target_props)) {
-        merge_update(e.image, e.view, *ps, "echo.invalidate", e.round, 0);
-        slot.merged.insert(e.view);
-        note_round_merge(true, e.round, e.view);
-        stats_.inc("echo.revived");
-      }
-      continue;
-    }
-    stats_.inc("echo.unknown");
-  }
-}
-
-void DirectoryManager::handle_fetch_reply(const net::Message& m) {
-  const auto& rep = net::payload_as<msg::FetchReply>(m);
-  if (auto* src = find(rep.view); src != nullptr) touch(*src);
-  auto it = pending_pulls_.find(rep.token);
-  FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMsgReceived,
-                    obs::Role::kDirectory, obs::agent_key(self_),
-                    it != pending_pulls_.end() ? it->second.span : 0,
-                    msg::kFetchReply, rep.token, rep.view);
-  if (it == pending_pulls_.end()) {
-    // The round already settled (timeout, or everyone else answered).
-    // If this straggler carries deltas the round never merged, they
-    // exist nowhere else — merge them from the settled-round archive.
-    stats_.inc("op.fetch.late");
-    auto sit = settled_pulls_.find(rep.token);
-    if (sit == settled_pulls_.end() && rep.dirty &&
-        pre_crash_round(rep.token)) {
-      // A gen == 0 straggler from a round the checkpoint lost (stamped
-      // replies from the old incarnation are fenced before this point).
-      revive_settled(false, rep.token);
-      sit = settled_pulls_.find(rep.token);
-    }
-    if (sit != settled_pulls_.end() && rep.dirty &&
-        sit->second.merged.count(rep.view) == 0) {
-      if (const auto* ps = round_props(rep.view, sit->second.target_props)) {
-        merge_update(rep.image, rep.view, *ps, "late_fetch", rep.token, 0);
-        sit->second.merged.insert(rep.view);
-        note_round_merge(false, rep.token, rep.view);
-        stats_.inc("op.fetch.late.merged");
-      }
-    }
-    return;
-  }
-  if (it->second.outstanding.count(rep.view) == 0) {
-    // Duplicate delivery (command retransmit + original both answered):
-    // the first copy was already merged; merging again would
-    // double-count the deltas.
-    stats_.inc("msg.duplicate.dropped");
-    return;
-  }
-  if (rep.dirty && it->second.merged.count(rep.view) == 0) {
-    // Merge from the live record when possible; fall back to the
-    // properties snapshotted at round start so a reply from a view
-    // liveness-evicted mid-flight still lands.
-    if (const auto* ps = round_props(rep.view, it->second.target_props)) {
-      merge_update(rep.image, rep.view, *ps, "fetch", rep.token,
-                   it->second.span);
-      it->second.merged.insert(rep.view);
-      note_round_merge(false, rep.token, rep.view);
-    }
-  }
-  it->second.outstanding.erase(rep.view);
-  if (it->second.outstanding.empty()) {
-    PendingPull pp = std::move(it->second);
-    pending_pulls_.erase(it);
-    settle_pull_round(pp);
-    finish_pull(pp);
-  }
+  r.id = next_token_++;
+  FLECC_TRACE_ONLY(r.span = obs::span_id(m.from, req.req);)
+  open_round(std::move(r));
 }
 
 // ---- push ---------------------------------------------------------------
@@ -1045,16 +724,7 @@ void DirectoryManager::handle_push(const net::Message& m) {
   touch(*rec);
   note_in_progress(m.from, req.req);
   process_echoes(req.echoes);
-  if (op_already_merged(m.from, req.req)) {
-    // A previous incarnation merged this push; the ack was lost to the
-    // crash. Ack without re-merging (the within-incarnation equivalent
-    // is the dedup window, which did not survive the restart).
-    stats_.inc("op.push.replayed_merge");
-  } else {
-    merge_update(req.image, req.view, rec->properties, "push", 0,
-                 obs::span_id(m.from, req.req));
-    note_op_merged(m.from, req.req);
-  }
+  merge_op(m.from, req.req, *rec, req.image, "push", "op.push.replayed_merge");
   rec->active = true;
   msg::PushAck ack{version_, req.req, generation_};
   reply(rec->cache_addr, req.req, msg::kPushAck, box(ack),
@@ -1127,7 +797,7 @@ void DirectoryManager::handle_acquire(const net::Message& m) {
   }
   note_in_progress(m.from, req.req);
   acquire_queue_.push_back(req);
-  if (!acquire_inflight_.has_value()) start_next_acquire();
+  if (!invalidation_.has_value()) start_next_acquire();
 }
 
 void DirectoryManager::start_next_acquire() {
@@ -1145,11 +815,12 @@ void DirectoryManager::start_next_acquire() {
     auto* rec = find(req.view);
     if (rec == nullptr) continue;  // requester died while queued
 
-    PendingAcquire pa;
-    pa.requester = req.view;
-    pa.epoch = next_epoch_++;
-    pa.req = req.req;
-    FLECC_TRACE_ONLY(pa.span = obs::span_id(rec->cache_addr, req.req);)
+    Round r;
+    r.kind = RoundKind::kInvalidate;
+    r.id = next_epoch_++;
+    r.requester = req.view;
+    r.req = req.req;
+    FLECC_TRACE_ONLY(r.span = obs::span_id(rec->cache_addr, req.req);)
 
     // Read-only acquires under the read/write-semantics extension can
     // share: they do not invalidate other read-only holders. A plain
@@ -1162,177 +833,321 @@ void DirectoryManager::start_next_acquire() {
         const ViewRecord& other = *find(id);
         if (!other.active) continue;
         if (ro_share && !other.exclusive) continue;  // RO can coexist
-        pa.awaiting.insert(id);
-        pa.target_props.emplace(id, other.properties);
+        r.outstanding.insert(id);
       }
     }
-
-    if (pa.awaiting.empty()) {
-      finish_acquire(pa);
-      continue;  // finish_acquire did not set inflight; serve next
+    if (r.outstanding.empty()) {
+      answer_requester(r);
+      continue;  // no round opened; serve the next
     }
-
-    if (cfg_.durability != nullptr) {
-      // Mirror of the fetch-round checkpointing in handle_pull.
-      for (const auto& [id, props] : pa.target_props) {
-        WalRecord w;
-        w.kind = WalKind::kRoundOpen;
-        w.view = id;
-        w.properties = props;
-        w.ns = 1;
-        w.round = pa.epoch;
-        wal_append(w);
-      }
-    }
-    for (const ViewId id : pa.awaiting) {
-      stats_.inc("op.acquire.invalidations");
-      msg::InvalidateReq inv{pa.epoch, generation_};
-      FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMsgSent,
-                        obs::Role::kDirectory, obs::agent_key(self_), pa.span,
-                        msg::kInvalidateReq, pa.epoch, id);
-      send_to_view(*find(id), msg::kInvalidateReq, box(inv),
-                   msg::wire_size(inv));
-    }
-    const std::uint64_t epoch = pa.epoch;
-    pa.resends_left = cfg_.command_retries;
-    // Straggler protection: if an invalidated view never acks (crash),
-    // proceed after the timeout.
-    pa.timeout = fabric_.schedule(self_, cfg_.fetch_timeout, [this, epoch] {
-      if (!acquire_inflight_.has_value() ||
-          acquire_inflight_->epoch != epoch) {
-        return;
-      }
-      stats_.inc("op.acquire.timeout");
-      PendingAcquire pa2 = std::move(*acquire_inflight_);
-      acquire_inflight_.reset();
-      settle_acquire_round(pa2);
-      finish_acquire(pa2);
-      if (!acquire_inflight_.has_value()) start_next_acquire();
-    });
-    acquire_inflight_ = std::move(pa);
-    arm_acquire_resend(epoch);
+    open_round(std::move(r));
     return;
   }
 }
 
-void DirectoryManager::arm_acquire_resend(std::uint64_t epoch) {
-  if (!acquire_inflight_.has_value() || acquire_inflight_->epoch != epoch ||
-      acquire_inflight_->resends_left == 0) {
+// ---- rounds: demand fetches and invalidations -----------------------------
+//
+// Paper Figure 2 runs the same step for a validity-triggered fetch and a
+// strong-mode invalidation: ask each active conflicting view to extract
+// its updates, then merge them into the primary. Both kinds take one
+// path per step; kind_info() holds what differs.
+
+const DirectoryManager::RoundKindInfo& DirectoryManager::kind_info(
+    RoundKind kind) {
+  static constexpr RoundKindInfo kKinds[] = {
+      {msg::kFetchReq, msg::kFetchReply, "op.fetch.sent", "op.fetch.retry",
+       "op.fetch.timeout", "op.fetch.late", "op.fetch.late.merged", "fetch",
+       "late_fetch", "echo.fetch", 0},
+      {msg::kInvalidateReq, msg::kInvalidateAck, "op.acquire.invalidations",
+       "op.invalidate.retry", "op.acquire.timeout", "op.invalidate.stale_ack",
+       "op.invalidate.late.merged", "invalidate", "late_invalidate",
+       "echo.invalidate", 1},
+  };
+  return kKinds[static_cast<std::size_t>(kind)];
+}
+
+void DirectoryManager::open_round(Round r) {
+  const RoundKindInfo& k = kind_info(r.kind);
+  for (const ViewId id : r.outstanding) {
+    r.ledger.target_props.emplace(id, find(id)->properties);
+  }
+  if (cfg_.durability != nullptr) {
+    // Checkpoint the round opening per target so a straggler reply or
+    // echo arriving after a crash can still merge from the archive.
+    for (const auto& [id, props] : r.ledger.target_props) {
+      wal_append(round_record(WalKind::kRoundOpen, r.kind, r.id, id, props));
+    }
+  }
+  for (const ViewId id : r.outstanding) {
+    stats_.inc(k.sent);
+    send_command(r, *find(id), obs::EventKind::kMsgSent);
+  }
+  r.resends_left = cfg_.command_retries;
+  arm_round_timer(r, /*resend=*/false);
+  Round& open = r.kind == RoundKind::kFetch
+                    ? fetch_rounds_.emplace(r.id, std::move(r)).first->second
+                    : invalidation_.emplace(std::move(r));
+  arm_round_timer(open, /*resend=*/true);
+}
+
+DirectoryManager::Round* DirectoryManager::find_round(RoundKind kind,
+                                                      std::uint64_t id) {
+  if (kind == RoundKind::kInvalidate) {
+    return invalidation_.has_value() && invalidation_->id == id
+               ? &*invalidation_
+               : nullptr;
+  }
+  auto it = fetch_rounds_.find(id);
+  return it == fetch_rounds_.end() ? nullptr : &it->second;
+}
+
+void DirectoryManager::send_command(const Round& r, const ViewRecord& target,
+                                    [[maybe_unused]] obs::EventKind event) {
+  const char* type = kind_info(r.kind).command;
+  FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), event, obs::Role::kDirectory,
+                    obs::agent_key(self_), r.span, type, r.id, target.id);
+  auto send = [&](const auto& cmd) {
+    send_to_view(target, type, box(cmd), msg::wire_size(cmd));
+  };
+  if (r.kind == RoundKind::kFetch) {
+    send(msg::FetchReq{r.id, generation_});
+  } else {
+    send(msg::InvalidateReq{r.id, generation_});
+  }
+}
+
+void DirectoryManager::arm_round_timer(Round& r, bool resend) {
+  sim::Duration delay = cfg_.fetch_timeout;
+  if (resend) {
+    // The resends spread across fetch_timeout, before the timeout.
+    if (r.resends_left == 0) return;
+    delay = std::max<sim::Duration>(
+        1, delay / static_cast<sim::Duration>(cfg_.command_retries + 1));
+  }
+  // Each callback captures only (this, id), which std::function stores
+  // inline: arming a round timer never allocates.
+  const std::uint64_t id = r.id;
+  std::function<void()> fire;
+  if (r.kind == RoundKind::kFetch && resend) {
+    fire = [this, id] { on_round_timer(RoundKind::kFetch, id, true); };
+  } else if (r.kind == RoundKind::kFetch) {
+    fire = [this, id] { on_round_timer(RoundKind::kFetch, id, false); };
+  } else if (resend) {
+    fire = [this, id] { on_round_timer(RoundKind::kInvalidate, id, true); };
+  } else {
+    fire = [this, id] { on_round_timer(RoundKind::kInvalidate, id, false); };
+  }
+  (resend ? r.resend_timer : r.timeout) =
+      fabric_.schedule(self_, delay, std::move(fire));
+}
+
+void DirectoryManager::on_round_timer(RoundKind kind, std::uint64_t id,
+                                      bool resend) {
+  Round* r = find_round(kind, id);
+  if (r == nullptr) return;
+  const RoundKindInfo& k = kind_info(kind);
+  if (!resend) {
+    // Straggler protection: a target that never answers (crash) holds
+    // the requester for fetch_timeout at most.
+    stats_.inc(k.timeout);
+    complete_round(*r);
     return;
   }
-  const sim::Duration interval = std::max<sim::Duration>(
-      1, cfg_.fetch_timeout /
-             static_cast<sim::Duration>(cfg_.command_retries + 1));
-  acquire_inflight_->resend_timer =
-      fabric_.schedule(self_, interval, [this, epoch] {
-        if (!acquire_inflight_.has_value() ||
-            acquire_inflight_->epoch != epoch) {
-          return;
-        }
-        acquire_inflight_->resend_timer = net::kInvalidTimerId;
-        if (acquire_inflight_->resends_left == 0) return;
-        --acquire_inflight_->resends_left;
-        for (const ViewId id : acquire_inflight_->awaiting) {
-          const auto* rec = find(id);
-          if (rec == nullptr) continue;
-          stats_.inc("op.invalidate.retry");
-          msg::InvalidateReq inv{epoch, generation_};
-          FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(),
-                            obs::EventKind::kMsgRetransmitted,
-                            obs::Role::kDirectory, obs::agent_key(self_),
-                            acquire_inflight_->span, msg::kInvalidateReq,
-                            epoch, id);
-          send_to_view(*rec, msg::kInvalidateReq, box(inv),
-                       msg::wire_size(inv));
-        }
-        arm_acquire_resend(epoch);
-      });
-}
-
-void DirectoryManager::finish_acquire(PendingAcquire& pa) {
-  if (pa.timeout != net::kInvalidTimerId) fabric_.cancel_timer(pa.timeout);
-  if (pa.resend_timer != net::kInvalidTimerId) {
-    fabric_.cancel_timer(pa.resend_timer);
+  r->resend_timer = net::kInvalidTimerId;
+  if (r->resends_left == 0) return;
+  --r->resends_left;
+  for (const ViewId target : r->outstanding) {
+    const ViewRecord* rec = find(target);
+    if (rec == nullptr) continue;
+    stats_.inc(k.retry);
+    send_command(*r, *rec, obs::EventKind::kMsgRetransmitted);
   }
-  auto* rec = find(pa.requester);
-  if (rec == nullptr) return;
-  rec->active = true;
-  rec->exclusive = true;
-  rec->last_sync = version_;
-  rec->last_sync_at = fabric_.now();
-  msg::AcquireGrant grant;
-  grant.image = primary_.extract_from_object(rec->properties);
-  grant.image.set_version(version_);
-  grant.req = pa.req;
-  grant.gen = generation_;
-  const auto bytes = msg::wire_size(grant);
-  reply(rec->cache_addr, pa.req, msg::kAcquireGrant, box(std::move(grant)),
-        bytes);
+  arm_round_timer(*r, /*resend=*/true);
 }
 
-void DirectoryManager::handle_invalidate_ack(const net::Message& m) {
-  const auto& ack = net::payload_as<msg::InvalidateAck>(m);
-  if (auto* src = find(ack.view); src != nullptr) touch(*src);
+void DirectoryManager::handle_round_reply(RoundKind kind, std::uint64_t id,
+                                          ViewId view, bool dirty,
+                                          const ObjectImage& image) {
+  const RoundKindInfo& k = kind_info(kind);
+  if (auto* src = find(view); src != nullptr) touch(*src);
+  Round* r = find_round(kind, id);
   FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMsgReceived,
                     obs::Role::kDirectory, obs::agent_key(self_),
-                    acquire_inflight_.has_value() &&
-                            acquire_inflight_->epoch == ack.epoch
-                        ? acquire_inflight_->span
-                        : 0,
-                    msg::kInvalidateAck, ack.epoch, ack.view);
-  if (!acquire_inflight_.has_value() ||
-      acquire_inflight_->epoch != ack.epoch) {
-    // The round already settled. A dirty straggler still carries the
-    // only copy of its extraction — merge it via the archive, once.
-    stats_.inc("op.invalidate.stale_ack");
-    auto sit = settled_acquires_.find(ack.epoch);
-    if (sit == settled_acquires_.end() && ack.dirty &&
-        pre_crash_round(ack.epoch)) {
-      // Mirror of the late-fetch revive: a gen == 0 straggler from an
-      // epoch the checkpoint lost.
-      revive_settled(true, ack.epoch);
-      sit = settled_acquires_.find(ack.epoch);
+                    r != nullptr ? r->span : 0, k.reply, id, view);
+  if (r == nullptr) {
+    // The round already settled (timeout, or everyone else answered).
+    // A dirty straggler carries the only copy of its extraction: merge
+    // it via the settled-round archive, once.
+    stats_.inc(k.late);
+    RoundLedger* settled = settled_round(kind, id);
+    if (settled == nullptr && dirty && pre_crash_round(id)) {
+      // A gen == 0 straggler from a round the checkpoint lost (stamped
+      // replies from the old incarnation are fenced before this point):
+      // revive its archive slot.
+      stats_.inc("recovery.revived_round");
+      settled = &archive_slot(kind, id);
     }
-    if (sit != settled_acquires_.end() && ack.dirty &&
-        sit->second.merged.count(ack.view) == 0) {
-      if (const auto* ps = round_props(ack.view, sit->second.target_props)) {
-        merge_update(ack.image, ack.view, *ps, "late_invalidate", ack.epoch,
-                     0);
-        sit->second.merged.insert(ack.view);
-        note_round_merge(true, ack.epoch, ack.view);
-        stats_.inc("op.invalidate.late.merged");
-      }
+    if (settled != nullptr && dirty && settled->merged.count(view) == 0 &&
+        merge_round_image(kind, id, *settled, view, image, k.late_path, 0)) {
+      stats_.inc(k.late_merged);
     }
     return;
   }
-  if (acquire_inflight_->awaiting.count(ack.view) == 0) {
-    // Duplicate delivery: this ack's image was already merged.
+  if (r->outstanding.count(view) == 0) {
+    // Duplicate delivery (command resend + original both answered): the
+    // first copy already merged; merging again would double-count.
     stats_.inc("msg.duplicate.dropped");
     return;
   }
-  if (ack.dirty && acquire_inflight_->merged.count(ack.view) == 0) {
-    // As in handle_fetch_reply: merge evicted-mid-flight acks from the
-    // round's property snapshot rather than dropping their deltas.
-    if (const auto* ps =
-            round_props(ack.view, acquire_inflight_->target_props)) {
-      merge_update(ack.image, ack.view, *ps, "invalidate", ack.epoch,
-                   acquire_inflight_->span);
-      acquire_inflight_->merged.insert(ack.view);
-      note_round_merge(true, ack.epoch, ack.view);
+  if (dirty && r->ledger.merged.count(view) == 0) {
+    merge_round_image(kind, id, r->ledger, view, image, k.path, r->span);
+  }
+  if (kind == RoundKind::kInvalidate) release_target(view);
+  r->outstanding.erase(view);
+  if (r->outstanding.empty()) complete_round(*r);
+}
+
+void DirectoryManager::process_echoes(
+    const std::vector<msg::DeltaEcho>& echoes) {
+  for (const auto& e : echoes) {
+    const RoundKind kind =
+        e.invalidate ? RoundKind::kInvalidate : RoundKind::kFetch;
+    const char* path = kind_info(kind).echo_path;
+    if (Round* r = find_round(kind, e.round); r != nullptr) {
+      // The echo beat (or replaced) the reply of a live round.
+      if (r->ledger.merged.count(e.view) != 0) {
+        stats_.inc("echo.duplicate");
+        continue;
+      }
+      if (merge_round_image(kind, e.round, r->ledger, e.view, e.image, path,
+                            r->span)) {
+        stats_.inc("echo.merged");
+      }
+      if (kind == RoundKind::kInvalidate) release_target(e.view);
+      if (r->outstanding.erase(e.view) != 0 && r->outstanding.empty()) {
+        complete_round(*r);
+      }
+      continue;
+    }
+    RoundLedger* settled = settled_round(kind, e.round);
+    // A round a previous incarnation opened and the checkpoint lost: the
+    // echoed extraction may exist nowhere else, so revive an archive
+    // slot and merge it exactly once per epoch.
+    const bool revived = settled == nullptr && pre_crash_round(e.round);
+    if (revived) {
+      stats_.inc("recovery.revived_round");
+      settled = &archive_slot(kind, e.round);
+    }
+    if (settled == nullptr) {
+      // Evicted from the window: the reply must have merged long ago.
+      stats_.inc("echo.unknown");
+    } else if (settled->merged.count(e.view) != 0) {
+      stats_.inc("echo.duplicate");
+    } else if (merge_round_image(kind, e.round, *settled, e.view, e.image,
+                                 path, 0)) {
+      stats_.inc(revived ? "echo.revived" : "echo.merged");
     }
   }
-  if (auto* rec = find(ack.view); rec != nullptr) {
-    rec->active = false;
+}
+
+bool DirectoryManager::merge_round_image(RoundKind kind, std::uint64_t id,
+                                         RoundLedger& ledger, ViewId view,
+                                         const ObjectImage& image,
+                                         const char* path,
+                                         std::uint64_t span) {
+  // The live record's properties if any, else the round's snapshot (the
+  // source was liveness-evicted while its reply was in flight).
+  const props::PropertySet* ps = nullptr;
+  if (const auto* rec = find(view); rec != nullptr) {
+    ps = &rec->properties;
+  } else if (auto it = ledger.target_props.find(view);
+             it != ledger.target_props.end()) {
+    ps = &it->second;
+  }
+  if (ps == nullptr) return false;
+  merge_update(image, view, *ps, path, id, span);
+  ledger.merged.insert(view);
+  note_round_merge(kind, id, view);
+  return true;
+}
+
+void DirectoryManager::release_target(ViewId v) {
+  if (auto* rec = find(v); rec != nullptr) {
+    rec->active = false;  // the extraction invalidated the copy
     rec->exclusive = false;
   }
-  acquire_inflight_->awaiting.erase(ack.view);
-  if (acquire_inflight_->awaiting.empty()) {
-    PendingAcquire pa = std::move(*acquire_inflight_);
-    acquire_inflight_.reset();
-    settle_acquire_round(pa);
-    finish_acquire(pa);
-    if (!acquire_inflight_.has_value()) start_next_acquire();
+}
+
+void DirectoryManager::complete_round(Round& open) {
+  const Round r = close_round(open);
+  answer_requester(r);
+  if (r.kind == RoundKind::kInvalidate && !invalidation_.has_value()) {
+    start_next_acquire();
   }
+}
+
+DirectoryManager::Round DirectoryManager::close_round(Round& open) {
+  Round r = std::move(open);
+  if (r.kind == RoundKind::kFetch) {
+    fetch_rounds_.erase(r.id);
+  } else {
+    invalidation_.reset();
+  }
+  cancel_timers(r);
+  archive_slot(r.kind, r.id) = std::move(r.ledger);
+  return r;
+}
+
+void DirectoryManager::cancel_timers(Round& r) {
+  cancel(r.timeout);
+  cancel(r.resend_timer);
+}
+
+void DirectoryManager::answer_requester(const Round& r) {
+  ViewRecord* rec = find(r.requester);
+  if (rec == nullptr) return;  // the requester died while the round ran
+  ObjectImage image = primary_.extract_from_object(rec->properties);
+  image.set_version(version_);
+  rec->active = true;
+  if (r.kind == RoundKind::kInvalidate) rec->exclusive = true;
+  rec->last_sync = version_;
+  rec->last_sync_at = fabric_.now();
+  auto send = [&](auto out, const char* type) {
+    out.image = std::move(image);
+    out.req = r.req;
+    out.gen = generation_;
+    const auto bytes = msg::wire_size(out);
+    reply(rec->cache_addr, r.req, type, box(std::move(out)), bytes);
+  };
+  if (r.kind == RoundKind::kFetch) {
+    msg::PullReply out;
+    out.unseen_before = r.unseen_before;
+    send(std::move(out), msg::kPullReply);
+  } else {
+    send(msg::AcquireGrant{}, msg::kAcquireGrant);
+  }
+}
+
+DirectoryManager::RoundLedger* DirectoryManager::settled_round(
+    RoundKind kind, std::uint64_t id) {
+  auto& rounds = archives_[static_cast<std::size_t>(kind)].rounds;
+  auto it = rounds.find(id);
+  return it == rounds.end() ? nullptr : &it->second;
+}
+
+DirectoryManager::RoundLedger& DirectoryManager::archive_slot(
+    RoundKind kind, std::uint64_t id) {
+  RoundArchive& archive = archives_[static_cast<std::size_t>(kind)];
+  auto [it, inserted] = archive.rounds.try_emplace(id);
+  if (inserted) {
+    archive.order.push_back(id);
+    if (archive.order.size() > kSettledRoundWindow &&
+        archive.order.front() != id) {
+      archive.rounds.erase(archive.order.front());
+      archive.order.pop_front();
+    }
+  }
+  return it->second;
 }
 
 // ---- mode change ----------------------------------------------------------
@@ -1395,14 +1210,8 @@ void DirectoryManager::handle_kill(const net::Message& m) {
   touch(*rec);
   note_in_progress(m.from, req.req);
   if (req.dirty) {
-    if (op_already_merged(m.from, req.req)) {
-      // Merged by a previous incarnation; see handle_push.
-      stats_.inc("op.kill.replayed_merge");
-    } else {
-      merge_update(req.final_image, req.view, rec->properties, "kill", 0,
-                   obs::span_id(m.from, req.req));
-      note_op_merged(m.from, req.req);
-    }
+    merge_op(m.from, req.req, *rec, req.final_image, "kill",
+             "op.kill.replayed_merge");
   }
   const net::Address addr = rec->cache_addr;
   drop_view(views_.find(req.view));
@@ -1422,45 +1231,22 @@ void DirectoryManager::complete_fetch_or_acquire_for_dead_view(ViewId v) {
     if (rebuild_awaiting_.empty()) finish_rebuild();
   }
 
-  // A dead view can no longer answer FetchReq/InvalidateReq; settle any
-  // round that was waiting on it.
-  std::vector<std::uint64_t> done_tokens;
-  for (auto& [token, pp] : pending_pulls_) {
-    pp.outstanding.erase(v);
-    if (pp.outstanding.empty()) done_tokens.push_back(token);
+  // A dead view can no longer answer a command: settle every round
+  // waiting on it, fetch rounds in token order, then the invalidation.
+  for (auto it = fetch_rounds_.begin(); it != fetch_rounds_.end();) {
+    Round& r = (it++)->second;  // completing r erases its node
+    r.outstanding.erase(v);
+    if (r.outstanding.empty()) complete_round(r);
   }
-  for (const auto token : done_tokens) {
-    auto it = pending_pulls_.find(token);
-    PendingPull pp = std::move(it->second);
-    pending_pulls_.erase(it);
-    settle_pull_round(pp);
-    finish_pull(pp);
-  }
-
-  if (acquire_inflight_.has_value()) {
-    if (acquire_inflight_->requester == v) {
-      if (acquire_inflight_->timeout != net::kInvalidTimerId) {
-        fabric_.cancel_timer(acquire_inflight_->timeout);
-      }
-      if (acquire_inflight_->resend_timer != net::kInvalidTimerId) {
-        fabric_.cancel_timer(acquire_inflight_->resend_timer);
-      }
-      // The requester died but invalidated views may already have
-      // extracted; archive the round so their echoes still merge.
-      PendingAcquire dead = std::move(*acquire_inflight_);
-      acquire_inflight_.reset();
-      settle_acquire_round(dead);
-      start_next_acquire();
-    } else {
-      acquire_inflight_->awaiting.erase(v);
-      if (acquire_inflight_->awaiting.empty()) {
-        PendingAcquire pa = std::move(*acquire_inflight_);
-        acquire_inflight_.reset();
-        settle_acquire_round(pa);
-        finish_acquire(pa);
-        if (!acquire_inflight_.has_value()) start_next_acquire();
-      }
-    }
+  if (!invalidation_.has_value()) return;
+  if (invalidation_->requester == v) {
+    // The requester died, but invalidated views may already have
+    // extracted: archive the round so their echoes still merge.
+    close_round(*invalidation_);
+    start_next_acquire();
+  } else {
+    invalidation_->outstanding.erase(v);
+    if (invalidation_->outstanding.empty()) complete_round(*invalidation_);
   }
 }
 
@@ -1557,9 +1343,7 @@ void DirectoryManager::abort_migration(ViewId v, const char* why) {
   if (it == migrations_.end()) return;
   PendingMigration mig = std::move(it->second);
   migrations_.erase(it);
-  if (mig.resend_timer != net::kInvalidTimerId) {
-    fabric_.cancel_timer(mig.resend_timer);
-  }
+  cancel(mig.resend_timer);
   stats_.inc("migrate.aborted");
   FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMigrateAborted,
                     obs::Role::kDirectory, obs::agent_key(self_), 0, why,
@@ -1575,7 +1359,7 @@ void DirectoryManager::abort_migration(ViewId v, const char* why) {
                  msg::wire_size(done));
   }
   if (cfg_.on_migrate_phase) cfg_.on_migrate_phase(v, kMigrateAborted);
-  if (migrations_.empty() && !acquire_inflight_.has_value()) {
+  if (migrations_.empty() && !invalidation_.has_value()) {
     start_next_acquire();
   }
 }
@@ -1632,21 +1416,13 @@ void DirectoryManager::handle_handoff_state(const net::Message& m) {
   // (address, req) key — the same key absorbs a journal-replayed push of
   // this delta after an abort or a source crash, so no path double-merges.
   if (hs.dirty) {
-    if (op_already_merged(m.from, hs.req)) {
-      stats_.inc("migrate.handoff.replayed_merge");
-    } else {
-      merge_update(hs.delta, hs.view, rec->properties, "migrate", 0,
-                   obs::span_id(m.from, hs.req));
-      note_op_merged(m.from, hs.req);
-    }
+    merge_op(m.from, hs.req, *rec, hs.delta, "migrate",
+             "migrate.handoff.replayed_merge");
   }
   rec->mode = hs.mode;
   mig.phase = kMigrateHandoff;
   mig.resends_left = cfg_.migrate_resends;
-  if (mig.resend_timer != net::kInvalidTimerId) {
-    fabric_.cancel_timer(mig.resend_timer);
-    mig.resend_timer = net::kInvalidTimerId;
-  }
+  cancel(mig.resend_timer);
   send_move_install(mig);
   arm_migrate_resend(hs.view);
   if (cfg_.on_migrate_phase) cfg_.on_migrate_phase(hs.view, kMigrateHandoff);
@@ -1662,9 +1438,7 @@ void DirectoryManager::handle_view_move_ack(const net::Message& m) {
   }
   PendingMigration mig = std::move(it->second);
   migrations_.erase(it);
-  if (mig.resend_timer != net::kInvalidTimerId) {
-    fabric_.cancel_timer(mig.resend_timer);
-  }
+  cancel(mig.resend_timer);
   auto* rec = find(ack.view);
   if (rec == nullptr) {  // unreachable (eviction aborts), but be safe
     note_migration_outcome(ack.view, ack.epoch, true);
@@ -1694,7 +1468,7 @@ void DirectoryManager::handle_view_move_ack(const net::Message& m) {
   fabric_.send(self_, mig.src, msg::kViewMoveDone, box(done),
                msg::wire_size(done));
   if (cfg_.on_migrate_phase) cfg_.on_migrate_phase(ack.view, kMigrateDone);
-  if (migrations_.empty() && !acquire_inflight_.has_value()) {
+  if (migrations_.empty() && !invalidation_.has_value()) {
     start_next_acquire();
   }
 }
@@ -1732,22 +1506,39 @@ void DirectoryManager::wal_deregister(ViewId v) {
   wal_append(w);
 }
 
-void DirectoryManager::note_round_merge(bool invalidate, std::uint64_t round,
+void DirectoryManager::note_round_merge(RoundKind kind, std::uint64_t round,
                                         ViewId v) {
   if (cfg_.durability == nullptr) return;
-  WalRecord w;
-  w.kind = WalKind::kRoundMerge;
-  w.view = v;
-  w.ns = invalidate ? 1 : 0;
-  w.round = round;
-  wal_append(w);
+  wal_append(round_record(WalKind::kRoundMerge, kind, round, v));
 }
 
-void DirectoryManager::note_op_merged(const net::Address& from,
-                                      std::uint64_t req) {
-  if (req == 0) return;
+WalRecord DirectoryManager::round_record(WalKind wal, RoundKind kind,
+                                         std::uint64_t round, ViewId v,
+                                         const props::PropertySet& props) {
+  WalRecord w;
+  w.kind = wal;
+  w.view = v;
+  w.properties = props;
+  w.ns = kind_info(kind).ns;
+  w.round = round;
+  return w;
+}
+
+void DirectoryManager::merge_op(const net::Address& from, std::uint64_t req,
+                                const ViewRecord& rec,
+                                const ObjectImage& image, const char* path,
+                                const char* replayed) {
   const MergedOpKey key{from.node, from.port, req};
-  if (!merged_ops_.insert(key).second) return;
+  if (req != 0 && merged_ops_.count(key) != 0) {
+    // A previous incarnation merged it; the ack was lost to the crash.
+    // Ack without re-merging (the within-incarnation equivalent is the
+    // dedup window, which did not survive the restart).
+    stats_.inc(replayed);
+    return;
+  }
+  merge_update(image, rec.id, rec.properties, path, 0,
+               obs::span_id(from, req));
+  if (req == 0 || !merged_ops_.insert(key).second) return;
   merged_ops_order_.push_back(key);
   while (merged_ops_order_.size() > kMergedOpWindow) {
     merged_ops_.erase(merged_ops_order_.front());
@@ -1762,27 +1553,10 @@ void DirectoryManager::note_op_merged(const net::Address& from,
   wal_append(w);
 }
 
-bool DirectoryManager::op_already_merged(const net::Address& from,
-                                         std::uint64_t req) const {
-  if (req == 0) return false;
-  return merged_ops_.count(MergedOpKey{from.node, from.port, req}) != 0;
-}
-
 std::size_t DirectoryManager::replay_checkpoint(
     const std::vector<WalRecord>& records) {
-  auto remember_round = [&](std::uint8_t ns, std::uint64_t round)
-      -> SettledRound& {
-    auto& rounds = ns == 1 ? settled_acquires_ : settled_pulls_;
-    auto& order = ns == 1 ? settled_acquire_order_ : settled_pull_order_;
-    auto [it, inserted] = rounds.try_emplace(round);
-    if (inserted) {
-      order.push_back(round);
-      if (order.size() > kSettledRoundWindow && order.front() != round) {
-        rounds.erase(order.front());
-        order.pop_front();
-      }
-    }
-    return it->second;
+  auto kind_of = [](std::uint8_t ns) {
+    return ns == 1 ? RoundKind::kInvalidate : RoundKind::kFetch;
   };
 
   for (const auto& w : records) {
@@ -1821,12 +1595,13 @@ std::size_t DirectoryManager::replay_checkpoint(
         if (auto* rec = find(w.view); rec != nullptr) rec->mode = w.mode;
         break;
       case WalKind::kRoundOpen:
-        remember_round(w.ns, w.round).target_props[w.view] = w.properties;
+        archive_slot(kind_of(w.ns), w.round).target_props[w.view] =
+            w.properties;
         break;
       case WalKind::kRoundMerge:
         // Creates the slot if kRoundOpen never made it to disk (revived
         // rounds): the exactly-once marker must survive regardless.
-        remember_round(w.ns, w.round).merged.insert(w.view);
+        archive_slot(kind_of(w.ns), w.round).merged.insert(w.view);
         break;
       case WalKind::kOpMerged: {
         const MergedOpKey key{w.node, w.port, w.req};
@@ -1863,33 +1638,20 @@ void DirectoryManager::compact_wal() {
   }
   // Settled-round archive in insertion order, so replay reconstructs
   // the same eviction order.
-  auto dump_rounds = [&](const std::map<std::uint64_t, SettledRound>& rounds,
-                         const std::deque<std::uint64_t>& order,
-                         std::uint8_t ns) {
-    for (const std::uint64_t round : order) {
-      auto it = rounds.find(round);
-      if (it == rounds.end()) continue;
+  for (const RoundKind kind : {RoundKind::kFetch, RoundKind::kInvalidate}) {
+    const RoundArchive& archive = archives_[static_cast<std::size_t>(kind)];
+    for (const std::uint64_t round : archive.order) {
+      auto it = archive.rounds.find(round);
+      if (it == archive.rounds.end()) continue;
       for (const auto& [view, props] : it->second.target_props) {
-        WalRecord w;
-        w.kind = WalKind::kRoundOpen;
-        w.view = view;
-        w.properties = props;
-        w.ns = ns;
-        w.round = round;
-        snap.push_back(std::move(w));
+        snap.push_back(
+            round_record(WalKind::kRoundOpen, kind, round, view, props));
       }
       for (const ViewId view : it->second.merged) {
-        WalRecord w;
-        w.kind = WalKind::kRoundMerge;
-        w.view = view;
-        w.ns = ns;
-        w.round = round;
-        snap.push_back(std::move(w));
+        snap.push_back(round_record(WalKind::kRoundMerge, kind, round, view));
       }
     }
-  };
-  dump_rounds(settled_pulls_, settled_pull_order_, 0);
-  dump_rounds(settled_acquires_, settled_acquire_order_, 1);
+  }
   for (const MergedOpKey& key : merged_ops_order_) {
     WalRecord w;
     w.kind = WalKind::kOpMerged;
@@ -1900,22 +1662,6 @@ void DirectoryManager::compact_wal() {
   }
   stats_.inc("recovery.compactions");
   cfg_.durability->compact(snap);
-}
-
-DirectoryManager::SettledRound& DirectoryManager::revive_settled(
-    bool invalidate, std::uint64_t round) {
-  auto& rounds = invalidate ? settled_acquires_ : settled_pulls_;
-  auto& order = invalidate ? settled_acquire_order_ : settled_pull_order_;
-  auto [it, inserted] = rounds.try_emplace(round);
-  if (inserted) {
-    stats_.inc("recovery.revived_round");
-    order.push_back(round);
-    if (order.size() > kSettledRoundWindow && order.front() != round) {
-      rounds.erase(order.front());
-      order.pop_front();
-    }
-  }
-  return it->second;
 }
 
 void DirectoryManager::start_rebuild() {
@@ -2021,14 +1767,8 @@ void DirectoryManager::handle_rebuild_reply(const net::Message& m) {
 void DirectoryManager::finish_rebuild() {
   if (!rebuilding_) return;
   rebuilding_ = false;
-  if (rebuild_timer_ != net::kInvalidTimerId) {
-    fabric_.cancel_timer(rebuild_timer_);
-    rebuild_timer_ = net::kInvalidTimerId;
-  }
-  if (rebuild_resend_timer_ != net::kInvalidTimerId) {
-    fabric_.cancel_timer(rebuild_resend_timer_);
-    rebuild_resend_timer_ = net::kInvalidTimerId;
-  }
+  cancel(rebuild_timer_);
+  cancel(rebuild_resend_timer_);
   const std::vector<ViewId> silent(rebuild_awaiting_.begin(),
                                    rebuild_awaiting_.end());
   rebuild_awaiting_.clear();

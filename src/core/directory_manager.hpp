@@ -22,6 +22,7 @@
 #pragma once
 
 #include <any>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -249,50 +250,67 @@ class DirectoryManager : public net::Endpoint {
     std::size_t resends_left = 0;
   };
 
-  struct PendingPull {
-    std::uint64_t token = 0;
-    ViewId requester = kInvalidViewId;
-    std::set<ViewId> outstanding;
-    /// Property snapshot per fetch target: a solicited reply must merge
-    /// even if the source was liveness-evicted while it was in flight
-    /// (its extracted deltas exist nowhere else).
+  /// A round asks every active conflicting view to extract its updates
+  /// and merges them into the primary (paper Figure 2): a validity-
+  /// triggered demand fetch for a pull, or the invalidation before a
+  /// strong-mode grant. The value indexes kind_info() and archives_.
+  enum class RoundKind : std::uint8_t { kFetch = 0, kInvalidate = 1 };
+
+  /// What differs between the two kinds: message tags, counter names,
+  /// merge path labels, and the WAL namespace.
+  struct RoundKindInfo {
+    const char* command;      ///< FetchReq / InvalidateReq
+    const char* reply;        ///< FetchReply / InvalidateAck
+    const char* sent;         ///< counted per command at opening
+    const char* retry;        ///< counted per command resent
+    const char* timeout;      ///< the round settled on its timeout
+    const char* late;         ///< a reply arrived after the round settled
+    const char* late_merged;  ///< ...and merged from the archive
+    const char* path;         ///< merge path of a live reply
+    const char* late_path;    ///< merge path of a late reply
+    const char* echo_path;    ///< merge path of a push-borne echo
+    std::uint8_t ns;          ///< WalRecord::ns of its round records
+  };
+  [[nodiscard]] static const RoundKindInfo& kind_info(RoundKind kind);
+
+  /// The exactly-once state of one round, kept in the settled-round
+  /// archive after the round closes.
+  struct RoundLedger {
+    /// Property snapshot per target: a reply must merge even if its
+    /// source was liveness-evicted while it was in flight (its extracted
+    /// deltas exist nowhere else).
     std::map<ViewId, props::PropertySet> target_props;
-    /// Targets whose dirty image has been merged (reply or echo); the
-    /// guard against double-merging the same extraction.
+    /// Targets whose extraction has merged (reply or echo); the guard
+    /// against merging the same extraction twice.
     std::set<ViewId> merged;
-    net::TimerId timeout = net::kInvalidTimerId;
-    std::uint64_t unseen_before = 0;
-    std::uint64_t req = 0;  // request id to echo in the PullReply
-    net::TimerId resend_timer = net::kInvalidTimerId;
-    std::size_t resends_left = 0;
-    /// Trace span of the originating pull (obs::span_id of the
-    /// requester's address and req); 0 when tracing is off.
-    std::uint64_t span = 0;
   };
 
-  struct PendingAcquire {
+  /// One open round. Fetch rounds run many at once; invalidation rounds
+  /// one at a time, behind the FIFO acquire queue.
+  struct Round {
+    RoundKind kind = RoundKind::kFetch;
+    /// Fetch token or invalidate epoch; epochs share their id space with
+    /// migrations.
+    std::uint64_t id = 0;
     ViewId requester = kInvalidViewId;
-    std::uint64_t epoch = 0;
-    std::set<ViewId> awaiting;
-    /// Property snapshots mirroring PendingPull::target_props.
-    std::map<ViewId, props::PropertySet> target_props;
-    /// Mirrors PendingPull::merged.
-    std::set<ViewId> merged;
+    std::uint64_t req = 0;  // request id to echo in the reply
+    /// Trace span of the originating pull or acquire (obs::span_id of
+    /// the requester's address and req); 0 when tracing is off.
+    std::uint64_t span = 0;
+    std::set<ViewId> outstanding;  // targets yet to answer
+    RoundLedger ledger;
     net::TimerId timeout = net::kInvalidTimerId;
-    std::uint64_t req = 0;  // request id to echo in the AcquireGrant
     net::TimerId resend_timer = net::kInvalidTimerId;
     std::size_t resends_left = 0;
-    /// Trace span of the originating acquire; mirrors PendingPull::span.
-    std::uint64_t span = 0;
+    std::uint64_t unseen_before = 0;  // the pull's quality, for PullReply
   };
 
-  /// What a finished fetch/invalidate round leaves behind, kept in a
-  /// bounded window so a straggler reply or push-borne echo
-  /// (msg::DeltaEcho) of an extraction that never arrived in time can
-  /// still be merged exactly once.
-  struct SettledRound {
-    std::set<ViewId> merged;
-    std::map<ViewId, props::PropertySet> target_props;
+  /// Settled rounds of one kind, kept in a bounded window so a straggler
+  /// reply or push-borne echo (msg::DeltaEcho) of an extraction that
+  /// never arrived in time can still be merged exactly once.
+  struct RoundArchive {
+    std::map<std::uint64_t, RoundLedger> rounds;
+    std::deque<std::uint64_t> order;  // insertion order, for eviction
   };
 
   /// One slot of the per-sender idempotent-replay window.
@@ -310,8 +328,6 @@ class DirectoryManager : public net::Endpoint {
   void handle_pull(const net::Message& m);
   void handle_push(const net::Message& m);
   void handle_acquire(const net::Message& m);
-  void handle_invalidate_ack(const net::Message& m);
-  void handle_fetch_reply(const net::Message& m);
   void handle_mode_change(const net::Message& m);
   void handle_kill(const net::Message& m);
   void handle_heartbeat(const net::Message& m);
@@ -358,20 +374,55 @@ class DirectoryManager : public net::Endpoint {
   void merge_update(const ObjectImage& image, ViewId source,
                     const props::PropertySet& touched, const char* path,
                     std::uint64_t round, std::uint64_t span);
-  void finish_pull(PendingPull& pp);
   void start_next_acquire();
-  void finish_acquire(PendingAcquire& pa);
-  /// Archive a round that just left pending state (see SettledRound).
-  void settle_pull_round(PendingPull& pp);
-  void settle_acquire_round(PendingAcquire& pa);
+
+  // rounds (PROTOCOL.md, "Delta echoes and the settled-round archive")
+  /// Snapshot the targets' properties, checkpoint and send the round's
+  /// commands, arm its timers, and file it as open. The caller fills in
+  /// kind, id, requester, req, span, outstanding and unseen_before.
+  void open_round(Round r);
+  /// The open round (kind, id), or nullptr.
+  Round* find_round(RoundKind kind, std::uint64_t id);
+  /// Settled round (kind, id) in the archive, or nullptr.
+  RoundLedger* settled_round(RoundKind kind, std::uint64_t id);
+  /// The archive slot for (kind, id), created if absent; creating one
+  /// past the window evicts the kind's oldest. Settling, WAL replay, and
+  /// reviving a pre-crash round the checkpoint lost all go through it.
+  RoundLedger& archive_slot(RoundKind kind, std::uint64_t id);
+  void send_command(const Round& r, const ViewRecord& target,
+                    obs::EventKind event);
+  /// Arm the round's timeout (resend == false) or its next resend.
+  void arm_round_timer(Round& r, bool resend);
+  void on_round_timer(RoundKind kind, std::uint64_t id, bool resend);
+  /// A FetchReply or InvalidateAck: merge live, drop a duplicate, or
+  /// merge late from the archive (reviving a pre-crash round).
+  void handle_round_reply(RoundKind kind, std::uint64_t id, ViewId view,
+                          bool dirty, const ObjectImage& image);
+  /// Merge `view`'s extraction into the primary once, with the live
+  /// record's properties or the ledger's snapshot; false when neither
+  /// is known.
+  bool merge_round_image(RoundKind kind, std::uint64_t id,
+                         RoundLedger& ledger, ViewId view,
+                         const ObjectImage& image, const char* path,
+                         std::uint64_t span);
+  /// Invalidation only: the target surrendered its copy.
+  void release_target(ViewId v);
+  /// Close the round, archive it, and answer its requester (an
+  /// invalidation then starts the next queued acquire).
+  void complete_round(Round& open);
+  /// Remove the round from the open set, cancel its timers, and archive
+  /// its ledger; returns the closed round.
+  Round close_round(Round& open);
+  void cancel_timers(Round& r);
+  /// The completion reply: PullReply or AcquireGrant, if the requester
+  /// is still registered.
+  void answer_requester(const Round& r);
   /// Merge push/kill-borne reply echoes, each at most once.
   void process_echoes(const std::vector<msg::DeltaEcho>& echoes);
-  /// Properties to merge `v` with: the live record if any, else the
-  /// round's snapshot, else nullptr (round evicted from the window).
-  const props::PropertySet* round_props(
-      ViewId v, const std::map<ViewId, props::PropertySet>& snap) const;
   void complete_fetch_or_acquire_for_dead_view(ViewId v);
   void maybe_prune_log();
+  /// Cancel `timer` if armed, and disarm it.
+  void cancel(net::TimerId& timer);
   void send_to_view(const ViewRecord& rec, const char* type, std::any payload,
                     std::size_t bytes);
   /// Type-erase an outgoing payload, through the slot pool when
@@ -406,8 +457,6 @@ class DirectoryManager : public net::Endpoint {
   void forget_in_progress(const net::Address& from, std::uint64_t req);
   /// Open fetch rounds requested by view `v`.
   [[nodiscard]] std::size_t open_rounds_of(ViewId v) const;
-  void arm_pull_resend(std::uint64_t token);
-  void arm_acquire_resend(std::uint64_t epoch);
   void arm_liveness_timer();
   void liveness_sweep();
 
@@ -418,12 +467,18 @@ class DirectoryManager : public net::Endpoint {
   [[nodiscard]] WalRecord register_record(const ViewRecord& rec) const;
   void wal_deregister(ViewId v);
   /// Record (and persist) that round `round` merged view `v`'s image.
-  void note_round_merge(bool invalidate, std::uint64_t round, ViewId v);
-  /// Record (and persist) that a dirty push/kill request merged, so a
-  /// post-restart re-issue is acked without re-merging.
-  void note_op_merged(const net::Address& from, std::uint64_t req);
-  [[nodiscard]] bool op_already_merged(const net::Address& from,
-                                       std::uint64_t req) const;
+  void note_round_merge(RoundKind kind, std::uint64_t round, ViewId v);
+  /// A kRoundOpen (with the target's property snapshot) or kRoundMerge
+  /// checkpoint record.
+  [[nodiscard]] static WalRecord round_record(
+      WalKind wal, RoundKind kind, std::uint64_t round, ViewId v,
+      const props::PropertySet& props = {});
+  /// Merge a push, kill or handoff image from `rec` once per (sender,
+  /// request id), recording (and persisting) the merge so a post-restart
+  /// re-issue is acked without re-merging (counted as `replayed`).
+  void merge_op(const net::Address& from, std::uint64_t req,
+                const ViewRecord& rec, const ObjectImage& image,
+                const char* path, const char* replayed);
   /// Rebuild in-memory state from the checkpoint (constructor only).
   std::size_t replay_checkpoint(const std::vector<WalRecord>& records);
   void compact_wal();
@@ -435,9 +490,6 @@ class DirectoryManager : public net::Endpoint {
   [[nodiscard]] bool pre_crash_round(std::uint64_t round) const {
     return generation_ > 1 && (round >> 32) < generation_;
   }
-  /// Re-open an archive slot for a pre-crash round the checkpoint lost,
-  /// so its straggler replies/echoes merge exactly once per epoch.
-  SettledRound& revive_settled(bool invalidate, std::uint64_t round);
 
   net::Fabric& fabric_;
   net::Address self_;
@@ -460,16 +512,14 @@ class DirectoryManager : public net::Endpoint {
   sim::Time last_merge_at_ = 0;
   MergeLog log_;
 
-  std::map<std::uint64_t, PendingPull> pending_pulls_;
+  std::map<std::uint64_t, Round> fetch_rounds_;  // by token
   std::uint64_t next_token_ = 1;
-  std::map<std::uint64_t, SettledRound> settled_pulls_;
-  std::deque<std::uint64_t> settled_pull_order_;
-  std::map<std::uint64_t, SettledRound> settled_acquires_;
-  std::deque<std::uint64_t> settled_acquire_order_;
+  /// Settled rounds, indexed by RoundKind.
+  std::array<RoundArchive, 2> archives_;
 
   // Strong-mode acquires are processed strictly FIFO, one at a time.
   std::vector<msg::AcquireReq> acquire_queue_;
-  std::optional<PendingAcquire> acquire_inflight_;
+  std::optional<Round> invalidation_;
   std::uint64_t next_epoch_ = 1;
 
   // ---- view migration --------------------------------------------------

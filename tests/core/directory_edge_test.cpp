@@ -188,5 +188,37 @@ TEST(DirectoryEdgeTest, InitRefreshesAfterStaleness) {
   EXPECT_EQ(b.view->base(4), 6);
 }
 
+TEST(DirectoryEdgeTest, DestructorCancelsOpenRoundTimers) {
+  Harness h(4);
+  // A fetch round whose target is inside its use section...
+  auto producer = h.make_member(0, 9);
+  CacheManager::Config fresh;
+  fresh.validity_trigger = "false";
+  auto consumer = h.make_member(0, 9, fresh);
+  // ...and an invalidation round whose holder is inside its use section.
+  CacheManager::Config strong;
+  strong.mode = Mode::kStrong;
+  auto holder = h.make_member(20, 29, strong);
+  auto contender = h.make_member(20, 29, strong);
+  producer.cm->init_image();
+  consumer.cm->init_image();
+  h.run();
+  producer.cm->start_use_image();
+  holder.cm->start_use_image();
+  h.run();
+  ASSERT_TRUE(producer.cm->in_use());
+  ASSERT_TRUE(holder.cm->in_use());
+  consumer.cm->pull_image();
+  contender.cm->start_use_image();
+  h.run_until(h.sim_.now() + sim::msec(10));
+  ASSERT_EQ(h.directory_->stats().get("op.pull.fetch_round"), 1u);
+  ASSERT_EQ(h.directory_->stats().get("op.acquire.invalidations"), 1u);
+
+  // Both rounds are open, with timeout and resend timers armed.
+  for (auto* m : {&producer, &consumer, &holder, &contender}) m->cm->halt();
+  h.directory_.reset();
+  EXPECT_EQ(h.sim_.pending_events(), 0u);
+}
+
 }  // namespace
 }  // namespace flecc::core
