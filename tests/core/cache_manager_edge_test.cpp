@@ -160,6 +160,42 @@ TEST(CacheManagerEdgeTest, ExclusiveOwnershipIsReusedLocally) {
   EXPECT_EQ(h.fabric_->sent_count(), sent);
 }
 
+// A view that switched to STRONG has an invalid copy until it
+// re-acquires, yet keeps its unpushed deltas. An invalidation it serves
+// in that window extracts nothing, so it must leave the view dirty: the
+// deltas then travel with the kill instead of staying behind in the view.
+TEST(CacheManagerEdgeTest, CleanInvalidationKeepsUnsurrenderedDeltasDirty) {
+  Harness h(2);
+  auto a = h.make_member(0, 9);
+  CacheManager::Config strong;
+  strong.mode = Mode::kStrong;
+  auto b = h.make_member(0, 9, strong);
+  a.cm->init_image();
+  h.run();
+
+  a.cm->start_use_image();
+  a.view->increment(3, 5);
+  b.cm->start_use_image();  // a defers the invalidation
+  h.run_until(h.sim_.now() + sim::msec(20));
+  ASSERT_EQ(a.cm->stats().get("invalidate.deferred"), 1u);
+
+  a.cm->set_mode(Mode::kStrong);
+  h.run_until(h.sim_.now() + sim::msec(20));
+  ASSERT_EQ(a.cm->mode(), Mode::kStrong);
+  ASSERT_FALSE(a.cm->valid());
+  a.cm->end_use_image(/*modified=*/true);
+  h.run_until(h.sim_.now() + sim::msec(20));
+  ASSERT_TRUE(b.cm->in_use());
+  EXPECT_TRUE(a.cm->dirty());
+  b.cm->end_use_image(/*modified=*/false);
+
+  a.cm->kill_image();
+  b.cm->kill_image();
+  h.run();
+  EXPECT_EQ(a.view->value(3) - a.view->base(3), 0);  // nothing left behind
+  EXPECT_EQ(h.primary_.total(), 5);
+}
+
 TEST(CacheManagerEdgeTest, TriggerTimerSurvivesReconnect) {
   Harness h(1);
   CacheManager::Config cfg;

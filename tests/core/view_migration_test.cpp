@@ -267,6 +267,35 @@ TEST(ViewMigrationTest, StrongModeMoveCarriesModeToDestination) {
   EXPECT_EQ(h.primary_.cell(6), 1);
 }
 
+// A view that switched to STRONG has an invalid copy until it
+// re-acquires, yet keeps its unpushed deltas: sealing must extract them
+// into the handoff, or they stay behind in the moved (inert) source.
+TEST(ViewMigrationTest, SealAfterModeSwitchCarriesDirtyDeltas) {
+  Harness h(3);
+  auto a = h.make_member(0, 9);
+  a.cm->init_image();
+  h.run();
+  a.cm->start_use_image();
+  a.view->increment(3, 5);
+  a.cm->end_use_image(/*modified=*/true);
+  a.cm->set_mode(Mode::kStrong);
+  h.run();
+  ASSERT_FALSE(a.cm->valid());
+  ASSERT_TRUE(a.cm->dirty());
+
+  CacheManager::Config dest_cfg;
+  dest_cfg.await_migration = true;
+  auto dest = h.make_member(0, 9, dest_cfg);
+  ASSERT_TRUE(h.directory_->begin_migration(a.cm->id(), dest.cm->address()));
+  h.run();
+  ASSERT_TRUE(a.cm->moved());
+
+  dest.cm->kill_image();
+  h.run();
+  EXPECT_EQ(a.view->value(3) - a.view->base(3), 0);  // nothing left behind
+  EXPECT_EQ(h.primary_.total(), 5);
+}
+
 TEST(ViewMigrationTest, EvictedStrongHolderTokenIsReclaimed) {
   DirectoryManager::Config dcfg;
   dcfg.liveness_timeout = sim::seconds(1);
