@@ -1,0 +1,359 @@
+// Every path of the cache manager's command step (PROTOCOL.md,
+// "Idempotent replay"), run once per command kind: a clean and a dirty
+// reply, deferral inside a use section, the serving order at
+// endUseImage, a newer command while one is deferred, the replay window,
+// reconnect, and a migration that waits for a deferred command.
+//
+// The directory is a scripted endpoint: it answers the cache manager's
+// own requests and otherwise sends only the commands a case asks for,
+// so every command, resend and generation bump lands exactly where the
+// case needs it.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "test_support.hpp"
+
+namespace flecc::core {
+namespace {
+
+using testing::Harness;
+using testing::inc_key;
+
+enum class Kind { kFetch, kInvalidate };
+
+/// The view id the scripted directory assigns.
+constexpr ViewId kView = 1;
+/// The cell every case writes.
+constexpr std::int64_t kCell = 3;
+
+/// A reply the cache manager sent for a command.
+struct Reply {
+  Kind kind;
+  std::uint64_t round;  // fetch token or invalidate epoch
+  bool dirty;
+  std::int64_t delta;  // the extracted increment of kCell (0 = none)
+  std::uint64_t gen;
+};
+
+/// A directory played by the test. It takes the harness directory's
+/// address, accepts the registration, answers init, pull and push
+/// requests at once, records every reply to a command, and stamps
+/// everything it sends with its current generation.
+class ScriptedDirectory final : public net::Endpoint {
+ public:
+  explicit ScriptedDirectory(Harness& h) : h_(h) {
+    h_.directory_.reset();
+    h_.fabric_->bind(h_.dir_addr_, *this);
+  }
+  ~ScriptedDirectory() override { h_.fabric_->unbind(h_.dir_addr_); }
+
+  ScriptedDirectory(const ScriptedDirectory&) = delete;
+  ScriptedDirectory& operator=(const ScriptedDirectory&) = delete;
+
+  void on_message(const net::Message& m) override {
+    cm_ = m.from;
+    received_.push_back(m.type);
+    if (m.type == msg::kRegisterReq) {
+      const auto& req = net::payload_as<msg::RegisterReq>(m);
+      send(msg::kRegisterAck, msg::RegisterAck{kView, true, {}, req.req, gen_});
+    } else if (m.type == msg::kInitReq) {
+      const auto& req = net::payload_as<msg::InitReq>(m);
+      send(msg::kInitReply, msg::InitReply{{}, req.req, gen_});
+    } else if (m.type == msg::kPullReq) {
+      const auto& req = net::payload_as<msg::PullReq>(m);
+      send(msg::kPullReply, msg::PullReply{{}, 0, req.req, gen_});
+    } else if (m.type == msg::kPushUpdate) {
+      const auto& push = net::payload_as<msg::PushUpdate>(m);
+      pushes_.push_back(push);
+      send(msg::kPushAck, msg::PushAck{pushes_.size(), push.req, gen_});
+    } else if (m.type == msg::kFetchReply) {
+      const auto& r = net::payload_as<msg::FetchReply>(m);
+      replies_.push_back(Reply{Kind::kFetch, r.token, r.dirty,
+                               r.image.get_int(inc_key(kCell)).value_or(0),
+                               r.gen});
+    } else if (m.type == msg::kInvalidateAck) {
+      const auto& r = net::payload_as<msg::InvalidateAck>(m);
+      replies_.push_back(Reply{Kind::kInvalidate, r.epoch, r.dirty,
+                               r.image.get_int(inc_key(kCell)).value_or(0),
+                               r.gen});
+    }
+  }
+
+  /// Send the command of `kind` for round `round`.
+  void command(Kind kind, std::uint64_t round) {
+    if (kind == Kind::kFetch) {
+      send(msg::kFetchReq, msg::FetchReq{round, gen_});
+    } else {
+      send(msg::kInvalidateReq, msg::InvalidateReq{round, gen_});
+    }
+  }
+
+  /// Open a migration of the view (its destination is never named).
+  void move(std::uint64_t epoch) {
+    send(msg::kViewMoveReq, msg::ViewMoveReq{kView, epoch, gen_});
+  }
+
+  /// Stamp everything sent from now on with generation `gen`.
+  void set_generation(std::uint64_t gen) { gen_ = gen; }
+
+  [[nodiscard]] const std::vector<Reply>& replies() const { return replies_; }
+  [[nodiscard]] const std::vector<msg::PushUpdate>& pushes() const {
+    return pushes_;
+  }
+  /// Message types received, in arrival order.
+  [[nodiscard]] const std::vector<std::string>& received() const {
+    return received_;
+  }
+
+ private:
+  template <typename T>
+  void send(const char* type, T payload) {
+    const std::size_t bytes = msg::wire_size(payload);
+    h_.fabric_->send(h_.dir_addr_, cm_, type, std::move(payload), bytes);
+  }
+
+  Harness& h_;
+  net::Address cm_{};
+  std::uint64_t gen_ = 1;
+  std::vector<Reply> replies_;
+  std::vector<msg::PushUpdate> pushes_;
+  std::vector<std::string> received_;
+};
+
+class CmCommandPathsTest : public ::testing::TestWithParam<Kind> {
+ protected:
+  CmCommandPathsTest() : h_(1), dir_(h_), m_(h_.make_member(0, 9)) {
+    m_.cm->init_image();
+    settle();
+  }
+
+  [[nodiscard]] Kind kind() const { return GetParam(); }
+  [[nodiscard]] CacheManager& cm() { return *m_.cm; }
+  [[nodiscard]] std::uint64_t count(const std::string& counter) {
+    return m_.cm->stats().get(counter);
+  }
+  /// The case kind's counter `what` ("fetch.served", ...).
+  [[nodiscard]] std::uint64_t kind_count(const std::string& what) {
+    return count((kind() == Kind::kFetch ? "fetch." : "invalidate.") + what);
+  }
+
+  /// Deliver everything in flight; no retransmission timer fires.
+  void settle() { h_.run_until(h_.sim_.now() + sim::msec(5)); }
+
+  /// Enter a use section (re-validating first if the copy is invalid).
+  void enter_use() {
+    cm().start_use_image();
+    settle();
+    ASSERT_TRUE(cm().in_use());
+  }
+
+  /// Leave the view with an unpushed increment of kCell.
+  void write(std::int64_t delta) {
+    enter_use();
+    m_.view->increment(kCell, delta);
+    cm().end_use_image(/*modified=*/true);
+    ASSERT_TRUE(cm().dirty());
+  }
+
+  void command(std::uint64_t round) {
+    dir_.command(kind(), round);
+    settle();
+  }
+
+  [[nodiscard]] std::vector<std::uint64_t> rounds() const {
+    std::vector<std::uint64_t> out;
+    for (const auto& r : dir_.replies()) out.push_back(r.round);
+    return out;
+  }
+
+  Harness h_;
+  ScriptedDirectory dir_;
+  Harness::Member m_;
+};
+
+TEST_P(CmCommandPathsTest, CleanCopyRepliesClean) {
+  command(7);
+  ASSERT_EQ(dir_.replies().size(), 1u);
+  const Reply& r = dir_.replies()[0];
+  EXPECT_EQ(r.kind, kind());
+  EXPECT_EQ(r.round, 7u);
+  EXPECT_FALSE(r.dirty);
+  EXPECT_EQ(r.delta, 0);
+  EXPECT_EQ(m_.view->extracts(), 0u);
+  EXPECT_EQ(kind_count("served"), 1u);
+  EXPECT_EQ(count("echo.queued"), 0u);
+  // Only an invalidation takes the copy away.
+  EXPECT_EQ(cm().valid(), kind() == Kind::kFetch);
+}
+
+TEST_P(CmCommandPathsTest, DirtyCopyExtractsOnceAndQueuesAnEcho) {
+  write(5);
+  command(7);
+  ASSERT_EQ(dir_.replies().size(), 1u);
+  EXPECT_TRUE(dir_.replies()[0].dirty);
+  EXPECT_EQ(dir_.replies()[0].delta, 5);
+  EXPECT_EQ(m_.view->extracts(), 1u);
+  EXPECT_EQ(count("echo.queued"), 1u);
+  EXPECT_EQ(kind_count("served"), 1u);
+  EXPECT_FALSE(cm().dirty());
+
+  // The echo rides the next push until the push is acked.
+  cm().push_image();
+  settle();
+  ASSERT_EQ(dir_.pushes().size(), 1u);
+  ASSERT_EQ(dir_.pushes()[0].echoes.size(), 1u);
+  const msg::DeltaEcho& echo = dir_.pushes()[0].echoes[0];
+  EXPECT_EQ(echo.round, 7u);
+  EXPECT_EQ(echo.invalidate, kind() == Kind::kInvalidate);
+  EXPECT_EQ(echo.image.get_int(inc_key(kCell)), 5);
+  EXPECT_EQ(count("echo.confirmed"), 1u);
+}
+
+TEST_P(CmCommandPathsTest, CommandInsideAUseSectionIsDeferred) {
+  enter_use();
+  command(7);
+  EXPECT_TRUE(dir_.replies().empty());
+  EXPECT_EQ(kind_count("deferred"), 1u);
+
+  command(7);  // the directory's resend
+  EXPECT_TRUE(dir_.replies().empty());
+  EXPECT_EQ(count("msg.duplicate.dropped"), 1u);
+  EXPECT_EQ(kind_count("deferred"), 1u);
+
+  m_.view->increment(kCell, 5);
+  cm().end_use_image(/*modified=*/true);
+  settle();
+  ASSERT_EQ(dir_.replies().size(), 1u);
+  EXPECT_EQ(dir_.replies()[0].round, 7u);
+  EXPECT_EQ(dir_.replies()[0].delta, 5);
+  EXPECT_EQ(kind_count("served"), 1u);
+}
+
+TEST_P(CmCommandPathsTest, InvalidationIsServedFirstThenFetchesInArrivalOrder) {
+  enter_use();
+  if (kind() == Kind::kFetch) {
+    dir_.command(Kind::kFetch, 12);
+    dir_.command(Kind::kFetch, 11);
+    dir_.command(Kind::kInvalidate, 31);
+  } else {
+    dir_.command(Kind::kInvalidate, 31);
+    dir_.command(Kind::kFetch, 12);
+    dir_.command(Kind::kFetch, 11);
+  }
+  settle();
+  EXPECT_TRUE(dir_.replies().empty());
+
+  cm().end_use_image(/*modified=*/false);
+  settle();
+  EXPECT_EQ(rounds(), (std::vector<std::uint64_t>{31, 12, 11}));
+  ASSERT_EQ(dir_.replies().size(), 3u);
+  EXPECT_EQ(dir_.replies()[0].kind, Kind::kInvalidate);
+}
+
+TEST_P(CmCommandPathsTest, NewerCommandWhileDeferred) {
+  enter_use();
+  command(7);
+  command(8);
+  EXPECT_EQ(kind_count("deferred"), 2u);
+  cm().end_use_image(/*modified=*/false);
+  settle();
+  // A newer invalidation epoch replaces the deferred one; fetch tokens
+  // accumulate.
+  EXPECT_EQ(rounds(), kind() == Kind::kFetch
+                          ? (std::vector<std::uint64_t>{7, 8})
+                          : (std::vector<std::uint64_t>{8}));
+}
+
+TEST_P(CmCommandPathsTest, ResendAfterServingReplaysTheSameReply) {
+  write(5);
+  command(7);
+  ASSERT_EQ(dir_.replies().size(), 1u);
+  EXPECT_EQ(dir_.replies()[0].gen, 1u);
+
+  dir_.set_generation(2);  // a restarted directory resends the command
+  command(7);
+  ASSERT_EQ(dir_.replies().size(), 2u);
+  const Reply& replay = dir_.replies()[1];
+  EXPECT_EQ(replay.round, 7u);
+  EXPECT_TRUE(replay.dirty);
+  EXPECT_EQ(replay.delta, 5);
+  EXPECT_EQ(replay.gen, 2u);
+  EXPECT_EQ(m_.view->extracts(), 1u);
+  EXPECT_EQ(count("msg.duplicate.replayed"), 1u);
+  EXPECT_EQ(kind_count("served"), 1u);
+}
+
+TEST_P(CmCommandPathsTest, RoundThatLeftTheWindowIsServedAfresh) {
+  const std::uint64_t window = kind() == Kind::kFetch ? 8 : 4;
+  for (std::uint64_t round = 1; round <= window + 1; ++round) command(round);
+  ASSERT_EQ(kind_count("served"), window + 1);
+
+  command(2);  // the oldest round still in the window
+  EXPECT_EQ(count("msg.duplicate.replayed"), 1u);
+  EXPECT_EQ(kind_count("served"), window + 1);
+
+  command(1);
+  EXPECT_EQ(count("msg.duplicate.replayed"), 1u);
+  EXPECT_EQ(kind_count("served"), window + 2);
+  EXPECT_EQ(dir_.replies().size(), window + 3);
+}
+
+TEST_P(CmCommandPathsTest, ReconnectForgetsDeferralsAndWindowsButKeepsEchoes) {
+  write(5);
+  command(7);
+  ASSERT_EQ(count("echo.queued"), 1u);
+  enter_use();
+  command(8);
+  ASSERT_EQ(kind_count("deferred"), 1u);
+
+  cm().reconnect();
+  settle();
+  ASSERT_TRUE(cm().registered());
+  // The recovery push carries the unconfirmed echo of round 7.
+  ASSERT_EQ(dir_.pushes().size(), 1u);
+  ASSERT_EQ(dir_.pushes()[0].echoes.size(), 1u);
+  EXPECT_EQ(dir_.pushes()[0].echoes[0].round, 7u);
+
+  cm().end_use_image(/*modified=*/false);
+  settle();
+  EXPECT_EQ(rounds(), (std::vector<std::uint64_t>{7}));  // 8 is forgotten
+
+  command(7);  // no longer in the replay window
+  EXPECT_EQ(count("msg.duplicate.replayed"), 0u);
+  EXPECT_EQ(kind_count("served"), 2u);
+  EXPECT_FALSE(dir_.replies().back().dirty);
+}
+
+TEST_P(CmCommandPathsTest, MigrationWaitsForADeferredCommand) {
+  enter_use();
+  command(7);
+  dir_.move(1);
+  settle();
+  EXPECT_FALSE(cm().sealed());
+  const auto& got = dir_.received();
+  EXPECT_EQ(std::count(got.begin(), got.end(), msg::kHandoffState), 0);
+
+  cm().end_use_image(/*modified=*/false);
+  settle();
+  EXPECT_TRUE(cm().sealed());
+  const std::string reply =
+      kind() == Kind::kFetch ? msg::kFetchReply : msg::kInvalidateAck;
+  const auto served = std::find(got.begin(), got.end(), reply);
+  const auto handoff = std::find(got.begin(), got.end(), msg::kHandoffState);
+  ASSERT_NE(served, got.end());
+  ASSERT_NE(handoff, got.end());
+  EXPECT_LT(served, handoff);
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, CmCommandPathsTest,
+                         ::testing::Values(Kind::kFetch, Kind::kInvalidate),
+                         [](const ::testing::TestParamInfo<Kind>& info) {
+                           return info.param == Kind::kFetch ? "Fetch"
+                                                             : "Invalidate";
+                         });
+
+}  // namespace
+}  // namespace flecc::core

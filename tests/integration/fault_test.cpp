@@ -214,6 +214,13 @@ struct LossCase {
   core::Mode mode;
 };
 
+// gtest would otherwise print the raw bytes of the case, padding
+// included, so the test names would change from build to build.
+void PrintTo(const LossCase& c, std::ostream* os) {
+  *os << (c.mode == core::Mode::kWeak ? "weak" : "strong") << ", "
+      << static_cast<int>(c.loss * 100) << "% loss";
+}
+
 class LossyAirlineTest : public ::testing::TestWithParam<LossCase> {};
 
 TEST_P(LossyAirlineTest, AllOpsCompleteAndDatabaseIsExact) {

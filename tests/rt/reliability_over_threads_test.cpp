@@ -130,16 +130,38 @@ TEST(ThreadedReliabilityTest, HeartbeatsDetectDirectoryRestartOverThreads) {
   directory =
       std::make_unique<core::DirectoryManager>(fabric, dir_addr, primary);
 
+  // Each endpoint's state is read on its own mailbox thread, which the
+  // protocol keeps running (heartbeats) while this thread polls.
+  const auto on_mailbox = [&](net::Address addr, const auto& read) {
+    wait_for([&](auto done) {
+      fabric.post(addr, [&, done = std::move(done)] {
+        read();
+        done();
+      });
+    });
+  };
+  std::size_t registered = 0;
+  const auto count_registered = [&] {
+    on_mailbox(dir_addr, [&] { registered = directory->registered_count(); });
+  };
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (directory->registered_count() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
+  count_registered();
+  while (registered == 0 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    count_registered();
   }
   fabric.drain();
-  EXPECT_EQ(directory->registered_count(), 1u);
-  EXPECT_TRUE(m.cm->registered());
-  EXPECT_GE(m.cm->stats().get("heartbeat.lost_registration"), 1u);
+  count_registered();
+  EXPECT_EQ(registered, 1u);
+  bool cm_registered = false;
+  std::uint64_t lost = 0;
+  on_mailbox(m.cm->address(), [&] {
+    cm_registered = m.cm->registered();
+    lost = m.cm->stats().get("heartbeat.lost_registration");
+  });
+  EXPECT_TRUE(cm_registered);
+  EXPECT_GE(lost, 1u);
 
   call(fabric, m, [](core::CacheManager& cm, auto done) {
     cm.kill_image(done);
