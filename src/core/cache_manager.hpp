@@ -24,6 +24,7 @@
 // (resp. pull), so "(t > 1500)" reads "synchronize every 1.5 s".
 #pragma once
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <optional>
@@ -218,9 +219,6 @@ class CacheManager : public net::Endpoint {
   [[nodiscard]] std::uint64_t dir_generation() const noexcept {
     return dir_generation_;
   }
-  [[nodiscard]] std::uint64_t invalidations_served() const noexcept {
-    return invalidations_served_;
-  }
   [[nodiscard]] const sim::CounterSet& stats() const noexcept {
     return stats_;
   }
@@ -251,42 +249,40 @@ class CacheManager : public net::Endpoint {
  private:
   enum class OpKind { kInit, kPull, kPush, kAcquire, kModeChange, kKill };
 
-  /// Trace labels for op lifecycle events ("pull", "acquire", ...).
-  static constexpr const char* op_label(OpKind k) noexcept {
-    switch (k) {
-      case OpKind::kInit: return "init";
-      case OpKind::kPull: return "pull";
-      case OpKind::kPush: return "push";
-      case OpKind::kAcquire: return "acquire";
-      case OpKind::kModeChange: return "mode_change";
-      case OpKind::kKill: return "kill";
-    }
-    return "?";
+  /// What differs by op kind: the trace label of its lifecycle events
+  /// ("pull", ...), the wire types of its request and of the reply it
+  /// awaits, and whether it is bulk (sheddable and breaker-gated: the
+  /// load generators). kOpSpecs is indexed by OpKind.
+  struct OpSpec {
+    const char* label;
+    const char* request;
+    const char* reply;
+    bool bulk;
+  };
+  static const OpSpec kOpSpecs[];
+  static const OpSpec& spec(OpKind k) noexcept {
+    return kOpSpecs[static_cast<std::size_t>(k)];
   }
-  /// Wire type an op kind sends (trace labels for msg_sent events).
-  static constexpr const char* op_msg_type(OpKind k) noexcept {
-    switch (k) {
-      case OpKind::kInit: return msg::kInitReq;
-      case OpKind::kPull: return msg::kPullReq;
-      case OpKind::kPush: return msg::kPushUpdate;
-      case OpKind::kAcquire: return msg::kAcquireReq;
-      case OpKind::kModeChange: return msg::kModeChangeReq;
-      case OpKind::kKill: return msg::kKillReq;
-    }
-    return "?";
-  }
-  /// Wire type of the reply an op kind awaits (msg_received labels).
-  static constexpr const char* op_reply_type(OpKind k) noexcept {
-    switch (k) {
-      case OpKind::kInit: return msg::kInitReply;
-      case OpKind::kPull: return msg::kPullReply;
-      case OpKind::kPush: return msg::kPushAck;
-      case OpKind::kAcquire: return msg::kAcquireGrant;
-      case OpKind::kModeChange: return msg::kModeChangeAck;
-      case OpKind::kKill: return msg::kKillAck;
-    }
-    return "?";
-  }
+
+  /// The three retransmitted exchanges: registration, the in-flight op,
+  /// and a migration handoff. At most one of each is in flight, so each
+  /// kind has one retry timer (retry_timers_).
+  enum class ExchangeKind { kRegister, kOp, kHandoff };
+  /// The state a retransmitted exchange keeps between sends.
+  struct Exchange {
+    /// Request id: the directory's idempotency key. An op keeps it
+    /// across retransmissions AND reconnect() re-issues (the dedup
+    /// window is keyed by (address, req)); a handoff's delta merges
+    /// exactly once under it.
+    std::uint64_t req = 0;
+    /// Sends so far (first transmission included).
+    std::size_t attempts = 0;
+    /// First send; anchors RetryPolicy::deadline across
+    /// retransmissions, Busy back-offs, and reconnect() re-issues. -1
+    /// until then (0 is a valid simulated time — exchanges started at
+    /// t=0 must still hit deadlines).
+    sim::Time first_sent_at = -1;
+  };
 
   struct Op {
     Op(OpKind k, Mode m, Done d)
@@ -294,17 +290,8 @@ class CacheManager : public net::Endpoint {
     OpKind kind;
     Mode new_mode = Mode::kWeak;  // for kModeChange
     Done done;
-    /// Request id; assigned at first issue, preserved across
-    /// retransmissions AND across reconnect() re-issues (the directory
-    /// dedup window is keyed by (address, req)).
-    std::uint64_t req = 0;
-    /// Sends so far (first transmission included).
-    std::size_t attempts = 0;
-    /// When the first transmission went out; anchors
-    /// RetryPolicy::deadline across retransmissions, Busy back-offs,
-    /// and reconnect() re-issues. -1 until first issue (0 is a valid
-    /// simulated time — ops started at t=0 must still hit deadlines).
-    sim::Time first_issued_at = -1;
+    /// Its request id is assigned at first issue.
+    Exchange ex;
     /// Push/kill extract the view's pending deltas exactly once; the
     /// image is cached here so retransmissions resend the same deltas
     /// (ViewAdapter::extract_from_view moves them out of the view).
@@ -314,31 +301,84 @@ class CacheManager : public net::Endpoint {
     std::vector<msg::DeltaEcho> echoes;
   };
 
-  /// Bulk (sheddable/breaker-gated) op kinds: the load generators.
-  static constexpr bool is_bulk(OpKind k) noexcept {
-    return k == OpKind::kInit || k == OpKind::kPull || k == OpKind::kPush ||
-           k == OpKind::kAcquire;
+  /// The two directory commands (Figure 2). Each is served once and
+  /// answered fire-and-forget; kCommandSpecs (cache_manager.cpp) holds
+  /// what differs by kind.
+  enum class Command { kInvalidate, kFetch };
+  /// A served command's reply, kept so a resent command replays it
+  /// instead of extracting again (extraction moves deltas out of the
+  /// view).
+  struct ServedCommand {
+    std::uint64_t round = 0;  // invalidate epoch or fetch token
+    ViewId view = kInvalidViewId;
+    bool dirty = false;
+    ObjectImage image;
+  };
+  /// Per command kind: the rounds a use section deferred, and the
+  /// replay window of served replies.
+  struct CommandLedger {
+    std::vector<std::uint64_t> deferred;
+    std::vector<ServedCommand> served;
+    std::size_t next = 0;  // replies served; next % window is the oldest
+  };
+  CommandLedger& ledger(Command c) noexcept {
+    return commands_[static_cast<std::size_t>(c)];
   }
 
   void enqueue(Op op);
   void pump();
-  void issue(Op& op);
+  /// Send (or retransmit) the in-flight op.
+  void issue();
   bool accept_reply(OpKind kind, std::uint64_t req);
   void complete_current();
-  void cancel_op_timer();
-  void on_op_timeout();
   /// RetryPolicy::deadline expired: abandon the in-flight op terminally
   /// (its completion still fires so callers never wedge).
   void give_up_current(const char* why);
+  /// Complete every queued op without running it (registration failed
+  /// or the view is gone); callers observe why through rejected(),
+  /// alive() or moved().
+  void fail_queued();
+  /// The view left this manager (killed, moved away, or uninstalled at
+  /// a destination): clear the copy's flags, stop the trigger poll and
+  /// heartbeats, and wipe the journal so a restart cannot resurrect it.
+  void retire();
+  void cancel(net::TimerId& timer);
+  /// Cancel every timer and leave the fabric (halt() and the destructor).
+  void detach();
   /// breaker.* counters, trace, and the degradation ladder.
   void on_breaker_transition(flow::BreakerState from, flow::BreakerState to);
+
+  // ---- retransmission (PROTOCOL.md "Request-id framing") ----------------
+  net::TimerId& retry_timer(ExchangeKind k) noexcept {
+    return retry_timers_[static_cast<std::size_t>(k)];
+  }
+  /// The attempt step of every exchange: count the send, anchor the
+  /// deadline at the first one, and arm the retry timer (which fires
+  /// on_retry_timeout(k)). Called before the send, so a reply handled on
+  /// another thread finds the timer already armed.
+  void next_attempt(Exchange& x, ExchangeKind k);
+  [[nodiscard]] bool past_deadline(const Exchange& x) const;
+  /// Trace kind of an exchange's latest send.
+  static obs::EventKind send_event(const Exchange& x) noexcept {
+    return x.attempts == 1 ? obs::EventKind::kMsgSent
+                           : obs::EventKind::kMsgRetransmitted;
+  }
+  /// Retransmit, or apply the exchange's terminal rule.
+  void on_retry_timeout(ExchangeKind k);
   void send_register();
-  void on_register_timeout();
+  void send_handoff();
+
   void start_heartbeats();
   void stop_heartbeats();
   void heartbeat_tick();
-  void serve_invalidate(std::uint64_t epoch);
-  void serve_fetch(std::uint64_t token);
+  /// A directory command arrived: serve it, or defer it to
+  /// end_use_image while a use section runs.
+  void on_command(Command c, std::uint64_t round);
+  /// Answer a command: extract if dirty, or replay a resend's reply.
+  void serve(Command c, std::uint64_t round);
+  /// Send `s` as the reply of kind `c`, stamped with the current
+  /// generation.
+  void send_reply(Command c, ServedCommand s);
   /// A restarted directory's rebuild probe: re-announce our
   /// registration, cached-copy state, and unconfirmed echoes, then
   /// re-issue the in-flight op under the new generation.
@@ -349,6 +389,13 @@ class CacheManager : public net::Endpoint {
   void confirm_echoes(const std::vector<msg::DeltaEcho>& confirmed);
   void arm_trigger_timer();
   void poll_triggers();
+  /// Evaluate the `what` ("push"/"pull") trigger against the time since
+  /// `since`; count and trace a firing.
+  bool fires(const std::optional<trigger::Trigger>& t, sim::Time since,
+             const char* what);
+  /// Merge a fresh image from the directory (init, pull, grant, install)
+  /// into the view: the copy is valid at that image's version.
+  void adopt(const ObjectImage& image);
   ObjectImage extract_dirty();
   /// True when an explicit/triggered push may be absorbed by the
   /// write buffer instead of hitting the wire.
@@ -379,7 +426,6 @@ class CacheManager : public net::Endpoint {
   /// queued op); called from every place that could drain the last op.
   void try_seal();
   void seal();
-  void send_handoff();
   void handle_move_req(const net::Message& m);
   void handle_move_install(const net::Message& m);
   void handle_move_done(const net::Message& m);
@@ -416,7 +462,6 @@ class CacheManager : public net::Endpoint {
   Version last_version_ = 0;
   std::uint64_t last_pull_unseen_ = 0;
   std::uint64_t notifies_received_ = 0;
-  std::uint64_t invalidations_served_ = 0;
 
   sim::Time last_push_at_ = 0;
   sim::Time last_pull_at_ = 0;
@@ -429,8 +474,7 @@ class CacheManager : public net::Endpoint {
   std::deque<Op> queue_;
   std::optional<Op> current_;
 
-  std::optional<std::uint64_t> deferred_invalidate_epoch_;
-  std::vector<std::uint64_t> deferred_fetch_tokens_;
+  std::array<CommandLedger, 2> commands_;
 
   // ---- reliability state ------------------------------------------------
   sim::Rng retry_rng_;
@@ -439,28 +483,16 @@ class CacheManager : public net::Endpoint {
   /// STRONG manager currently degraded to buffered WEAK by overload.
   bool degraded_ = false;
   std::uint64_t next_req_ = 1;
-  net::TimerId op_timer_ = net::kInvalidTimerId;
+  std::array<net::TimerId, 3> retry_timers_{};  // by ExchangeKind
   /// In-flight registration (the register exchange is not an Op: it
   /// gates the op queue). After max_attempts the retry cadence drops to
   /// a daemon timer at max_timeout, so an unreachable directory never
   /// wedges a run-to-quiescence simulation yet recovery stays
   /// self-driving once connectivity returns.
-  std::uint64_t register_req_ = 0;
-  std::size_t register_attempts_ = 0;
-  /// First send of this incarnation's register exchange; anchors
-  /// RetryPolicy::deadline for registration (which is not an Op).
-  /// -1 = not started (0 is a valid simulated time).
-  sim::Time register_started_at_ = -1;
-  net::TimerId register_timer_ = net::kInvalidTimerId;
+  Exchange register_;
   net::TimerId heartbeat_timer_ = net::kInvalidTimerId;
   std::uint64_t heartbeat_seq_ = 0;
   std::size_t heartbeat_unacked_ = 0;
-  /// Replayed command replies: a retransmitted FetchReq/InvalidateReq
-  /// must re-send the original reply, not re-extract (extraction moves
-  /// deltas out of the view).
-  std::deque<std::pair<std::uint64_t, msg::FetchReply>> served_fetches_;
-  std::deque<std::pair<std::uint64_t, msg::InvalidateAck>>
-      served_invalidates_;
   /// Dirty images extracted for FetchReply/InvalidateAck that the
   /// directory has not yet confirmed. Those replies are fire-and-forget,
   /// so each image also rides the next push/kill (msg::DeltaEcho) until
@@ -492,15 +524,13 @@ class CacheManager : public net::Endpoint {
   std::uint64_t pending_move_epoch_ = 0;
   /// Epoch the handoff was extracted and sent under.
   std::uint64_t seal_epoch_ = 0;
-  /// The handoff delta travels under this request id: the directory's
-  /// (address, req) exactly-once key absorbs any journal-replayed or
-  /// post-abort re-push of the same extraction.
-  std::uint64_t handoff_req_ = 0;
+  /// The handoff delta travels under this exchange's request id: the
+  /// directory's (address, req) exactly-once key absorbs any
+  /// journal-replayed or post-abort re-push of the same extraction.
+  Exchange handoff_;
   bool handoff_dirty_ = false;
   ObjectImage handoff_image_;
   std::vector<msg::DeltaEcho> handoff_echoes_;
-  std::size_t handoff_attempts_ = 0;
-  net::TimerId handoff_timer_ = net::kInvalidTimerId;
   /// Destination side: epoch of the install we adopted (idempotent ack
   /// replay for retransmitted installs).
   std::uint64_t installed_epoch_ = 0;

@@ -349,6 +349,9 @@ class DirectoryManager : public net::Endpoint {
   // helpers
   ViewRecord* find(ViewId v);
   const ViewRecord* find(ViewId v) const;
+  /// find(), nacking a framed request from an unknown view.
+  ViewRecord* find_or_nack(const net::Address& from, ViewId v,
+                           std::uint64_t req);
 
   // conflict adjacency index (PERFORMANCE.md, "Directory conflict index")
   /// The conflict rule of paper §4.1: the static map first, Definition

@@ -18,41 +18,15 @@ bool is_control_lane(std::string_view type) noexcept {
 
 namespace {
 
-/// Recover (view, req) from a sheddable bulk message so the Busy can be
-/// matched against the sender's in-flight op. Returns false for types
-/// the protocol cannot answer (those are shed silently, counted).
-bool shed_identity(const net::Message& shed, ViewId& view,
-                   std::uint64_t& req) {
-  if (shed.type == msg::kInitReq) {
-    const auto& p = net::payload_as<msg::InitReq>(shed);
-    view = p.view;
-    req = p.req;
-    return true;
-  }
-  if (shed.type == msg::kPullReq) {
-    const auto& p = net::payload_as<msg::PullReq>(shed);
-    view = p.view;
-    req = p.req;
-    return true;
-  }
-  if (shed.type == msg::kPushUpdate) {
-    const auto& p = net::payload_as<msg::PushUpdate>(shed);
-    view = p.view;
-    req = p.req;
-    return true;
-  }
-  if (shed.type == msg::kAcquireReq) {
-    const auto& p = net::payload_as<msg::AcquireReq>(shed);
-    view = p.view;
-    req = p.req;
-    return true;
-  }
-  return false;
-}
-
 net::BusyReply make_busy(const net::Message& shed, sim::Duration retry_after) {
+  // Only a bulk request can be answered: its (view, req) lets the
+  // sender match the Busy against its in-flight op. Anything else is
+  // shed silently (counted).
+  if (is_control_lane(shed.type)) return {};
+  const msg::Header h = msg::header_of(shed);
   msg::Busy busy;
-  if (!shed_identity(shed, busy.view, busy.req)) return {};
+  busy.view = h.view;
+  busy.req = h.req;
   busy.reason = "queue overflow";
   busy.retry_after = retry_after;
   busy.gen = 0;  // fabric-synthesized: no incarnation claim, never fenced

@@ -11,6 +11,7 @@
 
 #include "core/object_image.hpp"
 #include "core/types.hpp"
+#include "net/message.hpp"
 #include "props/property.hpp"
 #include "sim/time.hpp"
 
@@ -388,6 +389,28 @@ struct ViewMoveDone {
   bool aborted = false;
   std::uint64_t gen = 0;
 };
+
+// ---- header reader -----------------------------------------------------
+
+/// The fields both state machines read before dispatching a message:
+/// the generation stamp, the request id of a framed cache-manager
+/// request, and the view the payload names.
+struct Header {
+  /// kInvalidViewId for payloads that name no view.
+  ViewId view = kInvalidViewId;
+  /// Non-zero only for the seven framed cache-manager requests
+  /// (RegisterReq, InitReq, PullReq, PushUpdate, AcquireReq,
+  /// ModeChangeReq, KillReq). Replies, commands and HandoffState read
+  /// as 0; the directory keys a handoff's merge by its own `req`.
+  std::uint64_t req = 0;
+  /// 0 for unstamped payloads and for non-Flecc messages.
+  std::uint64_t gen = 0;
+};
+
+/// Read the header of any message. Tags are compared in traffic order,
+/// demand fetches and pulls first, so the commonest messages cost the
+/// fewest string compares.
+Header header_of(const net::Message& m);
 
 // ---- wire-size estimation ---------------------------------------------
 
