@@ -58,7 +58,7 @@ RunStats run(std::size_t slack) {
     for (airline::FlightNumber f = lo; f <= hi; ++f) {
       cfg.flights.push_back(f);
     }
-    cfg.validity_trigger = "false";
+    cfg.cm_cfg.validity_trigger = "false";
     agents.push_back(std::make_unique<airline::TravelAgent>(
         fabric, net::Address{hosts[i], 1}, dir_addr, std::move(cfg)));
   }

@@ -108,7 +108,7 @@ Result run_flat() {
     for (std::size_t v = 0; v < kViewsPerDomain; ++v) {
       airline::TravelAgent::Config cfg;
       cfg.flights = {kFirstFlight + static_cast<airline::FlightNumber>(d)};
-      cfg.validity_trigger = "false";
+      cfg.cm_cfg.validity_trigger = "false";
       agents.push_back(std::make_unique<airline::TravelAgent>(
           *nw.fabric, net::Address{nw.domain_hosts[d][v], 1}, dir_addr,
           std::move(cfg)));
@@ -178,7 +178,7 @@ Result run_hierarchical() {
     for (std::size_t v = 0; v < kViewsPerDomain; ++v) {
       airline::TravelAgent::Config cfg;
       cfg.flights = {kFirstFlight + static_cast<airline::FlightNumber>(d)};
-      cfg.validity_trigger = "false";
+      cfg.cm_cfg.validity_trigger = "false";
       agents.push_back(std::make_unique<airline::TravelAgent>(
           *nw.fabric, net::Address{nw.domain_hosts[d][v], 1},
           net::Address{nw.servers[d], 1}, std::move(cfg)));

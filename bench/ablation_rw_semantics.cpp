@@ -28,7 +28,7 @@ std::uint64_t run(double read_fraction, bool rw_semantics) {
   opts.n_agents = kAgents;
   opts.group_size = kAgents;
   opts.capacity = 1 << 20;
-  opts.validity_trigger = "false";  // buyers always fetch freshest
+  opts.cm_cfg.validity_trigger = "false";  // buyers always fetch freshest
   opts.dir_cfg.use_rw_semantics = rw_semantics;
   FleccTestbed tb(opts);
   tb.init_all_agents();

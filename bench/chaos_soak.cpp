@@ -91,30 +91,30 @@ std::string run_soak(std::uint64_t seed, obs::TraceRecorder* trace = nullptr,
   // piggybacking — suppressed beacons only make sense when regular
   // traffic is being coalesced toward the directory anyway.
   opts.batch_fabric = batch;
-  opts.piggyback_heartbeats = batch;
-  opts.write_buffer_ops = wbuf;
+  opts.cm_cfg.piggyback_heartbeats = batch;
+  opts.cm_cfg.write_buffer_ops = wbuf;
   // The reservation loop is pull-driven (deltas reach the database via
   // demand-fetch chasing), so exercising the write buffer needs
   // trigger-fired pushes: idle dirty agents absorb `wbuf` of them
   // locally, then surrender the accumulated delta in one capacity
   // flush. Kill-time extraction flushes whatever remains, so the
   // database audit below is unaffected.
-  if (wbuf > 0) opts.push_trigger = "(t > 400)";
+  if (wbuf > 0) opts.cm_cfg.push_trigger = "(t > 400)";
   opts.n_agents = kAgents;
   opts.group_size = 10;
   opts.flights_per_group = 5;
   opts.capacity = 1 << 20;
-  opts.mode = core::Mode::kWeak;
+  opts.cm_cfg.mode = core::Mode::kWeak;
   // Demand-fetch rounds chase conflicting dirty views, so crashed
   // agents' deltas can reach the database before they die.
-  opts.validity_trigger = "(_age < 500)";
+  opts.cm_cfg.validity_trigger = "(_age < 500)";
   // Stretch each loop across the chaos window (10 ops x 300 ms think
   // time ~ 3 s of simulated work before loss/partition stalls).
   opts.think_time = sim::msec(300);
   opts.fabric_cfg.loss_probability = 0.10;
   opts.fabric_cfg.seed = seed;
-  opts.heartbeat_interval = sim::msec(500);
-  opts.heartbeat_miss_limit = 3;
+  opts.cm_cfg.heartbeat_interval = sim::msec(500);
+  opts.cm_cfg.heartbeat_miss_limit = 3;
   opts.dir_cfg.liveness_timeout = sim::seconds(2);
   if (crash_dm) {
     opts.durable_directory = true;
@@ -303,11 +303,11 @@ std::string run_overload(std::uint64_t seed, obs::TraceRecorder* trace,
   opts.group_size = kStormAgents;  // one conflict group: everyone collides
   opts.flights_per_group = 2;      // tiny hot-object set
   opts.capacity = 1 << 20;
-  opts.mode = core::Mode::kStrong;  // acquire/invalidate amplification
-  opts.think_time = 0;              // no pacing: the burst IS the storm
+  opts.cm_cfg.mode = core::Mode::kStrong;  // acquire/invalidate amplification
+  opts.think_time = 0;  // no pacing: the burst IS the storm
   opts.fabric_cfg.seed = seed;
-  opts.heartbeat_interval = sim::msec(500);
-  opts.heartbeat_miss_limit = 5;
+  opts.cm_cfg.heartbeat_interval = sim::msec(500);
+  opts.cm_cfg.heartbeat_miss_limit = 5;
   if (crash_dm) {
     // Fully-flushed WAL: every exactly-once merge marker is durable, so
     // the strict db == confirmed equality below must survive the crash
@@ -325,10 +325,10 @@ std::string run_overload(std::uint64_t seed, obs::TraceRecorder* trace,
     opts.dir_cfg.max_acquire_queue = 8;
     opts.dir_cfg.max_fetch_rounds = 8;
     opts.dir_cfg.busy_retry_after = sim::msec(50);
-    opts.breaker_threshold = 3;
-    opts.breaker_open_timeout = sim::msec(200);
-    opts.degrade_on_overload = true;
-    opts.write_buffer_ops = 4;  // degraded WEAK pushes absorb locally
+    opts.cm_cfg.breaker_threshold = 3;
+    opts.cm_cfg.breaker_open_timeout = sim::msec(200);
+    opts.cm_cfg.degrade_on_overload = true;
+    opts.cm_cfg.write_buffer_ops = 4;  // degraded WEAK pushes absorb locally
   }
 
   FleccTestbed tb(opts);
@@ -487,18 +487,18 @@ std::string run_migrate(std::uint64_t seed, obs::TraceRecorder* trace,
   opts.group_size = 8;
   opts.flights_per_group = 4;
   opts.capacity = 1 << 20;
-  opts.mode = core::Mode::kWeak;
+  opts.cm_cfg.mode = core::Mode::kWeak;
   // Demand-fetch chasing keeps deltas flowing toward the database while
   // the write buffer makes sure some WEAK updates are still buffered
   // CM-side whenever a crash or a handoff strikes.
-  opts.validity_trigger = "(_age < 500)";
-  opts.write_buffer_ops = 4;
-  opts.push_trigger = "(t > 400)";
+  opts.cm_cfg.validity_trigger = "(_age < 500)";
+  opts.cm_cfg.write_buffer_ops = 4;
+  opts.cm_cfg.push_trigger = "(t > 400)";
   opts.think_time = sim::msec(300);
   opts.fabric_cfg.loss_probability = 0.05;
   opts.fabric_cfg.seed = seed;
-  opts.heartbeat_interval = sim::msec(500);
-  opts.heartbeat_miss_limit = 3;
+  opts.cm_cfg.heartbeat_interval = sim::msec(500);
+  opts.cm_cfg.heartbeat_miss_limit = 3;
   opts.dir_cfg.liveness_timeout = sim::seconds(2);
   opts.cm_journal = true;
   opts.cm_journal_flush_every = 1;

@@ -59,11 +59,11 @@ std::uint64_t run_lifecycle(Protocol protocol, std::size_t group_size,
   opts.group_size = group_size;
   opts.flights_per_group = 5;
   opts.capacity = 1 << 20;
-  opts.mode = core::Mode::kWeak;
+  opts.cm_cfg.mode = core::Mode::kWeak;
   opts.trace = trace;
   opts.telemetry = hub;
   opts.batch_fabric = g_batch;
-  opts.write_buffer_ops = g_wbuf;
+  opts.cm_cfg.write_buffer_ops = g_wbuf;
   CoherenceTestbed tb(protocol, opts);
 
   tb.connect_all();

@@ -43,7 +43,7 @@ int main() {
   opts.n_agents = kAgents;
   opts.group_size = kAgents;  // all conflicting
   opts.capacity = 1 << 20;
-  opts.mode = core::Mode::kWeak;
+  opts.cm_cfg.mode = core::Mode::kWeak;
   opts.think_time = sim::msec(2);  // the method does some work
   FleccTestbed tb(opts);
   tb.init_all_agents();

@@ -51,9 +51,9 @@ RunResult run_variant(bool with_trigger) {
   opts.n_agents = kAgents;
   opts.group_size = kAgents;
   opts.capacity = 1 << 20;
-  opts.mode = core::Mode::kWeak;
-  opts.trigger_poll = sim::msec(50);
-  if (with_trigger) opts.pull_trigger = "(t > 250)";
+  opts.cm_cfg.mode = core::Mode::kWeak;
+  opts.cm_cfg.trigger_poll = sim::msec(50);
+  if (with_trigger) opts.cm_cfg.pull_trigger = "(t > 250)";
   FleccTestbed tb2(opts);
   tb2.init_all_agents();
   const auto flight = tb2.assignment().agent_flights[0][0];

@@ -174,10 +174,10 @@ BENCHMARK(BM_ObjectImageOverlay)->Arg(16)->Arg(128)->Arg(1024);
 // The workload behind PERFORMANCE.md: M weak-mode cache managers
 // colocated on ONE node (so their directory trains share node pairs and
 // can coalesce) driving push/pull traffic at a directory on another
-// node, then a kill wave. Args: (pool_messages, batch_fabric,
-// write_buffer_ops). Counters allocs_per_op / hops_per_op are exact
-// event counts from a deterministic simulation — bench_gate.py gates on
-// them, while wall time is reported for trend-watching only.
+// node, then a kill wave. Args: (batch_fabric, write_buffer_ops).
+// Counters allocs_per_op / hops_per_op are exact event counts from a
+// deterministic simulation — bench_gate.py gates on them, while wall
+// time is reported for trend-watching only.
 
 constexpr std::int64_t kTrainCells = 32;
 
@@ -245,9 +245,8 @@ class TrainView : public core::ViewAdapter {
 };
 
 void BM_ProtocolTrain(benchmark::State& state) {
-  const bool pool = state.range(0) != 0;
-  const bool batch = state.range(1) != 0;
-  const auto wbuf = static_cast<std::size_t>(state.range(2));
+  const bool batch = state.range(0) != 0;
+  const auto wbuf = static_cast<std::size_t>(state.range(1));
   constexpr std::size_t kAgents = 8;
   constexpr int kRounds = 16;
 
@@ -270,10 +269,8 @@ void BM_ProtocolTrain(benchmark::State& state) {
         batcher ? static_cast<net::Fabric&>(*batcher) : fabric;
 
     TrainPrimary primary;
-    core::DirectoryManager::Config dir_cfg;
-    dir_cfg.pool_messages = pool;
     const net::Address dir_addr{hosts[1], 1};
-    core::DirectoryManager dm(proto, dir_addr, primary, dir_cfg);
+    core::DirectoryManager dm(proto, dir_addr, primary);
 
     std::vector<std::unique_ptr<TrainView>> views;
     std::vector<std::unique_ptr<core::CacheManager>> cms;
@@ -283,7 +280,6 @@ void BM_ProtocolTrain(benchmark::State& state) {
       cfg.view_name = "bench.Train";
       cfg.properties = view->properties();
       cfg.mode = core::Mode::kWeak;
-      cfg.pool_messages = pool;
       cfg.write_buffer_ops = wbuf;
       // All agents on hosts[0]: same node pair toward the directory,
       // the layout where send batching can actually coalesce.
@@ -327,14 +323,14 @@ void BM_ProtocolTrain(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(hops) / per_op);
   state.SetItemsProcessed(static_cast<std::int64_t>(ops));
 }
-// Args: pool, batch, write_buffer_ops. The first row is the all-off
-// baseline the PERFORMANCE.md trajectory is measured against.
+// Args: batch, write_buffer_ops. The first row is the unbatched,
+// unbuffered baseline that bench_gate.py's improvement floors are
+// measured against.
 BENCHMARK(BM_ProtocolTrain)
-    ->Args({0, 0, 0})
-    ->Args({1, 0, 0})
-    ->Args({1, 1, 0})
-    ->Args({1, 1, 4})
-    ->ArgNames({"pool", "batch", "wbuf"})
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({1, 4})
+    ->ArgNames({"batch", "wbuf"})
     ->Unit(benchmark::kMillisecond);
 
 void BM_ObjectImageWireSize(benchmark::State& state) {

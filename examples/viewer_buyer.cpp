@@ -19,7 +19,7 @@ int main() {
   opts.n_agents = 10;
   opts.group_size = 10;       // everyone sells the same flights
   opts.capacity = 200;
-  opts.validity_trigger = "false";
+  opts.cm_cfg.validity_trigger = "false";
   opts.dir_cfg.use_rw_semantics = true;  // browsing stays cheap
   FleccTestbed tb(opts);
   tb.init_all_agents();

@@ -17,9 +17,9 @@ are too noisy to gate on them.
 Beyond the regression tolerance, --check asserts the raw-speed pass
 still pays for itself *within* the fresh results:
 
-  * the full stack (pool=1, batch=1, wbuf=4) cuts allocs_per_op by
-    >= 25% vs the all-off row;
-  * batching (batch=1) cuts hops_per_op by >= 20% vs the all-off row.
+  * the full stack (batch=1, wbuf=4) cuts allocs_per_op by >= 25%
+    vs the unbatched, unbuffered row;
+  * batching (batch=1) cuts hops_per_op by >= 20% vs that row.
 """
 
 from __future__ import annotations
@@ -38,13 +38,13 @@ DEFAULT_BASELINE = REPO / "BENCH_micro.json"
 TOLERANCE = 0.10
 
 # Cross-variant improvement floors (the raw-speed acceptance criteria).
-MIN_ALLOC_REDUCTION = 0.25  # full stack vs the all-off row
-MIN_HOP_REDUCTION = 0.20    # batch=1 vs the all-off row
+MIN_ALLOC_REDUCTION = 0.25  # full stack vs the baseline row
+MIN_HOP_REDUCTION = 0.20    # batch=1 vs the baseline row
 
 GATED_COUNTERS = ("allocs_per_op", "hops_per_op")
-BASELINE_ROW = "BM_ProtocolTrain/pool:0/batch:0/wbuf:0"
-BATCHED_ROW = "BM_ProtocolTrain/pool:1/batch:1/wbuf:0"
-FULL_ROW = "BM_ProtocolTrain/pool:1/batch:1/wbuf:4"
+BASELINE_ROW = "BM_ProtocolTrain/batch:0/wbuf:0"
+BATCHED_ROW = "BM_ProtocolTrain/batch:1/wbuf:0"
+FULL_ROW = "BM_ProtocolTrain/batch:1/wbuf:4"
 
 REGEN_HINT = (
     "regenerate with: build/bench/micro_primitives "

@@ -121,12 +121,9 @@ def main() -> int:
     # each must still exist in its defining header.
     knobs = [
         ("src/core/cache_manager.hpp",
-         ["pool_messages", "write_buffer_ops", "piggyback_heartbeats"]),
-        ("src/core/directory_manager.hpp", ["pool_messages"]),
+         ["write_buffer_ops", "piggyback_heartbeats"]),
         ("src/net/batch_fabric.hpp", ["batch_window", "max_batch"]),
-        ("src/airline/testbed.hpp",
-         ["batch_fabric", "pool_messages", "write_buffer_ops",
-          "piggyback_heartbeats"]),
+        ("src/airline/testbed.hpp", ["batch_fabric"]),
     ]
     for rel, fields in knobs:
         header = (REPO / rel).read_text()
@@ -160,8 +157,7 @@ def main() -> int:
          ["breaker_threshold", "breaker_open_timeout",
           "degrade_on_overload"]),
         ("src/core/directory_manager.hpp",
-         ["max_fetch_rounds", "max_view_rounds", "max_acquire_queue",
-          "busy_retry_after"]),
+         ["max_fetch_rounds", "max_acquire_queue", "busy_retry_after"]),
         ("src/core/reliability.hpp", ["deadline"]),
     ]
     for rel, fields in overload_knobs:
@@ -173,6 +169,20 @@ def main() -> int:
             if f"`{field}`" not in protocol:
                 errors.append(f"{rel}: knob '{field}' is not documented in "
                               "PROTOCOL.md")
+
+    # Each cache-manager knob is declared once, in
+    # core::CacheManager::Config; the airline layer forwards it through
+    # one `cm_cfg` template instead of re-declaring it field by field.
+    cm_knobs = sorted({field for rel, fields in knobs + overload_knobs
+                       if rel == "src/core/cache_manager.hpp"
+                       for field in fields})
+    for header in sorted((REPO / "src/airline").glob("*.hpp")):
+        text = header.read_text()
+        for field in cm_knobs:
+            if re.search(rf"\b{field}\b\s*=", text):
+                errors.append(
+                    f"{header.relative_to(REPO)}: re-declares cache-manager "
+                    f"knob '{field}'; set it through cm_cfg instead")
 
     # Flow-control counter families: everything emitted under flow.* /
     # shed.* / breaker.* must appear in OBSERVABILITY.md ("Flow control

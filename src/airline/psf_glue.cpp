@@ -8,7 +8,7 @@ TravelAgentInstance::TravelAgentInstance(net::Fabric& fabric,
                                          net::NodeId node, net::PortId port,
                                          net::Address directory,
                                          TravelAgent::Config cfg)
-    : psf::ComponentInstance("air.TravelAgent", node),
+    : psf::ComponentInstance(TravelAgent::kComponentType, node),
       agent_(fabric, net::Address{node, port}, directory, std::move(cfg)) {}
 
 void TravelAgentInstance::on_start() { agent_.init(); }
@@ -24,15 +24,12 @@ void register_travel_agent_factory(psf::Deployer& deployer,
   // on the same node without address collisions.
   auto next_port = std::make_shared<net::PortId>(options.first_port);
   deployer.register_factory(
-      "air.TravelAgent",
+      TravelAgent::kComponentType,
       [&fabric, options, next_port](net::NodeId node)
           -> std::unique_ptr<psf::ComponentInstance> {
         TravelAgent::Config cfg;
         cfg.flights = options.flights;
-        cfg.mode = options.mode;
-        cfg.push_trigger = options.push_trigger;
-        cfg.pull_trigger = options.pull_trigger;
-        cfg.validity_trigger = options.validity_trigger;
+        cfg.cm_cfg = options.cm_cfg;
         return std::make_unique<TravelAgentInstance>(
             fabric, node, (*next_port)++, options.directory, std::move(cfg));
       });

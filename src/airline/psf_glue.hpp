@@ -38,10 +38,8 @@ class TravelAgentInstance : public psf::ComponentInstance {
 struct TravelAgentFactoryOptions {
   net::Address directory;
   std::vector<FlightNumber> flights;
-  core::Mode mode = core::Mode::kWeak;
-  std::string push_trigger;
-  std::string pull_trigger;
-  std::string validity_trigger;
+  /// Cache-manager knobs for every instance (see TravelAgent::Config).
+  core::CacheManager::Config cm_cfg;
   /// Port assigned to the first instance; subsequent instances on any
   /// node get consecutive ports (so several agents may share a node).
   net::PortId first_port = 100;

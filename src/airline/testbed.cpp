@@ -42,6 +42,21 @@ FlightDatabase make_db(const GroupAssignment& assignment,
       base, assignment.flight_count, capacity);
 }
 
+/// Self-rescheduling daemon event calling hub.tick() every hub interval.
+/// Daemon: the sampler must not keep run() alive once the protocol goes
+/// idle, and a pure read of protocol state cannot perturb the event
+/// order either way — that is the telemetry-never-perturbs guarantee.
+void schedule_telemetry_tick(sim::Simulator& sim, obs::TelemetryHub& hub) {
+  sim::Duration interval = hub.options().interval;
+  if (interval <= 0) interval = sim::msec(250);
+  sim.schedule_after(interval,
+                     [&sim, &hub] {
+                       hub.tick(sim.now());
+                       schedule_telemetry_tick(sim, hub);
+                     },
+                     /*daemon=*/true);
+}
+
 }  // namespace
 
 // ---- FleccTestbed -----------------------------------------------------------
@@ -57,7 +72,8 @@ FleccTestbed::FleccTestbed(TestbedOptions opts)
   fabric_ = std::make_unique<net::SimFabric>(sim_, std::move(topo),
                                              opts_.fabric_cfg);
   if (opts_.batch_fabric) {
-    batch_ = std::make_unique<net::BatchFabric>(*fabric_, opts_.batch_cfg);
+    batch_ = std::make_unique<net::BatchFabric>(*fabric_,
+                                                net::BatchFabric::Config{});
   }
   net::Fabric& proto = protocol_fabric();
 
@@ -75,8 +91,6 @@ FleccTestbed::FleccTestbed(TestbedOptions opts)
         opts_.checkpoint_flush_every);
     opts_.dir_cfg.durability = durability_.get();
   }
-  opts_.dir_cfg.pool_messages = opts_.pool_messages;
-
   dir_addr_ = net::Address{hosts_.back(), kServicePort};
   const net::Address dir_addr = dir_addr_;
   directory_ = std::make_unique<core::DirectoryManager>(proto, dir_addr,
@@ -102,34 +116,20 @@ FleccTestbed::FleccTestbed(TestbedOptions opts)
 
   if (opts_.telemetry != nullptr) {
     wire_telemetry();
-    schedule_telemetry_tick();
+    schedule_telemetry_tick(sim_, *opts_.telemetry);
   }
 }
 
 TravelAgent::Config FleccTestbed::agent_config(std::size_t i) {
   TravelAgent::Config cfg;
-  if (opts_.trace != nullptr) {
-    cfg.trace = opts_.trace->make_buffer("cm." + std::to_string(i));
-  }
   cfg.flights = assignment_.agent_flights[i];
-  cfg.mode = opts_.mode;
-  cfg.push_trigger = opts_.push_trigger;
-  cfg.pull_trigger = opts_.pull_trigger;
-  cfg.validity_trigger = opts_.validity_trigger;
   cfg.think_time = opts_.think_time;
-  cfg.trigger_poll = opts_.trigger_poll;
-  cfg.retry = opts_.retry;
-  cfg.heartbeat_interval = opts_.heartbeat_interval;
-  cfg.heartbeat_miss_limit = opts_.heartbeat_miss_limit;
-  cfg.pool_messages = opts_.pool_messages;
-  cfg.write_buffer_ops = opts_.write_buffer_ops;
-  cfg.piggyback_heartbeats = opts_.piggyback_heartbeats;
-  cfg.breaker_threshold = opts_.breaker_threshold;
-  cfg.breaker_open_timeout = opts_.breaker_open_timeout;
-  cfg.degrade_on_overload = opts_.degrade_on_overload;
-  if (!cm_journal_stores_.empty()) {
-    cfg.journal = cm_journal_stores_[i].get();
-  }
+  cfg.cm_cfg = opts_.cm_cfg;
+  cfg.cm_cfg.trace = opts_.trace == nullptr
+                         ? nullptr
+                         : opts_.trace->make_buffer("cm." + std::to_string(i));
+  cfg.cm_cfg.journal =
+      cm_journal_stores_.empty() ? nullptr : cm_journal_stores_[i].get();
   return cfg;
 }
 
@@ -214,21 +214,6 @@ void FleccTestbed::wire_telemetry() {
   });
 }
 
-void FleccTestbed::schedule_telemetry_tick() {
-  sim::Duration interval = opts_.telemetry->options().interval;
-  if (interval <= 0) interval = sim::msec(250);
-  // Daemon: the sampler must not keep run() alive once the protocol
-  // goes idle, and a pure read of protocol state cannot perturb the
-  // event order either way — that is the telemetry-never-perturbs
-  // guarantee.
-  sim_.schedule_after(interval,
-                      [this] {
-                        opts_.telemetry->tick(sim_.now());
-                        schedule_telemetry_tick();
-                      },
-                      /*daemon=*/true);
-}
-
 void FleccTestbed::init_all_agents() {
   for (auto& agent : agents_) agent->init();
   sim_.run();
@@ -272,15 +257,14 @@ TravelAgent& FleccTestbed::spawn_destination(std::size_t src,
   }
   TravelAgent::Config cfg = agent_config(src);
   if (opts_.trace != nullptr) {
-    cfg.trace = opts_.trace->make_buffer("cm.spare." + std::to_string(spare));
+    cfg.cm_cfg.trace =
+        opts_.trace->make_buffer("cm.spare." + std::to_string(spare));
   }
-  cfg.await_migration = true;
+  cfg.cm_cfg.await_migration = true;
   if (opts_.cm_journal) {
     spare_journals_[spare] = std::make_unique<core::MemoryDurabilityStore>(
         opts_.cm_journal_flush_every);
-    cfg.journal = spare_journals_[spare].get();
-  } else {
-    cfg.journal = nullptr;
+    cfg.cm_cfg.journal = spare_journals_[spare].get();
   }
   const net::Address addr{hosts_[opts_.n_agents + spare], kServicePort};
   spares_[spare] = std::make_unique<TravelAgent>(protocol_fabric(), addr,
@@ -352,7 +336,8 @@ CoherenceTestbed::CoherenceTestbed(Protocol protocol, TestbedOptions opts)
   fabric_ = std::make_unique<net::SimFabric>(sim_, std::move(topo),
                                              opts_.fabric_cfg);
   if (opts_.batch_fabric) {
-    batch_ = std::make_unique<net::BatchFabric>(*fabric_, opts_.batch_cfg);
+    batch_ = std::make_unique<net::BatchFabric>(*fabric_,
+                                                net::BatchFabric::Config{});
   }
   // Every protocol (Flecc and baselines) rides the same fabric stack so
   // the Figure-4 comparison stays apples-to-apples.
@@ -367,8 +352,6 @@ CoherenceTestbed::CoherenceTestbed(Protocol protocol, TestbedOptions opts)
         opts_.trace->make_buffer("fabric", kFabricTraceCapacity));
     opts_.dir_cfg.trace = opts_.trace->make_buffer("dm", kDirTraceCapacity);
   }
-  opts_.dir_cfg.pool_messages = opts_.pool_messages;
-
   const net::Address coord_addr{hosts.back(), kServicePort};
   switch (protocol_) {
     case Protocol::kFlecc:
@@ -391,38 +374,24 @@ CoherenceTestbed::CoherenceTestbed(Protocol protocol, TestbedOptions opts)
     const net::Address addr{hosts[i], kServicePort};
     switch (protocol_) {
       case Protocol::kFlecc: {
-        core::CacheManager::Config cfg;
-        cfg.view_name = "air.TravelAgent";
+        core::CacheManager::Config cfg = opts_.cm_cfg;
+        cfg.view_name = TravelAgent::kComponentType;
         cfg.properties = view->properties();
-        cfg.mode = opts_.mode;
-        cfg.push_trigger = opts_.push_trigger;
-        cfg.pull_trigger = opts_.pull_trigger;
-        cfg.validity_trigger = opts_.validity_trigger;
-        cfg.trigger_poll = opts_.trigger_poll;
-        cfg.retry = opts_.retry;
-        cfg.heartbeat_interval = opts_.heartbeat_interval;
-        cfg.heartbeat_miss_limit = opts_.heartbeat_miss_limit;
-        cfg.pool_messages = opts_.pool_messages;
-        cfg.write_buffer_ops = opts_.write_buffer_ops;
-        cfg.piggyback_heartbeats = opts_.piggyback_heartbeats;
-        cfg.breaker_threshold = opts_.breaker_threshold;
-        cfg.breaker_open_timeout = opts_.breaker_open_timeout;
-        cfg.degrade_on_overload = opts_.degrade_on_overload;
-        if (opts_.trace != nullptr) {
-          cfg.trace = opts_.trace->make_buffer("cm." + std::to_string(i));
-        }
+        cfg.trace = opts_.trace == nullptr
+                        ? nullptr
+                        : opts_.trace->make_buffer("cm." + std::to_string(i));
         clients_.push_back(std::make_unique<baselines::FleccClient>(
             proto, addr, coord_addr, *view, std::move(cfg)));
         break;
       }
       case Protocol::kTimeSharing:
         clients_.push_back(std::make_unique<baselines::TimeSharingClient>(
-            proto, addr, coord_addr, *view, "air.TravelAgent",
+            proto, addr, coord_addr, *view, TravelAgent::kComponentType,
             view->properties()));
         break;
       case Protocol::kMulticast:
         clients_.push_back(std::make_unique<baselines::MulticastClient>(
-            proto, addr, coord_addr, *view, "air.TravelAgent",
+            proto, addr, coord_addr, *view, TravelAgent::kComponentType,
             view->properties()));
         break;
     }
@@ -431,7 +400,7 @@ CoherenceTestbed::CoherenceTestbed(Protocol protocol, TestbedOptions opts)
 
   if (opts_.telemetry != nullptr) {
     wire_telemetry();
-    schedule_telemetry_tick();
+    schedule_telemetry_tick(sim_, *opts_.telemetry);
   }
 }
 
@@ -466,17 +435,6 @@ void CoherenceTestbed::wire_telemetry() {
     f.counter("airline.db.rejected_seats",
               static_cast<double>(db_.rejected_seats()));
   });
-}
-
-void CoherenceTestbed::schedule_telemetry_tick() {
-  sim::Duration interval = opts_.telemetry->options().interval;
-  if (interval <= 0) interval = sim::msec(250);
-  sim_.schedule_after(interval,
-                      [this] {
-                        opts_.telemetry->tick(sim_.now());
-                        schedule_telemetry_tick();
-                      },
-                      /*daemon=*/true);
 }
 
 void CoherenceTestbed::connect_all() {

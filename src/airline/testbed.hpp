@@ -38,49 +38,27 @@ struct TestbedOptions {
   std::size_t group_size = 10;
   std::size_t flights_per_group = 5;
   std::int64_t capacity = 100000;
-  core::Mode mode = core::Mode::kWeak;
-  std::string push_trigger;
-  std::string pull_trigger;
-  std::string validity_trigger;
+  /// Simulated work inside each travel agent's use section.
   sim::Duration think_time = 0;
-  sim::Duration trigger_poll = sim::msec(100);
   sim::Duration lan_latency = sim::usec(200);
+  /// Template for every Flecc cache manager the testbed creates: mode,
+  /// triggers, reliability, raw-speed and overload knobs. The testbed
+  /// fills in each manager's view name, properties, trace buffer and
+  /// journal.
+  core::CacheManager::Config cm_cfg{};
   core::DirectoryManager::Config dir_cfg{};
   /// Fabric knobs (loss injection, seed) for chaos experiments.
   net::SimFabric::Config fabric_cfg{};
-  /// Cache-manager reliability knobs.
-  core::RetryPolicy retry{};
-  sim::Duration heartbeat_interval = 0;
-  std::size_t heartbeat_miss_limit = 3;
   /// Protocol-event recorder (obs layer, not owned; nullptr disables).
   /// The testbed creates one buffer per role: "dm" (directory), "fabric"
   /// (drop events), and "cm.<i>" per agent, so each writer stays
   /// single-threaded and the merged snapshot is time-ordered.
   obs::TraceRecorder* trace = nullptr;
-  // ---- raw-speed knobs (PERFORMANCE.md) ---------------------------------
-  /// Wrap the simulated fabric in a net::BatchFabric: message trains
-  /// between the same pair of nodes travel as one framed hop. All
-  /// protocol components (directory, agents, baselines) ride it, so
-  /// cross-protocol comparisons stay apples-to-apples.
+  /// Wrap the simulated fabric in a net::BatchFabric (PERFORMANCE.md):
+  /// message trains between the same pair of nodes travel as one framed
+  /// hop. All protocol components (directory, agents, baselines) ride
+  /// it, so cross-protocol comparisons stay apples-to-apples.
   bool batch_fabric = false;
-  net::BatchFabric::Config batch_cfg{};
-  /// Message-payload pooling, applied to every cache manager AND to
-  /// dir_cfg.pool_messages (uniform A/B switch).
-  bool pool_messages = true;
-  /// CM write buffer: pushes absorbed per flush cycle (0 disables).
-  std::size_t write_buffer_ops = 0;
-  /// CM heartbeat piggybacking on regular directory traffic.
-  bool piggyback_heartbeats = false;
-  // ---- overload knobs (PROTOCOL.md "Flow control & overload") -----------
-  /// CM circuit breaker toward the directory: consecutive Busy/failover
-  /// events before bulk traffic is suspended (0 disables). Fabric-level
-  /// bounding lives in fabric_cfg.flow; DM admission caps in dir_cfg.
-  std::size_t breaker_threshold = 0;
-  /// Minimum open window of the CM breaker.
-  sim::Duration breaker_open_timeout = sim::msec(500);
-  /// Degrade STRONG managers to buffered WEAK writes while their
-  /// breaker is open (restored automatically when it closes).
-  bool degrade_on_overload = false;
   /// Give the directory an owned in-memory durability store so
   /// crash_directory()/restart_directory() can exercise checkpointed
   /// recovery. Ignored when dir_cfg.durability is already set.
@@ -232,8 +210,6 @@ class FleccTestbed {
   TravelAgent::Config agent_config(std::size_t i);
   /// Register the telemetry collectors on opts_.telemetry.
   void wire_telemetry();
-  /// Self-rescheduling daemon event calling hub->tick() every interval.
-  void schedule_telemetry_tick();
 
   TestbedOptions opts_;
   GroupAssignment assignment_;
@@ -304,7 +280,6 @@ class CoherenceTestbed {
   /// Minimal telemetry wiring (fabric/db/directory counters) so fig4
   /// runs can serve live metrics too.
   void wire_telemetry();
-  void schedule_telemetry_tick();
 
   Protocol protocol_;
   TestbedOptions opts_;

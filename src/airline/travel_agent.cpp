@@ -7,30 +7,11 @@
 namespace flecc::airline {
 
 namespace {
-core::CacheManager::Config make_cm_config(const TravelAgent::Config& cfg,
+core::CacheManager::Config make_cm_config(core::CacheManager::Config cfg,
                                           const TravelAgentView& view) {
-  core::CacheManager::Config out;
-  out.view_name = cfg.name;
-  out.properties = view.properties();
-  out.mode = cfg.mode;
-  out.push_trigger = cfg.push_trigger;
-  out.pull_trigger = cfg.pull_trigger;
-  out.validity_trigger = cfg.validity_trigger;
-  out.trigger_poll = cfg.trigger_poll;
-  out.retry = cfg.retry;
-  out.heartbeat_interval = cfg.heartbeat_interval;
-  out.heartbeat_miss_limit = cfg.heartbeat_miss_limit;
-  out.pool_messages = cfg.pool_messages;
-  out.write_buffer_ops = cfg.write_buffer_ops;
-  out.piggyback_heartbeats = cfg.piggyback_heartbeats;
-  out.breaker_threshold = cfg.breaker_threshold;
-  out.breaker_open_timeout = cfg.breaker_open_timeout;
-  out.degrade_on_overload = cfg.degrade_on_overload;
-  out.trace = cfg.trace;
-  out.journal = cfg.journal;
-  out.await_migration = cfg.await_migration;
-  out.on_moved = cfg.on_moved;
-  return out;
+  cfg.view_name = TravelAgent::kComponentType;
+  cfg.properties = view.properties();
+  return cfg;
 }
 }  // namespace
 
@@ -39,7 +20,8 @@ TravelAgent::TravelAgent(net::Fabric& fabric, net::Address self,
     : fabric_(fabric),
       cfg_(std::move(cfg)),
       view_(cfg_.flights),
-      cm_(fabric, self, directory, view_, make_cm_config(cfg_, view_)) {}
+      cm_(fabric, self, directory, view_,
+          make_cm_config(cfg_.cm_cfg, view_)) {}
 
 void TravelAgent::init(Done done) { cm_.init_image(std::move(done)); }
 

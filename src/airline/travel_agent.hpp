@@ -22,41 +22,18 @@ namespace flecc::airline {
 
 class TravelAgent {
  public:
+  /// Component type name: the PSF factory, the static map and every
+  /// agent's cache-manager registration use it.
+  static constexpr const char* kComponentType = "air.TravelAgent";
+
   struct Config {
     /// Flights this agent serves (its "Flights" property).
     std::vector<FlightNumber> flights;
-    core::Mode mode = core::Mode::kWeak;
-    std::string push_trigger;
-    std::string pull_trigger;
-    std::string validity_trigger;
     /// Simulated duration of the work inside the use section.
     sim::Duration think_time = 0;
-    sim::Duration trigger_poll = sim::msec(100);
-    std::string name = "air.TravelAgent";
-    /// Reliability knobs, forwarded to the cache manager.
-    core::RetryPolicy retry{};
-    sim::Duration heartbeat_interval = 0;
-    std::size_t heartbeat_miss_limit = 3;
-    /// Raw-speed knobs, forwarded to the cache manager (PERFORMANCE.md).
-    bool pool_messages = true;
-    std::size_t write_buffer_ops = 0;
-    bool piggyback_heartbeats = false;
-    /// Overload knobs, forwarded to the cache manager (PROTOCOL.md
-    /// "Flow control & overload").
-    std::size_t breaker_threshold = 0;
-    sim::Duration breaker_open_timeout = sim::msec(500);
-    bool degrade_on_overload = false;
-    /// Protocol-event sink, forwarded to the cache manager (obs layer,
-    /// not owned; nullptr disables).
-    obs::TraceBuffer* trace = nullptr;
-    /// Dynamic-reconfiguration knobs, forwarded to the cache manager
-    /// (PROTOCOL.md "View migration & CM journaling"): a write-ahead
-    /// journal store (not owned; nullptr disables), whether to start
-    /// idle as a migration destination, and an observer fired when a
-    /// migration moved this agent's view away.
-    core::DurabilityStore* journal = nullptr;
-    bool await_migration = false;
-    std::function<void()> on_moved;
+    /// The cache manager's knobs. The agent fills in the view name
+    /// (kComponentType) and the data properties of `flights`.
+    core::CacheManager::Config cm_cfg;
   };
 
   using Done = std::function<void()>;

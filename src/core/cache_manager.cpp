@@ -1347,7 +1347,6 @@ void CacheManager::handle_move_done(const net::Message& m) {
     retire();
     stats_.inc("migrate.moved");
     fail_queued();
-    if (cfg_.on_moved) cfg_.on_moved();
     return;
   }
   if (done.aborted && !sealed_ && move_requested_ && done.view == id_ &&

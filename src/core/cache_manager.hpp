@@ -69,12 +69,6 @@ class CacheManager : public net::Endpoint {
     sim::Duration heartbeat_interval = 0;
     /// Consecutive unacked heartbeats tolerated before reconnect().
     std::size_t heartbeat_miss_limit = 3;
-    /// Message-payload pooling (PERFORMANCE.md): requests are built in
-    /// recycled ObjectPool slots (net/pool.hpp) and travel as 8-byte
-    /// PoolPtr handles instead of deep-copied std::any boxes, making
-    /// the steady-state send path allocation-lean. Protocol behavior
-    /// is identical; off = plain boxed-by-value payloads (A/B runs).
-    bool pool_messages = true;
     /// WEAK-mode write buffer (PERFORMANCE.md): absorb up to this many
     /// consecutive pushes locally — the push completes immediately and
     /// its deltas keep accumulating in the view — before one combined
@@ -122,9 +116,6 @@ class CacheManager : public net::Endpoint {
     /// Start idle as a migration destination: skip registration and
     /// wait for a ViewMoveInstall to adopt a migrating view.
     bool await_migration = false;
-    /// Observer fired when a migration moved this manager's view away
-    /// (ViewMoveDone, not aborted); the manager is inert afterwards.
-    std::function<void()> on_moved;
   };
 
   using Done = std::function<void()>;
@@ -433,8 +424,8 @@ class CacheManager : public net::Endpoint {
   /// through the regular push path under the SAME request id (the
   /// directory's exactly-once key absorbs an already-merged handoff).
   void unseal_resume();
-  /// Send `value` to the directory, pooling the payload when enabled,
-  /// and record the traffic for heartbeat piggybacking.
+  /// Send `value` to the directory in a pooled slot, and record the
+  /// traffic for heartbeat piggybacking.
   template <typename T>
   void send_dir(const char* type, T value);
 
@@ -536,7 +527,7 @@ class CacheManager : public net::Endpoint {
   std::uint64_t installed_epoch_ = 0;
 
   // ---- raw-speed state (PERFORMANCE.md) ---------------------------------
-  /// Per-payload-type slot pools; only touched when cfg_.pool_messages.
+  /// Per-payload-type slot pools behind send_dir().
   net::PoolSet pools_;
   /// Consecutive pushes absorbed by the write buffer since the last
   /// extraction (lifetime totals live in the wbuf.* counters).
@@ -556,13 +547,9 @@ template <typename T>
 void CacheManager::send_dir(const char* type, T value) {
   const std::size_t bytes = msg::wire_size(value);
   last_dir_traffic_ = fabric_.now();
-  if (cfg_.pool_messages) {
-    net::PoolPtr<T> slot = pools_.acquire<T>();
-    *slot = std::move(value);
-    fabric_.send(self_, directory_, type, std::move(slot), bytes);
-  } else {
-    fabric_.send(self_, directory_, type, std::move(value), bytes);
-  }
+  net::PoolPtr<T> slot = pools_.acquire<T>();
+  *slot = std::move(value);
+  fabric_.send(self_, directory_, type, std::move(slot), bytes);
 }
 
 }  // namespace flecc::core

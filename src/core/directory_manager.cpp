@@ -21,6 +21,18 @@ constexpr std::size_t kSettledRoundWindow = 256;
 /// crash, i.e. the recent past.
 constexpr std::size_t kMergedOpWindow = 1024;
 
+/// How long a restarted directory waits for RebuildReply
+/// re-announcements before dropping checkpointed views that stayed
+/// silent (they reconnect via heartbeat `known == false`).
+constexpr sim::Duration kRebuildWindow = sim::msec(500);
+
+/// Per-phase wait before retransmitting ViewMoveReq/ViewMoveInstall.
+constexpr sim::Duration kMigrateTimeout = sim::msec(250);
+
+/// Retransmissions per migration phase before the move aborts and the
+/// view stays bound to its source.
+constexpr std::size_t kMigrateResends = 4;
+
 }  // namespace
 
 DirectoryManager::DirectoryManager(net::Fabric& fabric, net::Address self,
@@ -379,12 +391,6 @@ void DirectoryManager::forget_in_progress(const net::Address& from,
   }
 }
 
-std::size_t DirectoryManager::open_rounds_of(ViewId v) const {
-  return static_cast<std::size_t>(
-      std::count_if(fetch_rounds_.begin(), fetch_rounds_.end(),
-                    [v](const auto& e) { return e.second.requester == v; }));
-}
-
 void DirectoryManager::arm_liveness_timer() {
   if (cfg_.liveness_timeout <= 0) return;
   // Daemon: liveness sweeps must not keep run-to-quiescence alive.
@@ -654,17 +660,12 @@ void DirectoryManager::handle_pull(const net::Message& m) {
   // The in-progress dedup slot noted earlier must be forgotten, or the
   // post-Busy retry would be dropped as a duplicate of a round that
   // never opened.
-  const bool over_global = cfg_.max_fetch_rounds != 0 &&
-                           fetch_rounds_.size() >= cfg_.max_fetch_rounds;
-  const bool over_view = !over_global && cfg_.max_view_rounds != 0 &&
-                         open_rounds_of(req.view) >= cfg_.max_view_rounds;
-  if (over_global || over_view) {
+  if (cfg_.max_fetch_rounds != 0 &&
+      fetch_rounds_.size() >= cfg_.max_fetch_rounds) {
     stats_.inc("shed.pull");
-    stats_.inc(over_global ? "shed.pull.global" : "shed.pull.view");
+    stats_.inc("shed.pull.global");
     forget_in_progress(m.from, req.req);
-    send_busy(m.from, req.view, req.req,
-              over_global ? "fetch rounds saturated"
-                          : "per-view round budget");
+    send_busy(m.from, req.view, req.req, "fetch rounds saturated");
     return;
   }
 
@@ -1219,7 +1220,7 @@ bool DirectoryManager::begin_migration(ViewId v, net::Address dest) {
   mig.src = rec->cache_addr;
   mig.dest = dest;
   mig.phase = kMigrateQuiesce;
-  mig.resends_left = cfg_.migrate_resends;
+  mig.resends_left = kMigrateResends;
   stats_.inc("migrate.begin");
   FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMigrateBegin,
                     obs::Role::kDirectory, obs::agent_key(self_), 0,
@@ -1270,7 +1271,7 @@ void DirectoryManager::arm_migrate_resend(ViewId v) {
   auto it = migrations_.find(v);
   if (it == migrations_.end()) return;
   it->second.resend_timer =
-      fabric_.schedule(self_, std::max<sim::Duration>(1, cfg_.migrate_timeout),
+      fabric_.schedule(self_, kMigrateTimeout,
                        [this, v] { on_migrate_timeout(v); });
 }
 
@@ -1376,7 +1377,7 @@ void DirectoryManager::handle_handoff_state(const net::Message& m) {
   }
   rec->mode = hs.mode;
   mig.phase = kMigrateHandoff;
-  mig.resends_left = cfg_.migrate_resends;
+  mig.resends_left = kMigrateResends;
   cancel(mig.resend_timer);
   send_move_install(mig);
   arm_migrate_resend(hs.view);
@@ -1638,19 +1639,17 @@ void DirectoryManager::start_rebuild() {
   rebuild_resends_left_ = cfg_.command_retries;
   // A plain (non-daemon) timer: the rebuild window must hold the sim
   // open until it closes, even when no other work is scheduled yet.
-  rebuild_timer_ =
-      fabric_.schedule(self_, std::max<sim::Duration>(1, cfg_.rebuild_window),
-                       [this] {
-                         rebuild_timer_ = net::kInvalidTimerId;
-                         finish_rebuild();
-                       });
+  rebuild_timer_ = fabric_.schedule(self_, kRebuildWindow, [this] {
+    rebuild_timer_ = net::kInvalidTimerId;
+    finish_rebuild();
+  });
   arm_rebuild_resend();
 }
 
 void DirectoryManager::arm_rebuild_resend() {
   if (!rebuilding_ || rebuild_resends_left_ == 0) return;
   const sim::Duration interval = std::max<sim::Duration>(
-      1, cfg_.rebuild_window /
+      1, kRebuildWindow /
              static_cast<sim::Duration>(cfg_.command_retries + 1));
   rebuild_resend_timer_ = fabric_.schedule(self_, interval, [this] {
     rebuild_resend_timer_ = net::kInvalidTimerId;

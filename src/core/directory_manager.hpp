@@ -83,19 +83,9 @@ class DirectoryManager : public net::Endpoint {
     /// generation left checkpointed views behind — runs the CM-assisted
     /// rebuild round (PROTOCOL.md, "Directory crash-recovery").
     DurabilityStore* durability = nullptr;
-    /// How long a restarted directory waits for RebuildReply
-    /// re-announcements before dropping checkpointed views that stayed
-    /// silent (they reconnect via heartbeat `known == false`).
-    sim::Duration rebuild_window = sim::msec(500);
     /// Compact the WAL after this many appends since the last
     /// compaction (0 disables compaction).
     std::size_t compact_threshold = 4096;
-    /// Message-payload pooling (PERFORMANCE.md): replies and commands
-    /// are built in recycled ObjectPool slots (net/pool.hpp) and travel
-    /// as 8-byte PoolPtr handles instead of deep-copied std::any boxes.
-    /// The dedup window caches the same handle, so replay costs one
-    /// refcount bump instead of a payload copy. Protocol-neutral.
-    bool pool_messages = true;
     /// Fault-injection knob (monitor mutation tests ONLY): treat every
     /// pair of views as non-conflicting when arbitrating strong-mode
     /// acquires, so grants go out without invalidating the previous
@@ -108,9 +98,6 @@ class DirectoryManager : public net::Endpoint {
     /// instead (shed.pull counter); pulls that need no fetch round are
     /// always served. 0 = unlimited (the seed behavior).
     std::size_t max_fetch_rounds = 0;
-    /// Per-requesting-view cap on open fetch rounds, so one hot view
-    /// cannot monopolize the global budget. 0 = unlimited.
-    std::size_t max_view_rounds = 0;
     /// Cap on queued strong-mode acquires (the in-flight one excluded).
     /// An acquire past the cap is answered with msg::Busy (shed.acquire
     /// counter). 0 = unlimited.
@@ -119,11 +106,6 @@ class DirectoryManager : public net::Endpoint {
     /// off (jittered) at least this long before re-issuing.
     sim::Duration busy_retry_after = sim::msec(100);
     // ---- view migration (PROTOCOL.md "View migration & CM journaling") --
-    /// Per-phase wait before retransmitting ViewMoveReq/ViewMoveInstall.
-    sim::Duration migrate_timeout = sim::msec(250);
-    /// Retransmissions per migration phase before the move aborts and
-    /// the view stays bound to its source.
-    std::size_t migrate_resends = 4;
     /// Chaos/test hook fired at every migration phase transition
     /// (MigratePhase below), synchronously inside directory processing —
     /// deterministic under the simulated fabric. Not owned.
@@ -428,11 +410,11 @@ class DirectoryManager : public net::Endpoint {
   void cancel(net::TimerId& timer);
   void send_to_view(const ViewRecord& rec, const char* type, std::any payload,
                     std::size_t bytes);
-  /// Type-erase an outgoing payload, through the slot pool when
-  /// pooling is enabled (callers compute wire bytes BEFORE boxing).
+  /// Type-erase an outgoing payload through the slot pool (callers
+  /// compute wire bytes BEFORE boxing). The dedup window caches the
+  /// same handle, so a replay costs one refcount bump, not a copy.
   template <typename T>
   std::any box(T value) {
-    if (!cfg_.pool_messages) return std::any(std::move(value));
     net::PoolPtr<T> slot = pools_.acquire<T>();
     *slot = std::move(value);
     return std::any(std::move(slot));
@@ -458,8 +440,6 @@ class DirectoryManager : public net::Endpoint {
   /// shed, so its post-Busy retry is not mistaken for a duplicate of a
   /// round in flight.
   void forget_in_progress(const net::Address& from, std::uint64_t req);
-  /// Open fetch rounds requested by view `v`.
-  [[nodiscard]] std::size_t open_rounds_of(ViewId v) const;
   void arm_liveness_timer();
   void liveness_sweep();
 
@@ -560,7 +540,7 @@ class DirectoryManager : public net::Endpoint {
   std::set<MergedOpKey> merged_ops_;
   std::deque<MergedOpKey> merged_ops_order_;
 
-  /// Per-payload-type slot pools; only touched when cfg_.pool_messages.
+  /// Per-payload-type slot pools behind box().
   net::PoolSet pools_;
 
   sim::CounterSet stats_;

@@ -8,19 +8,8 @@
 
 namespace flecc::obs {
 
-namespace {
-
-TimeSeriesRegistry::Config registry_config(const TelemetryOptions& opts) {
-  TimeSeriesRegistry::Config cfg;
-  cfg.interval = opts.interval;
-  cfg.capacity = opts.window_capacity;
-  return cfg;
-}
-
-}  // namespace
-
 TelemetryHub::TelemetryHub(TelemetryOptions opts)
-    : opts_(opts), registry_(registry_config(opts_)) {}
+    : opts_(opts), registry_(opts_.window_capacity) {}
 
 void TelemetryHub::tick(sim::Time now) {
   registry_.sample(now);

@@ -154,7 +154,7 @@ void TimeSeriesRegistry::sample(sim::Time now) {
   std::lock_guard<std::mutex> lock(mu_);
   w.index = closed_++;
   ring_.push_back(std::move(w));
-  while (ring_.size() > cfg_.capacity) ring_.pop_front();
+  while (ring_.size() > capacity_) ring_.pop_front();
 }
 
 std::uint64_t TimeSeriesRegistry::windows_closed() const {

@@ -139,22 +139,11 @@ class SampleFrame {
 /// from other threads.
 class TimeSeriesRegistry {
  public:
-  /// Sampling cadence and retention knobs.
-  struct Config {
-    /// Sampling cadence in simulated time. Each sample() call closes
-    /// one window; callers are expected to honor this interval when
-    /// scheduling (the registry itself just timestamps what it is
-    /// given).
-    sim::Duration interval = sim::msec(250);
-    /// Windows retained in the ring; older windows fall off.
-    std::size_t capacity = 64;
-  };
-
-  // Two constructors rather than `Config cfg = {}`: a default argument
-  // would need Config's member initializers before the enclosing class
-  // is complete.
-  TimeSeriesRegistry() { cfg_ = Config(); }
-  explicit TimeSeriesRegistry(const Config& cfg) : cfg_(cfg) {}
+  /// `capacity` windows are retained in the ring; older windows fall
+  /// off. Each sample() call closes one window at the time it is given,
+  /// so the caller's schedule sets the sampling cadence.
+  explicit TimeSeriesRegistry(std::size_t capacity = 64)
+      : capacity_(capacity) {}
 
   using Collector = std::function<void(SampleFrame&)>;
   /// Register a collector; the returned token deregisters it again.
@@ -172,7 +161,6 @@ class TimeSeriesRegistry {
   /// publish the window into the ring.
   void sample(sim::Time now);
 
-  [[nodiscard]] const Config& config() const noexcept { return cfg_; }
   [[nodiscard]] std::uint64_t windows_closed() const;
   /// Copy of the most recent window (nullopt before the first sample).
   [[nodiscard]] std::optional<TelemetryWindow> latest() const;
@@ -182,7 +170,7 @@ class TimeSeriesRegistry {
   [[nodiscard]] std::size_t series_count() const;
 
  private:
-  Config cfg_;
+  std::size_t capacity_;
   std::vector<std::pair<std::size_t, Collector>> collectors_;
   std::size_t next_token_ = 0;
   // Previous cumulative readings for delta derivation (sampler thread

@@ -13,7 +13,7 @@ struct ClientFixture : ::testing::Test {
     opts.n_agents = 3;
     opts.group_size = 3;
     opts.capacity = 50;
-    opts.validity_trigger = "false";
+    opts.cm_cfg.validity_trigger = "false";
     opts.dir_cfg.use_rw_semantics = true;
     tb = std::make_unique<FleccTestbed>(opts);
     tb->init_all_agents();

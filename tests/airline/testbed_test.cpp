@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/flecc_client.hpp"
+
 namespace flecc::airline {
 namespace {
 
@@ -22,7 +24,7 @@ TEST(FleccTestbedTest, ReservationLoopPropagatesToDatabase) {
   TestbedOptions opts;
   opts.n_agents = 2;
   opts.group_size = 2;
-  opts.validity_trigger = "false";  // always fetch freshest
+  opts.cm_cfg.validity_trigger = "false";  // always fetch freshest
   FleccTestbed tb(opts);
   tb.init_all_agents();
   const FlightNumber flight = tb.assignment().agent_flights[0][0];
@@ -59,10 +61,10 @@ TEST(FleccTestbedTest, DirectoryCrashRestartConvergesReservations) {
   opts.group_size = 2;
   opts.durable_directory = true;
   opts.checkpoint_flush_every = 4;  // crash eats an unflushed WAL tail
-  opts.heartbeat_interval = sim::msec(200);
-  opts.retry.base_timeout = sim::msec(100);
-  opts.retry.max_timeout = sim::msec(500);
-  opts.retry.max_attempts = 10;
+  opts.cm_cfg.heartbeat_interval = sim::msec(200);
+  opts.cm_cfg.retry.base_timeout = sim::msec(100);
+  opts.cm_cfg.retry.max_timeout = sim::msec(500);
+  opts.cm_cfg.retry.max_attempts = 10;
   FleccTestbed tb(opts);
   ASSERT_NE(tb.durability(), nullptr);
   tb.init_all_agents();
@@ -145,6 +147,24 @@ TEST(CoherenceTestbedTest, FleccDirectoryOnlyForFlecc) {
   CoherenceTestbed ts(Protocol::kTimeSharing, opts);
   EXPECT_EQ(ts.flecc_directory(), nullptr);
   EXPECT_STREQ(to_string(Protocol::kMulticast), "multicast");
+}
+
+TEST(CoherenceTestbedTest, FleccClientsStartFromCmCfg) {
+  TestbedOptions opts;
+  opts.n_agents = 3;
+  opts.cm_cfg.mode = core::Mode::kStrong;
+  opts.cm_cfg.heartbeat_interval = sim::msec(100);
+  CoherenceTestbed tb(Protocol::kFlecc, opts);
+  tb.connect_all();
+  tb.simulator().run_until(tb.simulator().now() + sim::msec(500));
+  for (std::size_t i = 0; i < tb.agent_count(); ++i) {
+    auto* client = dynamic_cast<baselines::FleccClient*>(&tb.client(i));
+    ASSERT_NE(client, nullptr);
+    const core::CacheManager& cm = client->cache_manager();
+    EXPECT_TRUE(cm.registered()) << "client " << i;
+    EXPECT_EQ(cm.mode(), core::Mode::kStrong) << "client " << i;
+    EXPECT_GT(cm.stats().get("heartbeat.sent"), 0u) << "client " << i;
+  }
 }
 
 }  // namespace

@@ -15,7 +15,7 @@ TEST(AdaptabilityTest, StrongModeCostsLatencyButBuysFreshData) {
   TestbedOptions opts;
   opts.n_agents = 5;
   opts.group_size = 5;
-  opts.mode = core::Mode::kWeak;
+  opts.cm_cfg.mode = core::Mode::kWeak;
   opts.capacity = 100000;
   FleccTestbed tb(opts);
   tb.init_all_agents();
@@ -81,8 +81,8 @@ TEST(AdaptabilityTest, PullTriggerImprovesQualityAtMessageCost) {
     opts.n_agents = 2;
     opts.group_size = 2;
     opts.capacity = 100000;
-    opts.trigger_poll = sim::msec(50);
-    if (with_trigger) opts.pull_trigger = "(t > 200)";
+    opts.cm_cfg.trigger_poll = sim::msec(50);
+    if (with_trigger) opts.cm_cfg.pull_trigger = "(t > 200)";
     FleccTestbed tb(opts);
     tb.init_all_agents();
     const FlightNumber flight = tb.assignment().agent_flights[0][0];
@@ -122,7 +122,7 @@ TEST(AdaptabilityTest, ValidityTriggerAdaptsFetchBehaviorAtRuntime) {
   opts.n_agents = 2;
   opts.group_size = 2;
   opts.capacity = 100000;
-  opts.validity_trigger = "(_unseen < 3)";
+  opts.cm_cfg.validity_trigger = "(_unseen < 3)";
   FleccTestbed tb(opts);
   tb.init_all_agents();
   const FlightNumber flight = tb.assignment().agent_flights[0][0];

@@ -11,7 +11,7 @@ TEST(ConsistencyTest, StrongModeNeverLosesOrDuplicatesSeats) {
   TestbedOptions opts;
   opts.n_agents = 5;
   opts.group_size = 5;
-  opts.mode = core::Mode::kStrong;
+  opts.cm_cfg.mode = core::Mode::kStrong;
   opts.capacity = 1000;
   FleccTestbed tb(opts);
   const FlightNumber flight = tb.assignment().agent_flights[0][0];
@@ -40,7 +40,7 @@ TEST(ConsistencyTest, StrongModeSerializesSoNobodyOversells) {
   TestbedOptions opts;
   opts.n_agents = 4;
   opts.group_size = 4;
-  opts.mode = core::Mode::kStrong;
+  opts.cm_cfg.mode = core::Mode::kStrong;
   opts.capacity = 10;
   FleccTestbed tb(opts);
   const FlightNumber flight = tb.assignment().agent_flights[0][0];
@@ -66,8 +66,8 @@ TEST(ConsistencyTest, WeakModeConservesSeatsAfterQuiescence) {
   TestbedOptions opts;
   opts.n_agents = 6;
   opts.group_size = 3;
-  opts.mode = core::Mode::kWeak;
-  opts.validity_trigger = "false";
+  opts.cm_cfg.mode = core::Mode::kWeak;
+  opts.cm_cfg.validity_trigger = "false";
   opts.capacity = 100000;
   FleccTestbed tb(opts);
   tb.init_all_agents();
@@ -94,7 +94,7 @@ TEST(ConsistencyTest, WeakModeOverbookingIsClampedByMergePolicy) {
   TestbedOptions opts;
   opts.n_agents = 4;
   opts.group_size = 4;
-  opts.mode = core::Mode::kWeak;
+  opts.cm_cfg.mode = core::Mode::kWeak;
   opts.capacity = 10;
   FleccTestbed tb(opts);
   tb.init_all_agents();
@@ -116,7 +116,7 @@ TEST(ConsistencyTest, DisjointGroupsNeverInterfere) {
   TestbedOptions opts;
   opts.n_agents = 4;
   opts.group_size = 2;
-  opts.validity_trigger = "false";
+  opts.cm_cfg.validity_trigger = "false";
   FleccTestbed tb(opts);
   tb.init_all_agents();
   // Group 0 works; group 1 stays idle.
@@ -136,8 +136,8 @@ TEST(ConsistencyTest, ModeSwitchMidRunKeepsConservation) {
   TestbedOptions opts;
   opts.n_agents = 3;
   opts.group_size = 3;
-  opts.mode = core::Mode::kWeak;
-  opts.validity_trigger = "false";
+  opts.cm_cfg.mode = core::Mode::kWeak;
+  opts.cm_cfg.validity_trigger = "false";
   opts.capacity = 100000;
   FleccTestbed tb(opts);
   tb.init_all_agents();

@@ -12,7 +12,7 @@ TEST(FaultTest, CrashedAgentDoesNotWedgeDemandFetch) {
   TestbedOptions opts;
   opts.n_agents = 3;
   opts.group_size = 3;
-  opts.validity_trigger = "false";
+  opts.cm_cfg.validity_trigger = "false";
   opts.dir_cfg.fetch_timeout = sim::msec(100);
   FleccTestbed tb(opts);
   tb.init_all_agents();
@@ -32,7 +32,7 @@ TEST(FaultTest, CrashedOwnerDoesNotWedgeStrongAcquire) {
   TestbedOptions opts;
   opts.n_agents = 2;
   opts.group_size = 2;
-  opts.mode = core::Mode::kStrong;
+  opts.cm_cfg.mode = core::Mode::kStrong;
   opts.dir_cfg.fetch_timeout = sim::msec(100);
   FleccTestbed tb(opts);
 
@@ -57,7 +57,7 @@ TEST(FaultTest, GracefulKillDuringFetchRoundSettlesIt) {
   TestbedOptions opts;
   opts.n_agents = 3;
   opts.group_size = 3;
-  opts.validity_trigger = "false";
+  opts.cm_cfg.validity_trigger = "false";
   // Long timeout: if the kill did not settle the round, the test's pull
   // would only complete after 10 simulated seconds.
   opts.dir_cfg.fetch_timeout = sim::seconds(10);
@@ -229,7 +229,7 @@ TEST_P(LossyAirlineTest, AllOpsCompleteAndDatabaseIsExact) {
   opts.n_agents = 4;
   opts.group_size = 4;
   opts.capacity = 100000;
-  opts.mode = c.mode;
+  opts.cm_cfg.mode = c.mode;
   opts.fabric_cfg.loss_probability = c.loss;
   opts.fabric_cfg.seed = 0xf1ecc;
   FleccTestbed tb(opts);

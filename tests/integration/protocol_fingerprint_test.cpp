@@ -81,8 +81,8 @@ Fingerprint run(Scenario s) {
   opts.trace = &recorder;
   opts.capacity = 1 << 20;
   opts.fabric_cfg.seed = 11;
-  opts.heartbeat_interval = sim::msec(250);
-  opts.heartbeat_miss_limit = 4;
+  opts.cm_cfg.heartbeat_interval = sim::msec(250);
+  opts.cm_cfg.heartbeat_miss_limit = 4;
   // Rounds time out before a target leaves its use section.
   opts.think_time = sim::msec(200);
   opts.dir_cfg.fetch_timeout = sim::msec(100);
@@ -91,20 +91,20 @@ Fingerprint run(Scenario s) {
     case Scenario::kWeakValidity:
       opts.n_agents = 30;
       opts.group_size = 10;
-      opts.validity_trigger = "false";  // every pull demand-fetches
+      opts.cm_cfg.validity_trigger = "false";  // every pull demand-fetches
       opts.fabric_cfg.loss_probability = 0.08;
       opts.dir_cfg.liveness_timeout = sim::seconds(1);
       break;
     case Scenario::kStrongInvalidation:
       opts.n_agents = 16;
       opts.group_size = 4;
-      opts.mode = core::Mode::kStrong;
+      opts.cm_cfg.mode = core::Mode::kStrong;
       opts.fabric_cfg.loss_probability = 0.05;
       break;
     case Scenario::kDirectoryCrash:
       opts.n_agents = 20;
       opts.group_size = 10;
-      opts.validity_trigger = "false";
+      opts.cm_cfg.validity_trigger = "false";
       opts.fabric_cfg.loss_probability = 0.05;
       opts.durable_directory = true;
       // A lagging checkpoint: the crash eats the WAL tail, so echoes of
@@ -116,8 +116,9 @@ Fingerprint run(Scenario s) {
       opts.n_agents = 16;
       opts.group_size = 8;
       opts.fabric_cfg.loss_probability = 0.05;
-      opts.push_trigger = "(t > 400)";  // pushes for the buffer to absorb
-      opts.write_buffer_ops = 4;
+      // Pushes for the buffer to absorb.
+      opts.cm_cfg.push_trigger = "(t > 400)";
+      opts.cm_cfg.write_buffer_ops = 4;
       opts.cm_journal = true;
       opts.spare_hosts = 2;
       break;

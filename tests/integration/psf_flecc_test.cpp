@@ -61,7 +61,7 @@ TEST(PsfFleccIntegration, PlannedViewIsDeployedAliveAndCoherent) {
   TravelAgentFactoryOptions opts;
   opts.directory = dir_addr;
   opts.flights = {100, 101, 102, 103, 104};
-  opts.validity_trigger = "false";
+  opts.cm_cfg.validity_trigger = "false";
   register_travel_agent_factory(deployer, fabric, opts);
 
   auto deployment = deployer.deploy(*plan);
@@ -133,6 +133,42 @@ TEST(PsfFleccIntegration, MultipleAgentsShareANodeViaPortAllocation) {
   EXPECT_NE(a->agent().cache().address(), b->agent().cache().address());
   EXPECT_TRUE(directory.conflicts(a->agent().cache().id(),
                                   b->agent().cache().id()));
+}
+
+TEST(PsfFleccIntegration, FactoryForwardsCmCfg) {
+  auto spec = psf::parse_spec(kScenario);
+  sim::Simulator simulator;
+  net::SimFabric fabric(simulator, spec.environment.topology());
+  auto db = FlightDatabase::uniform(100, 5, 50);
+  FlightDatabaseAdapter adapter(db);
+  const net::Address dir_addr{spec.node_ids.at("server"), 1};
+  core::DirectoryManager directory(fabric, dir_addr, adapter);
+
+  psf::Deployer deployer;
+  TravelAgentFactoryOptions opts;
+  opts.directory = dir_addr;
+  opts.flights = {100};
+  opts.cm_cfg.mode = core::Mode::kStrong;
+  opts.cm_cfg.heartbeat_interval = sim::msec(100);
+  register_travel_agent_factory(deployer, fabric, opts);
+
+  psf::DeploymentPlan plan;
+  plan.placements = {{"air.TravelAgent", spec.node_ids.at("client")},
+                     {"air.TravelAgent", spec.node_ids.at("client")}};
+  auto deployment = deployer.deploy(plan);
+  simulator.run_until(simulator.now() + sim::msec(500));
+  ASSERT_EQ(deployment.size(), 2u);
+  for (std::size_t i = 0; i < deployment.size(); ++i) {
+    auto* instance =
+        dynamic_cast<TravelAgentInstance*>(&deployment.instance(i));
+    ASSERT_NE(instance, nullptr);
+    const core::CacheManager& cm = instance->agent().cache();
+    ASSERT_TRUE(cm.registered()) << "instance " << i;
+    EXPECT_EQ(cm.mode(), core::Mode::kStrong) << "instance " << i;
+    EXPECT_EQ(directory.mode_of(cm.id()), core::Mode::kStrong)
+        << "instance " << i;
+    EXPECT_GT(cm.stats().get("heartbeat.sent"), 0u) << "instance " << i;
+  }
 }
 
 }  // namespace

@@ -37,7 +37,7 @@ TEST_P(RandomWorkloadTest, InvariantsHoldAtQuiescence) {
   opts.n_agents = p.n_agents;
   opts.group_size = p.group_size;
   opts.capacity = p.capacity;
-  opts.validity_trigger = "false";
+  opts.cm_cfg.validity_trigger = "false";
   FleccTestbed tb(opts);
   tb.init_all_agents();
 

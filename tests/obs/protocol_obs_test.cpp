@@ -23,7 +23,7 @@ TestbedOptions small_opts() {
   opts.n_agents = 6;
   opts.group_size = 3;
   opts.flights_per_group = 2;
-  opts.validity_trigger = "(_age < 500)";
+  opts.cm_cfg.validity_trigger = "(_age < 500)";
   return opts;
 }
 
@@ -115,8 +115,8 @@ TEST(ProtocolObsTest, CrashedViewGetsEvicted) {
   obs::TraceRecorder rec;
   TestbedOptions opts = small_opts();
   opts.trace = &rec;
-  opts.heartbeat_interval = sim::msec(100);
-  opts.heartbeat_miss_limit = 2;
+  opts.cm_cfg.heartbeat_interval = sim::msec(100);
+  opts.cm_cfg.heartbeat_miss_limit = 2;
   opts.dir_cfg.liveness_timeout = sim::msec(400);
   FleccTestbed tb(opts);
   tb.init_all_agents();

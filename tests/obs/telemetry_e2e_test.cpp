@@ -29,7 +29,7 @@ TestbedOptions small_opts() {
   opts.n_agents = 6;
   opts.group_size = 3;
   opts.flights_per_group = 2;
-  opts.validity_trigger = "(_age < 500)";
+  opts.cm_cfg.validity_trigger = "(_age < 500)";
   return opts;
 }
 

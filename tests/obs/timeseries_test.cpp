@@ -16,19 +16,8 @@ using flecc::obs::TimeSeriesRegistry;
 using flecc::obs::TsLabels;
 using flecc::sim::msec;
 
-namespace {
-
-TimeSeriesRegistry::Config small_ring(std::size_t capacity = 64) {
-  TimeSeriesRegistry::Config cfg;
-  cfg.interval = msec(100);
-  cfg.capacity = capacity;
-  return cfg;
-}
-
-}  // namespace
-
 TEST(TimeSeriesTest, CounterDeltasAndRates) {
-  TimeSeriesRegistry reg(small_ring());
+  TimeSeriesRegistry reg;
   double cum = 0;
   reg.add_collector([&cum](SampleFrame& f) { f.counter("ops", cum); });
 
@@ -55,7 +44,7 @@ TEST(TimeSeriesTest, CounterDeltasAndRates) {
 }
 
 TEST(TimeSeriesTest, CounterResetClampsToNewValue) {
-  TimeSeriesRegistry reg(small_ring());
+  TimeSeriesRegistry reg;
   double cum = 100;
   reg.add_collector([&cum](SampleFrame& f) { f.counter("ops", cum); });
   reg.sample(msec(100));
@@ -71,7 +60,7 @@ TEST(TimeSeriesTest, CounterResetClampsToNewValue) {
 }
 
 TEST(TimeSeriesTest, LabeledSeriesAreIndependent) {
-  TimeSeriesRegistry reg(small_ring());
+  TimeSeriesRegistry reg;
   reg.add_collector([](SampleFrame& f) {
     f.counter("view.ops", 10, {{"view", "0"}});
     f.counter("view.ops", 30, {{"view", "1"}});
@@ -92,7 +81,7 @@ TEST(TimeSeriesTest, LabeledSeriesAreIndependent) {
 TEST(TimeSeriesTest, DuplicateReportsAccumulate) {
   // Two collectors (or one collector folding two components) reporting
   // the same id sum into one series.
-  TimeSeriesRegistry reg(small_ring());
+  TimeSeriesRegistry reg;
   reg.add_collector([](SampleFrame& f) { f.counter("ops", 3); });
   reg.add_collector([](SampleFrame& f) { f.counter("ops", 4); });
   reg.sample(msec(100));
@@ -100,7 +89,7 @@ TEST(TimeSeriesTest, DuplicateReportsAccumulate) {
 }
 
 TEST(TimeSeriesTest, CounterSetFoldingSplitsDottedFamilies) {
-  TimeSeriesRegistry reg(small_ring());
+  TimeSeriesRegistry reg;
   flecc::sim::CounterSet set;
   set.inc("msg.sent", 5);
   set.inc("msg.dropped.loss", 2);
@@ -121,7 +110,7 @@ TEST(TimeSeriesTest, CounterSetFoldingSplitsDottedFamilies) {
 }
 
 TEST(TimeSeriesTest, WindowedQuantilesUseOnlyTheWindowsDeltas) {
-  TimeSeriesRegistry reg(small_ring());
+  TimeSeriesRegistry reg;
   flecc::sim::RunningStat lat;
   reg.add_collector([&lat](SampleFrame& f) { f.stat("lat_us", lat); });
 
@@ -144,7 +133,7 @@ TEST(TimeSeriesTest, WindowedQuantilesUseOnlyTheWindowsDeltas) {
 }
 
 TEST(TimeSeriesTest, RingIsBounded) {
-  TimeSeriesRegistry reg(small_ring(/*capacity=*/4));
+  TimeSeriesRegistry reg(/*capacity=*/4);
   reg.add_collector([](SampleFrame& f) { f.counter("ops", 1); });
   for (int i = 1; i <= 10; ++i) reg.sample(msec(100 * i));
   EXPECT_EQ(reg.windows_closed(), 10u);
@@ -157,7 +146,7 @@ TEST(TimeSeriesTest, RingIsBounded) {
 }
 
 TEST(TimeSeriesTest, RemoveCollectorStopsSampling) {
-  TimeSeriesRegistry reg(small_ring());
+  TimeSeriesRegistry reg;
   const std::size_t token =
       reg.add_collector([](SampleFrame& f) { f.counter("dead", 1); });
   reg.add_collector([](SampleFrame& f) { f.counter("alive", 1); });
@@ -176,7 +165,7 @@ TEST(TimeSeriesTest, ClockRestartStartsAFreshWindow) {
   // A long-lived hub handed from one run to the next sees simulated
   // time jump backwards; the sampler must not produce a window
   // spanning the two timelines (or a zero-span rate).
-  TimeSeriesRegistry reg(small_ring());
+  TimeSeriesRegistry reg;
   double cum = 50;
   reg.add_collector([&cum](SampleFrame& f) { f.counter("ops", cum); });
   reg.sample(msec(40000));  // end of run 1

@@ -69,13 +69,13 @@ TEST(TraceCausalityTest, ChaosRunKeepsClocksMonotoneAndSpansStitched) {
   opts.n_agents = 10;
   opts.group_size = 5;
   opts.capacity = 1 << 20;
-  opts.mode = core::Mode::kWeak;
-  opts.validity_trigger = "(_age < 500)";
+  opts.cm_cfg.mode = core::Mode::kWeak;
+  opts.cm_cfg.validity_trigger = "(_age < 500)";
   opts.think_time = sim::msec(200);
   opts.fabric_cfg.loss_probability = 0.10;
   opts.fabric_cfg.seed = 0x5eed;
-  opts.heartbeat_interval = sim::msec(500);
-  opts.heartbeat_miss_limit = 3;
+  opts.cm_cfg.heartbeat_interval = sim::msec(500);
+  opts.cm_cfg.heartbeat_miss_limit = 3;
   opts.dir_cfg.liveness_timeout = sim::seconds(2);
   airline::FleccTestbed tb(opts);
   tb.init_all_agents();
@@ -122,7 +122,7 @@ TEST(TraceCausalityTest, MidOpModeSwitchKeepsSpanAndClocks) {
   opts.n_agents = 2;
   opts.group_size = 2;
   opts.capacity = 1 << 20;
-  opts.mode = core::Mode::kWeak;
+  opts.cm_cfg.mode = core::Mode::kWeak;
   airline::FleccTestbed tb(opts);
   tb.init_all_agents();
 

@@ -134,10 +134,10 @@ int main(int argc, char** argv) {
   opts.group_size = cli.group;
   opts.flights_per_group = cli.flights_per_group;
   opts.capacity = cli.capacity;
-  opts.mode = cli.mode;
-  opts.push_trigger = cli.push_trigger;
-  opts.pull_trigger = cli.pull_trigger;
-  opts.validity_trigger = cli.validity_trigger;
+  opts.cm_cfg.mode = cli.mode;
+  opts.cm_cfg.push_trigger = cli.push_trigger;
+  opts.cm_cfg.pull_trigger = cli.pull_trigger;
+  opts.cm_cfg.validity_trigger = cli.validity_trigger;
   opts.lan_latency = cli.lan_latency;
 
   CoherenceTestbed tb(cli.protocol, opts);
