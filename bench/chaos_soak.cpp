@@ -317,10 +317,10 @@ std::string run_overload(std::uint64_t seed, obs::TraceRecorder* trace,
     opts.checkpoint_flush_every = 1;
   }
 
-  core::flow::FlowLimits limits;
-  limits.queue_capacity = flow_on ? kStormQueueBound : 0;
-  limits.retry_after = sim::msec(50);
-  opts.fabric_cfg.flow = core::flow::make_fabric_flow(limits);
+  net::FlowControl bounds;
+  bounds.queue_capacity = flow_on ? kStormQueueBound : 0;
+  bounds.retry_after = sim::msec(50);
+  opts.fabric_cfg.flow = core::flow::make_fabric_flow(bounds);
   if (flow_on) {
     opts.dir_cfg.max_acquire_queue = 8;
     opts.dir_cfg.max_fetch_rounds = 8;

@@ -110,8 +110,13 @@ int main() {
   lan.latency = sim::usec(200);
   auto topo = net::Topology::lan(3, lan, &hosts);
   net::SimFabric fabric(simulator, std::move(topo));
-  net::TraceRecorder trace;
-  trace.attach(fabric);
+  // Print each message as it is delivered: the annotated Figure 2 trace.
+  fabric.set_trace_hook([](const net::TraceEntry& e) {
+    std::printf("t=%lldus  %s -> %s  %s (%zuB)\n",
+                static_cast<long long>(e.delivered_at),
+                e.from.to_string().c_str(), e.to.to_string().c_str(),
+                e.type.c_str(), e.bytes);
+  });
 
   SlotComponent component;
   const net::Address dir_addr{hosts[2], 1};
@@ -130,7 +135,6 @@ int main() {
                          cfg1);
   cm1.start_use_image();
   simulator.run();
-  std::printf("%s", trace.to_string().c_str());
   std::printf("V1 sees x=%lld y=%lld (exclusive=%d)\n",
               static_cast<long long>(v1.read("x")),
               static_cast<long long>(v1.read("y")), cm1.exclusive());
@@ -140,7 +144,6 @@ int main() {
   cm1.end_use_image(/*modified=*/true);
   std::printf("V1 wrote x=100 locally (not yet at the component)\n");
 
-  trace.clear();
   banner("steps 8-19: V2 activates; the directory invalidates V1 first");
   SlotView v2({props::Value{std::string{"x"}}, props::Value{std::string{"z"}}});
   core::CacheManager::Config cfg2;
@@ -151,7 +154,6 @@ int main() {
                          cfg2);
   cm2.start_use_image();
   simulator.run();
-  std::printf("%s", trace.to_string().c_str());
   std::printf("V2 sees x=%lld z=%lld — V1's update arrived via the "
               "invalidation merge\n",
               static_cast<long long>(v2.read("x")),
@@ -161,12 +163,10 @@ int main() {
               directory.is_exclusive(cm2.id()));
   cm2.end_use_image(false);
 
-  trace.clear();
   banner("steps 20-21: teardown");
   cm1.kill_image();
   cm2.kill_image();
   simulator.run();
-  std::printf("%s", trace.to_string().c_str());
   std::printf("component state: x=%lld y=%lld z=%lld\n",
               static_cast<long long>(component.slot("x")),
               static_cast<long long>(component.slot("y")),

@@ -152,7 +152,7 @@ def main() -> int:
     # Overload-resilience knobs live in PROTOCOL.md ("Flow control &
     # overload"): same two-way check as the raw-speed knobs above.
     overload_knobs = [
-        ("src/core/flow_control.hpp", ["queue_capacity", "retry_after"]),
+        ("src/net/flow.hpp", ["queue_capacity", "retry_after"]),
         ("src/core/cache_manager.hpp",
          ["breaker_threshold", "breaker_open_timeout",
           "degrade_on_overload"]),
@@ -208,7 +208,7 @@ def main() -> int:
     # knobs, the scrape routes, the alerts.* counter family, and the
     # bench serving flags must stay documented.
     telemetry_hpp = (REPO / "src/obs/telemetry.hpp").read_text()
-    for field in ["interval", "window_capacity", "varz_windows", "pace_ms"]:
+    for field in ["interval", "pace_ms"]:
         if not re.search(rf"\b{field}\b\s*=", telemetry_hpp):
             errors.append("src/obs/telemetry.hpp: telemetry knob "
                           f"'{field}' named in docs_lint.py no longer "

@@ -1,0 +1,204 @@
+#!/usr/bin/env python3
+"""Check that the working tree behaves exactly like a git revision.
+
+Usage: scripts/same_behaviour.py --base REF [--scratch DIR] [--jobs N]
+
+Exports REF with `git archive`, builds it and the working tree (Release)
+under DIR (default: a new temporary directory), then compares:
+
+  fingerprint   protocol_fingerprint_test passes on the working tree and
+                its recorded constants are REF's (not re-recorded)
+  chaos_soak    `--trace` JSONL and out/chaos_soak.csv, byte for byte, in
+                the six modes of the verify recipe
+  fig4          fig4_efficiency output
+  quickstart    quickstart output
+  e2e           `flecc_e2e --smoke` digest (events, msgs, hops, bytes,
+                allocs, total_reserved) and stale grants of the four
+                SimFabric workloads at seeds 1 and 2
+
+It prints one line per check, `same` or `DIFF` plus what differs, and
+exits 1 on any difference. bench/e2e is built, never edited. Reusing a
+--scratch directory rebuilds incrementally; a different REF starts its
+build afresh.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FINGERPRINT_TEST = "tests/integration/protocol_fingerprint_test.cpp"
+SOAK_MODES = {
+    "default": [],
+    "crash-dm": ["--crash-dm"],
+    "migrate": ["--migrate"],
+    "overload": ["--overload"],
+    "overload+crash-dm": ["--overload", "--crash-dm"],
+    "batch+wbuf4": ["--batch", "--wbuf", "4"],
+}
+E2E_WORKLOADS = ["fig4_fanout", "fleet_2k", "push_train", "strong_durable"]
+E2E_SEEDS = [1, 2]
+TARGETS = ["protocol_fingerprint_test", "chaos_soak", "fig4_efficiency",
+           "quickstart"]
+
+differences = 0
+
+
+def log(*args: object) -> None:
+    print(*args, file=sys.stderr, flush=True)
+
+
+def report(same: bool, check: str, detail: str) -> None:
+    global differences
+    if not same:
+        differences += 1
+    print(f"{'same' if same else 'DIFF'}  {check}: {detail}", flush=True)
+
+
+def run(cmd: list[str], **kw) -> subprocess.CompletedProcess:
+    return subprocess.run(cmd, check=True, **kw)
+
+
+def cmake_build(src: Path, build: Path, jobs: int,
+                targets: list[str] | None = None) -> None:
+    if not (build / "CMakeCache.txt").exists():
+        run(["cmake", "-S", str(src), "-B", str(build),
+             "-DCMAKE_BUILD_TYPE=Release"], stdout=sys.stderr)
+    cmd = ["cmake", "--build", str(build), "-j", str(jobs)]
+    if targets:
+        cmd += ["--target", *targets]
+    run(cmd, stdout=sys.stderr)
+
+
+def export(ref: str, sha: str, scratch: Path) -> Path:
+    """REF's tree under scratch/base-src; its builds go when REF changes."""
+    src = scratch / "base-src"
+    stamp = scratch / "base.sha"
+    if not stamp.exists() or stamp.read_text() != sha:
+        for stale in ["base-src", "base-build", "base-e2e"]:
+            shutil.rmtree(scratch / stale, ignore_errors=True)
+        src.mkdir(parents=True)
+        archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", sha],
+                                   stdout=subprocess.PIPE)
+        run(["tar", "-x", "-C", str(src)], stdin=archive.stdout)
+        if archive.wait() != 0:
+            sys.exit(f"git archive {ref} failed")
+        stamp.write_text(sha)
+    return src
+
+
+def output_of(binary: Path, cwd: Path, args: list[str] | None = None) -> str:
+    cwd.mkdir(parents=True, exist_ok=True)
+    return run([str(binary), *(args or [])], cwd=cwd, capture_output=True,
+               text=True).stdout
+
+
+def check_fingerprint(ref: str, work: Path) -> None:
+    unchanged = subprocess.run(
+        ["git", "-C", str(ROOT), "diff", "--quiet", ref, "--",
+         FINGERPRINT_TEST]).returncode == 0
+    passes = subprocess.run(
+        [str(work / "tests/protocol_fingerprint_test")],
+        capture_output=True).returncode == 0
+    report(unchanged and passes, "fingerprint",
+           ("constants unchanged" if unchanged else "constants re-recorded")
+           + (", test passes" if passes else ", test FAILS"))
+
+
+def check_soak(builds: dict[str, Path], scratch: Path) -> None:
+    for mode, flags in SOAK_MODES.items():
+        dirs = {}
+        for side, build in builds.items():
+            cwd = scratch / "soak" / side / mode
+            shutil.rmtree(cwd, ignore_errors=True)
+            output_of(build / "bench/chaos_soak", cwd,
+                      ["--trace", "trace.jsonl", *flags])
+            dirs[side] = cwd
+        diffs = [name for name in ["trace.jsonl", "out/chaos_soak.csv"]
+                 if not filecmp.cmp(dirs["base"] / name, dirs["work"] / name,
+                                    shallow=False)]
+        report(not diffs, f"chaos_soak {mode}",
+               "trace and csv identical" if not diffs
+               else " and ".join(diffs) + " differ")
+
+
+def check_output(name: str, path: str, builds: dict[str, Path],
+                 scratch: Path) -> None:
+    out = {side: output_of(build / path, scratch / name / side)
+           for side, build in builds.items()}
+    same = out["base"] == out["work"]
+    report(same, name, "output identical" if same else "output differs")
+
+
+def check_e2e(e2e: dict[str, Path], scratch: Path) -> None:
+    for workload in E2E_WORKLOADS:
+        for seed in E2E_SEEDS:
+            got = {}
+            for side, binary in e2e.items():
+                path = scratch / "e2e" / side / f"{workload}.{seed}.json"
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.unlink(missing_ok=True)
+                run([str(binary), "--workload", workload, "--seed",
+                     str(seed), "--smoke", "--json", str(path)],
+                    capture_output=True)
+                result = json.loads(path.read_text())
+                got[side] = {**result["digest"],
+                             "stale_grants": result["stale_grants"],
+                             "correct": result["correct"]}
+            base, work = got["base"], got["work"]
+            deltas = [f"{k} {base[k]} -> {work[k]}"
+                      + (f" ({work[k] - base[k]:+d})"
+                         if isinstance(base[k], int)
+                         and not isinstance(base[k], bool) else "")
+                      for k in base if base[k] != work.get(k)]
+            report(not deltas, f"e2e {workload} seed {seed}",
+                   "digest identical" if not deltas else ", ".join(deltas))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("--base", required=True, help="git revision to match")
+    parser.add_argument("--scratch", type=Path,
+                        help="build directory (default: a new temp dir)")
+    parser.add_argument("--jobs", type=int,
+                        default=min(4, os.cpu_count() or 1))
+    args = parser.parse_args()
+
+    sha = run(["git", "-C", str(ROOT), "rev-parse", "--verify",
+               args.base + "^{commit}"], capture_output=True,
+              text=True).stdout.strip()
+    scratch = (args.scratch or Path(tempfile.mkdtemp(
+        prefix="same_behaviour."))).resolve()
+    scratch.mkdir(parents=True, exist_ok=True)
+    log(f"same_behaviour: {args.base} ({sha[:12]}) vs the working tree, "
+        f"builds in {scratch}")
+
+    base_src = export(args.base, sha, scratch)
+    sources = {"base": base_src, "work": ROOT}
+    builds = {side: scratch / f"{side}-build" for side in sources}
+    e2e = {side: scratch / f"{side}-e2e" for side in sources}
+    for side, src in sources.items():
+        cmake_build(src, builds[side], args.jobs, TARGETS)
+        cmake_build(src / "bench/e2e", e2e[side], args.jobs)
+
+    check_fingerprint(sha, builds["work"])
+    check_soak(builds, scratch)
+    check_output("fig4", "bench/fig4_efficiency", builds, scratch)
+    check_output("quickstart", "examples/quickstart", builds, scratch)
+    check_e2e({side: path / "flecc_e2e" for side, path in e2e.items()},
+              scratch)
+    print(f"same_behaviour: {differences} difference(s)")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -566,8 +566,11 @@ void DirectoryManager::handle_register(const net::Message& m) {
   rec.validity_src = req.validity_trigger;
   rec.last_seen_at = fabric_.now();
   const ViewId id = rec.id;
-  wal_append(register_record(rec));
-  link(views_.emplace(id, std::move(rec)).first->second);
+  // Filed before its append: a compaction that the append triggers
+  // snapshots views_, which must already hold the new view.
+  ViewRecord& filed = views_.emplace(id, std::move(rec)).first->second;
+  link(filed);
+  wal_append(register_record(filed));
 
   msg::RegisterAck ack{id, true, {}, req.req, generation_};
   const auto bytes = msg::wire_size(ack);
@@ -829,22 +832,25 @@ void DirectoryManager::open_round(Round r) {
   for (const ViewId id : r.outstanding) {
     r.ledger.target_props.emplace(id, find(id)->properties);
   }
-  if (cfg_.durability != nullptr) {
-    // Checkpoint the round opening per target so a straggler reply or
-    // echo arriving after a crash can still merge from the archive.
-    for (const auto& [id, props] : r.ledger.target_props) {
-      wal_append(round_record(WalKind::kRoundOpen, r.kind, r.id, id, props));
-    }
-  }
-  for (const ViewId id : r.outstanding) {
-    stats_.inc(k.sent);
-    send_command(r, *find(id), obs::EventKind::kMsgSent);
-  }
   r.resends_left = cfg_.command_retries;
-  arm_round_timer(r, /*resend=*/false);
+  // Filed before its appends: a compaction that one of them triggers
+  // snapshots the open rounds, which must already hold this one.
   Round& open = r.kind == RoundKind::kFetch
                     ? fetch_rounds_.emplace(r.id, std::move(r)).first->second
                     : invalidation_.emplace(std::move(r));
+  if (cfg_.durability != nullptr) {
+    // Checkpoint the round opening per target so a straggler reply or
+    // echo arriving after a crash can still merge from the archive.
+    for (const auto& [id, props] : open.ledger.target_props) {
+      wal_append(
+          round_record(WalKind::kRoundOpen, open.kind, open.id, id, props));
+    }
+  }
+  for (const ViewId id : open.outstanding) {
+    stats_.inc(k.sent);
+    send_command(open, *find(id), obs::EventKind::kMsgSent);
+  }
+  arm_round_timer(open, /*resend=*/false);
   arm_round_timer(open, /*resend=*/true);
 }
 
@@ -1592,21 +1598,33 @@ void DirectoryManager::compact_wal() {
     (void)id;
     snap.push_back(register_record(rec));
   }
-  // Settled-round archive in insertion order, so replay reconstructs
-  // the same eviction order.
+  // Every round ledger: the settled-round archive in insertion order,
+  // so replay reconstructs the same eviction order, then the open
+  // rounds, which replay files in the archive as a log that was never
+  // compacted would (fetch rounds by token, then the invalidation).
+  auto snap_ledger = [&](RoundKind kind, std::uint64_t round,
+                         const RoundLedger& ledger) {
+    for (const auto& [view, props] : ledger.target_props) {
+      snap.push_back(
+          round_record(WalKind::kRoundOpen, kind, round, view, props));
+    }
+    for (const ViewId view : ledger.merged) {
+      snap.push_back(round_record(WalKind::kRoundMerge, kind, round, view));
+    }
+  };
   for (const RoundKind kind : {RoundKind::kFetch, RoundKind::kInvalidate}) {
     const RoundArchive& archive = archives_[static_cast<std::size_t>(kind)];
     for (const std::uint64_t round : archive.order) {
       auto it = archive.rounds.find(round);
-      if (it == archive.rounds.end()) continue;
-      for (const auto& [view, props] : it->second.target_props) {
-        snap.push_back(
-            round_record(WalKind::kRoundOpen, kind, round, view, props));
-      }
-      for (const ViewId view : it->second.merged) {
-        snap.push_back(round_record(WalKind::kRoundMerge, kind, round, view));
-      }
+      if (it != archive.rounds.end()) snap_ledger(kind, round, it->second);
     }
+  }
+  for (const auto& [token, r] : fetch_rounds_) {
+    snap_ledger(RoundKind::kFetch, token, r.ledger);
+  }
+  if (invalidation_.has_value()) {
+    snap_ledger(RoundKind::kInvalidate, invalidation_->id,
+                invalidation_->ledger);
   }
   for (const MergedOpKey& key : merged_ops_order_) {
     WalRecord w;

@@ -40,17 +40,14 @@ net::BusyReply make_busy(const net::Message& shed, sim::Duration retry_after) {
 
 }  // namespace
 
-net::FlowControl make_fabric_flow(const FlowLimits& limits) {
-  net::FlowControl fc;
-  fc.queue_capacity = limits.queue_capacity;
-  fc.high_watermark = limits.high_watermark;
-  fc.low_watermark = limits.low_watermark;
-  fc.retry_after = limits.retry_after;
-  fc.is_control = [](std::string_view type) { return is_control_lane(type); };
-  fc.make_busy = [](const net::Message& shed, sim::Duration retry_after) {
+net::FlowControl make_fabric_flow(net::FlowControl bounds) {
+  bounds.is_control = [](std::string_view type) {
+    return is_control_lane(type);
+  };
+  bounds.make_busy = [](const net::Message& shed, sim::Duration retry_after) {
     return make_busy(shed, retry_after);
   };
-  return fc;
+  return bounds;
 }
 
 }  // namespace flecc::core::flow

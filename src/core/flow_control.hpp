@@ -4,7 +4,7 @@
 // state instead of unbounded queue growth:
 //
 //   * fabric bounding — net::FlowControl (bounded per-destination
-//     queues, watermark hysteresis, Busy synthesis); this header
+//     queues with hysteresis, Busy synthesis); this header
 //     provides the canonical Flecc wiring: the control/bulk lane
 //     classifier and the Busy factory (make_fabric_flow).
 //   * DM admission control — DirectoryManager::Config caps concurrent
@@ -174,21 +174,10 @@ class CircuitBreaker {
 /// (e.g. batch frames, which carry mixed traffic).
 [[nodiscard]] bool is_control_lane(std::string_view type) noexcept;
 
-/// Numeric bounds for make_fabric_flow, separated from the hooks so
-/// testbeds/benches expose plain knobs.
-struct FlowLimits {
-  /// Per-destination bulk-queue bound; 0 = flow control off.
-  std::size_t queue_capacity = 0;
-  /// Watermarks (0 = derive: high = capacity, low = high/2).
-  std::size_t high_watermark = 0;
-  std::size_t low_watermark = 0;
-  /// retry_after stamped into fabric-synthesized Busy replies.
-  sim::Duration retry_after = sim::msec(100);
-};
-
-/// The canonical Flecc fabric flow config: installs is_control_lane and
-/// a Busy factory that recovers the request id / view from the shed
-/// bulk message so the sender's retransmission layer can match it.
-[[nodiscard]] net::FlowControl make_fabric_flow(const FlowLimits& limits);
+/// The canonical Flecc fabric flow config: `bounds` (queue_capacity,
+/// retry_after) with is_control_lane and a Busy factory installed; the
+/// factory recovers the request id / view from the shed bulk message so
+/// the sender's retransmission layer can match it.
+[[nodiscard]] net::FlowControl make_fabric_flow(net::FlowControl bounds);
 
 }  // namespace flecc::core::flow

@@ -23,7 +23,6 @@ BatchFabric::~BatchFabric() {
       if (p.timer != kInvalidTimerId) timers.push_back(p.timer);
     }
     pending_.clear();
-    buffered_ = 0;
     terminals.assign(terminals_.begin(), terminals_.end());
     terminals_.clear();
   }
@@ -66,7 +65,6 @@ void BatchFabric::ensure_terminal(NodeId node) {
 void BatchFabric::send(Address from, Address to, std::string type,
                        std::any payload, std::size_t bytes) {
   const PendKey key{from.node, to.node};
-  FlushReason why = FlushReason::kWindow;
   bool flush_now = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -84,15 +82,8 @@ void BatchFabric::send(Address from, Address to, std::string type,
     }
     Pending& p = pending_[key];
     p.subs.push_back(std::move(sub));
-    ++buffered_;
     if (p.subs.size() >= cfg_.max_batch) {
       flush_now = true;
-      why = FlushReason::kCapacity;
-    } else if (cfg_.max_buffered != 0 && buffered_ >= cfg_.max_buffered) {
-      // Total buffered bound hit: flush the train being appended to
-      // rather than letting the decorator's buffer grow under overload.
-      flush_now = true;
-      why = FlushReason::kPressure;
     } else if (p.timer == kInvalidTimerId) {
       // Plain (non-daemon) timer: a pending batch must hold a
       // run-to-quiescence simulation open until it is delivered.
@@ -101,7 +92,7 @@ void BatchFabric::send(Address from, Address to, std::string type,
       });
     }
   }
-  if (flush_now) flush(key, why);
+  if (flush_now) flush(key, FlushReason::kCapacity);
 }
 
 void BatchFabric::flush(PendKey key, FlushReason reason) {
@@ -114,7 +105,6 @@ void BatchFabric::flush(PendKey key, FlushReason reason) {
     subs.swap(it->second.subs);
     timer = it->second.timer;
     pending_.erase(it);
-    buffered_ -= subs.size();
   }
   if (timer != kInvalidTimerId && reason != FlushReason::kWindow) {
     inner_.cancel_timer(timer);
@@ -132,9 +122,8 @@ void BatchFabric::flush(PendKey key, FlushReason reason) {
     return;
   }
 
-  ctr.inc(reason == FlushReason::kWindow     ? "batch.flush.window"
-          : reason == FlushReason::kPressure ? "batch.flush.pressure"
-                                             : "batch.flush.capacity");
+  ctr.inc(reason == FlushReason::kWindow ? "batch.flush.window"
+                                         : "batch.flush.capacity");
   ctr.inc("batch.frames");
   ctr.inc("batch.subs", subs.size());
   ctr.inc("batch.coalesced", subs.size() - 1);

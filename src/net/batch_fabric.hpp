@@ -38,7 +38,6 @@
 //   batch.coalesced       hops saved (subs - frames)
 //   batch.flush.window    flushes forced by the window timer
 //   batch.flush.capacity  flushes forced by max_batch
-//   batch.flush.pressure  flushes forced by the max_buffered bound
 //   batch.flush.single    single-message flushes sent unwrapped
 //   batch.sub.unbound     sub-messages whose endpoint vanished mid-hop
 #pragma once
@@ -76,11 +75,6 @@ class BatchFabric : public Fabric {
     sim::Duration batch_window = sim::usec(25);
     /// Flush immediately once this many messages are pending.
     std::size_t max_batch = 16;
-    /// Bound on messages buffered across ALL pending trains (0 =
-    /// unbounded). Reaching it force-flushes the train being appended
-    /// to — backpressure by flushing early, never by dropping — so the
-    /// decorator's buffer cannot grow without limit under overload.
-    std::size_t max_buffered = 0;
   };
 
   BatchFabric(Fabric& inner, Config cfg);
@@ -139,7 +133,7 @@ class BatchFabric : public Fabric {
     BatchFabric& parent_;
   };
 
-  enum class FlushReason { kWindow, kCapacity, kPressure };
+  enum class FlushReason { kWindow, kCapacity };
   void flush(PendKey key, FlushReason reason);
   void deliver_frame(const Message& frame);
   /// Bind the shared unbatcher at `node`'s terminal port once.
@@ -149,7 +143,6 @@ class BatchFabric : public Fabric {
   Config cfg_;
   std::mutex mu_;
   std::map<PendKey, Pending> pending_;
-  std::size_t buffered_ = 0;  // subs across all pending trains
   std::map<Address, Endpoint*> endpoints_;
   std::map<Address, obs::CausalClock*> clocks_;
   std::set<NodeId> terminals_;

@@ -1,5 +1,5 @@
-// Fabric-level flow control: bounded queues with watermark hysteresis
-// and Busy synthesis.
+// Fabric-level flow control: bounded queues with hysteresis and Busy
+// synthesis.
 //
 // Every fabric (SimFabric, ThreadFabric, BatchFabric) historically let
 // its pending set grow without limit, so a hot-object storm turned into
@@ -39,11 +39,11 @@ struct BusyReply {
   std::size_t bytes = 0;
 };
 
-/// Per-destination queue bound with high/low watermark hysteresis.
+/// Per-destination queue bound with hysteresis.
 ///
 /// Shedding engages when a destination's outstanding (queued, not yet
-/// delivered) depth reaches the high watermark and disengages once it
-/// drains to the low watermark, so a queue hovering at the boundary
+/// delivered) depth reaches `queue_capacity` and disengages once it
+/// drains to half of it (low()), so a queue hovering at the boundary
 /// does not flap. Control-lane messages (acks, heartbeats, recovery,
 /// grants — anything `is_control` says yes to) are NEVER shed: they are
 /// what drains the queue. Bulk messages over the bound are answered
@@ -52,10 +52,6 @@ struct FlowControl {
   /// Hard bound on sheddable (bulk) messages queued toward one
   /// destination. 0 = unbounded: flow control off (the default).
   std::size_t queue_capacity = 0;
-  /// Shedding engages at this depth; 0 means queue_capacity.
-  std::size_t high_watermark = 0;
-  /// Shedding disengages at this depth; 0 means high()/2.
-  std::size_t low_watermark = 0;
   /// retry_after hint stamped into synthesized Busy replies.
   sim::Duration retry_after = sim::msec(100);
   /// Lane classifier: true = control lane (never shed). Unset treats
@@ -67,11 +63,9 @@ struct FlowControl {
       make_busy;
 
   [[nodiscard]] bool enabled() const noexcept { return queue_capacity > 0; }
-  [[nodiscard]] std::size_t high() const noexcept {
-    return high_watermark != 0 ? high_watermark : queue_capacity;
-  }
+  /// Depth at which shedding disengages again.
   [[nodiscard]] std::size_t low() const noexcept {
-    return low_watermark != 0 ? low_watermark : high() / 2;
+    return queue_capacity / 2;
   }
   /// True when `type` rides the control lane (or no classifier is set).
   [[nodiscard]] bool control(std::string_view type) const {

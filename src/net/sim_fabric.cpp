@@ -1,6 +1,5 @@
 #include "net/sim_fabric.hpp"
 
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -71,9 +70,9 @@ void SimFabric::send(Address from, Address to, std::string type,
   }
 
   // Flow control: bulk messages toward a destination whose queue is
-  // past the high watermark are shed with a synthesized Busy instead of
-  // growing the queue. Depth tracking runs whenever a lane classifier
-  // is installed so an unbounded baseline still reports its peak.
+  // full are shed with a synthesized Busy instead of growing the queue.
+  // Depth tracking runs whenever a lane classifier is installed so an
+  // unbounded baseline still reports its peak.
   bool tracked = false;
   if (cfg_.flow.is_control && !cfg_.flow.is_control(type)) {
     DestFlow& df = dest_flow_[to];
@@ -81,7 +80,7 @@ void SimFabric::send(Address from, Address to, std::string type,
       if (df.shedding && df.outstanding <= cfg_.flow.low()) {
         df.shedding = false;
       }
-      if (!df.shedding && df.outstanding >= cfg_.flow.high()) {
+      if (!df.shedding && df.outstanding >= cfg_.flow.queue_capacity) {
         df.shedding = true;
       }
       if (df.shedding) {
@@ -214,19 +213,5 @@ TimerId SimFabric::schedule_daemon(const Address& owner, sim::Duration delay,
 }
 
 bool SimFabric::cancel_timer(TimerId id) { return sim_.cancel(id); }
-
-void TraceRecorder::attach(SimFabric& fabric) {
-  fabric.set_trace_hook(
-      [this](const TraceEntry& e) { entries_.push_back(e); });
-}
-
-std::string TraceRecorder::to_string() const {
-  std::ostringstream os;
-  for (const auto& e : entries_) {
-    os << "t=" << e.delivered_at << "us  " << e.from.to_string() << " -> "
-       << e.to.to_string() << "  " << e.type << " (" << e.bytes << "B)\n";
-  }
-  return os.str();
-}
 
 }  // namespace flecc::net

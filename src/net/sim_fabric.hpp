@@ -94,13 +94,6 @@ class SimFabric : public Fabric {
     }
   }
 
-  /// Bulk (sheddable-lane) messages currently queued toward `addr`;
-  /// 0 unless Config::flow installs a lane classifier.
-  [[nodiscard]] std::size_t outstanding_to(const Address& addr) const {
-    auto it = dest_flow_.find(addr);
-    return it == dest_flow_.end() ? 0 : it->second.outstanding;
-  }
-
   /// Cut every link between the two address groups: messages whose
   /// endpoints fall on opposite sides are dropped
   /// (counter `msg.dropped.partition`) until heal() is called. Grouping
@@ -131,7 +124,7 @@ class SimFabric : public Fabric {
   [[nodiscard]] bool partition_blocks(NodeId from, NodeId to) const;
 
   /// Per-destination bulk-queue state (flow control). `shedding` is the
-  /// watermark hysteresis latch: set at high(), cleared at low().
+  /// hysteresis latch: set at queue_capacity, cleared at low().
   struct DestFlow {
     std::size_t outstanding = 0;
     bool shedding = false;
@@ -157,22 +150,6 @@ class SimFabric : public Fabric {
   std::uint64_t next_msg_id_ = 1;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
-};
-
-/// Collects TraceEntries for later rendering (used by examples/tests).
-class TraceRecorder {
- public:
-  /// Install onto a fabric; entries accumulate in order of delivery.
-  void attach(SimFabric& fabric);
-  [[nodiscard]] const std::vector<TraceEntry>& entries() const noexcept {
-    return entries_;
-  }
-  void clear() { entries_.clear(); }
-  /// Render "t=... A -> B type (bytes)" lines.
-  [[nodiscard]] std::string to_string() const;
-
- private:
-  std::vector<TraceEntry> entries_;
 };
 
 }  // namespace flecc::net

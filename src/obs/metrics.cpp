@@ -16,26 +16,9 @@ void MetricsRegistry::absorb(const sim::CounterSet& src,
   }
 }
 
-sim::Histogram& MetricsRegistry::histogram(const std::string& name, double lo,
-                                           double hi, std::size_t bins) {
-  auto it = hists_.find(name);
-  if (it == hists_.end()) {
-    it = hists_.emplace(name, sim::Histogram(lo, hi, bins)).first;
-  }
-  return it->second;
-}
-
 void MetricsRegistry::observe(const std::string& name, double value) {
   stats_[name].add(value);
   samples_[name].add(value);
-  auto it = hists_.find(name);
-  if (it != hists_.end()) it->second.add(value);
-}
-
-const sim::Histogram* MetricsRegistry::find_histogram(
-    const std::string& name) const {
-  auto it = hists_.find(name);
-  return it == hists_.end() ? nullptr : &it->second;
 }
 
 namespace {
@@ -118,21 +101,6 @@ std::string MetricsRegistry::to_prometheus() const {
     w.family(fam, "gauge", "Mean of '" + name + "'; see OBSERVABILITY.md.");
     w.sample(fam, {}, st.mean());
   }
-  for (const auto& [name, h] : hists_) {
-    if (h.total() == 0) continue;
-    const std::string fam = prom::metric_name(name) + "_hist";
-    w.family(fam, "histogram",
-             "Linear-bin histogram of '" + name + "'; see OBSERVABILITY.md.");
-    std::size_t cum = h.underflow();
-    for (std::size_t i = 0; i < h.bins(); ++i) {
-      cum += h.bin_count(i);
-      w.child_sample(fam, "_bucket", {{"le", fmt(h.bin_lo(i + 1))}},
-                     static_cast<double>(cum));
-    }
-    w.child_sample(fam, "_bucket", {{"le", "+Inf"}},
-                   static_cast<double>(h.total()));
-    w.child_sample(fam, "_count", {}, static_cast<double>(h.total()));
-  }
   return w.str();
 }
 
@@ -156,10 +124,6 @@ std::string MetricsRegistry::to_string() const {
     out << name << ": n=" << ss.count() << " mean=" << fmt(ss.mean())
         << " p50=" << fmt(ss.quantile(0.5)) << " p99=" << fmt(ss.quantile(0.99))
         << " max=" << fmt(ss.quantile(1.0)) << "\n";
-  }
-  for (const auto& [name, h] : hists_) {
-    if (h.total() == 0) continue;
-    out << name << " histogram:\n" << h.to_string() << "\n";
   }
   return out.str();
 }

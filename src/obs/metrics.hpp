@@ -1,5 +1,5 @@
-// MetricsRegistry: a named bag of counters, streaming stats, exact
-// sample sets and latency histograms, built on sim/stats.hpp. The
+// MetricsRegistry: a named bag of counters, streaming stats and exact
+// sample sets, built on sim/stats.hpp. The
 // protocol FSMs keep their lightweight per-instance sim::CounterSet;
 // this registry is the aggregation point where a bench or the trace
 // analyzer rolls per-agent numbers (and trace-derived latencies) into
@@ -39,12 +39,7 @@ class MetricsRegistry {
   sim::RunningStat& stat(const std::string& name) { return stats_[name]; }
   /// Exact-quantile samples for `name` (created on first use).
   sim::SampleSet& samples(const std::string& name) { return samples_[name]; }
-  /// Histogram for `name`; [lo, hi) with `bins` linear bins on first
-  /// call, later calls return the existing histogram unchanged.
-  sim::Histogram& histogram(const std::string& name, double lo, double hi,
-                            std::size_t bins);
-  /// Record one observation into stat, samples, and (if it exists)
-  /// histogram of the same name.
+  /// Record one observation into the stat and samples of `name`.
   void observe(const std::string& name, double value);
 
   [[nodiscard]] const std::map<std::string, sim::RunningStat>& stats()
@@ -55,8 +50,6 @@ class MetricsRegistry {
       const noexcept {
     return samples_;
   }
-  [[nodiscard]] const sim::Histogram* find_histogram(
-      const std::string& name) const;
 
   // ---- export ---------------------------------------------------------
   /// CSV rows: `kind,name,field,value` (kind in counter|stat|quantile).
@@ -74,10 +67,9 @@ class MetricsRegistry {
   /// ("flow.shed.<type>", "msg.dropped.<reason>", ...) render as one
   /// labeled series per dimension instead of name-mangled series.
   /// Counters export as `counter` (`_total` suffix), sample sets as
-  /// `summary` (p50/p90/p99/p99.9 quantiles plus _sum/_count), stats
-  /// without a sample set as `gauge` (mean), linear histograms as
-  /// cumulative `histogram` buckets. Output passes prom::validate();
-  /// see OBSERVABILITY.md.
+  /// `summary` (p50/p90/p99/p99.9 quantiles plus _sum/_count), and
+  /// stats without a sample set as `gauge` (mean). Output passes
+  /// prom::validate(); see OBSERVABILITY.md.
   [[nodiscard]] std::string to_prometheus() const;
   bool write_prometheus(const std::string& path) const;
 
@@ -85,7 +77,6 @@ class MetricsRegistry {
   sim::CounterSet counters_;
   std::map<std::string, sim::RunningStat> stats_;
   std::map<std::string, sim::SampleSet> samples_;
-  std::map<std::string, sim::Histogram> hists_;
 };
 
 }  // namespace flecc::obs

@@ -8,8 +8,17 @@
 
 namespace flecc::obs {
 
+namespace {
+
+/// Windows retained in the registry's ring.
+constexpr std::size_t kWindowCapacity = 64;
+/// Most recent windows rendered by /varz.
+constexpr std::size_t kVarzWindows = 8;
+
+}  // namespace
+
 TelemetryHub::TelemetryHub(TelemetryOptions opts)
-    : opts_(opts), registry_(opts_.window_capacity) {}
+    : opts_(opts), registry_(kWindowCapacity) {}
 
 void TelemetryHub::tick(sim::Time now) {
   registry_.sample(now);
@@ -198,7 +207,7 @@ void json_alerts(std::ostringstream& out, const AlertEngine& alerts) {
 
 std::string TelemetryHub::render_varz() const {
   std::ostringstream out;
-  const auto windows = registry_.recent(opts_.varz_windows);
+  const auto windows = registry_.recent(kVarzWindows);
   out << "{\"interval_us\":" << opts_.interval
       << ",\"windows_closed\":" << registry_.windows_closed()
       << ",\"now_us\":" << (windows.empty() ? 0 : windows.back().end)

@@ -42,12 +42,9 @@ namespace flecc::obs {
 /// Knobs for the live-telemetry pipeline (see OBSERVABILITY.md,
 /// "Live telemetry").
 struct TelemetryOptions {
-  /// Sampling cadence (simulated time) — one window per interval.
+  /// Sampling cadence (simulated time) — one window per interval. The
+  /// hub keeps the last 64 windows and renders 8 of them on /varz.
   sim::Duration interval = sim::msec(250);
-  /// Windows retained in the ring.
-  std::size_t window_capacity = 64;
-  /// Windows rendered by /varz.
-  std::size_t varz_windows = 8;
   /// Wall-clock milliseconds to sleep after each closed window (0 =
   /// run at full simulation speed). Lets live scrapers see mid-run
   /// windows without touching simulated time.

@@ -14,9 +14,8 @@ SeriesId make_id(std::string_view name, TsLabels labels) {
 }
 
 /// Quantile of the observations that landed in this window, from the
-/// per-window log2 bucket deltas (linear interpolation inside the
-/// winning bucket — same estimator as RunningStat::quantile_est, but
-/// over the delta histogram).
+/// per-window deltas of RunningStat's log2 buckets (linear
+/// interpolation inside the winning bucket).
 double window_quantile(const std::uint64_t (&db)[sim::RunningStat::kBuckets],
                        std::uint64_t dcount, double q) {
   if (dcount == 0) return 0.0;

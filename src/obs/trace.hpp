@@ -22,11 +22,6 @@
 //     bounded rings: when full the oldest events are overwritten and a
 //     drop counter advances (observability must never OOM the system
 //     it observes).
-//
-// This layer is intentionally independent of net::Fabric's older
-// message-level TraceRecorder (net/sim_fabric.hpp), which records
-// *delivered* payloads for debugging. obs events are cheaper, typed,
-// cover drops/retries/lifecycle, and carry span ids.
 #pragma once
 
 #include <algorithm>

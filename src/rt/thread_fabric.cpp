@@ -126,11 +126,10 @@ sim::Time ThreadFabric::now() const {
 
 void ThreadFabric::bind(const net::Address& addr, net::Endpoint& ep) {
   std::lock_guard<std::mutex> lock(endpoints_mu_);
-  const std::size_t capacity = cfg_.flow.enabled() ? cfg_.flow.high() : 0;
-  const std::size_t low = cfg_.flow.enabled() ? cfg_.flow.low() : 0;
   auto [it, inserted] = endpoints_.emplace(
       addr, std::make_shared<Mailbox>(ep, inflight_, idle_cv_, idle_mu_,
-                                      capacity, low, peak_depth_));
+                                      cfg_.flow.queue_capacity,
+                                      cfg_.flow.low(), peak_depth_));
   (void)it;
   if (!inserted) {
     throw std::logic_error("ThreadFabric::bind: address already bound: " +

@@ -55,7 +55,7 @@ class ThreadFabric : public net::Fabric {
     /// serialized internally (sends happen on many threads).
     obs::TraceBuffer* trace = nullptr;
     /// Bounded mailboxes + Busy synthesis (net/flow.hpp). When
-    /// enabled, a mailbox past its high watermark refuses bulk-lane
+    /// enabled, a mailbox at `queue_capacity` refuses bulk-lane
     /// messages — the sender gets a synthesized Busy instead of the
     /// queue growing without limit — while control-lane messages
     /// (classified by flow.is_control) always get through. Default:
@@ -127,7 +127,7 @@ class ThreadFabric : public net::Fabric {
     ~Mailbox();
     void post(std::function<void()> task);
     /// Enqueue a delivery. Control-lane messages always enter; bulk
-    /// messages are refused (false) while the watermark latch is shut:
+    /// messages are refused (false) while the hysteresis latch is shut:
     /// set when the queue reaches `capacity`, cleared once it drains
     /// to `low`. The caller synthesizes the Busy on refusal. `clock`
     /// (nullable) is the receiver's causal clock, observed on the
@@ -194,7 +194,6 @@ class ThreadFabric : public net::Fabric {
   std::mutex sched_mu_;
   std::condition_variable sched_cv_;
   std::multimap<std::chrono::steady_clock::time_point, TimedTask> timed_;
-  std::unordered_map<net::TimerId, bool> cancelled_;  // live timer ids
   net::TimerId next_timer_id_ = 1;
   bool stopping_ = false;
   std::thread scheduler_;

@@ -43,51 +43,12 @@ double RunningStat::bucket_lo(std::size_t i) noexcept {
   return std::ldexp(1.0, static_cast<int>(i) - 1);  // 2^(i-1)
 }
 
-double RunningStat::quantile_est(double q) const noexcept {
-  if (n_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(n_);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    if (buckets_[i] == 0) continue;
-    const double before = static_cast<double>(seen);
-    seen += buckets_[i];
-    if (static_cast<double>(seen) < target) continue;
-    const double lo = bucket_lo(i);
-    const double hi = bucket_lo(i + 1);
-    const double frac =
-        (target - before) / static_cast<double>(buckets_[i]);
-    const double est = lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
-    return std::clamp(est, min_, max_);
-  }
-  return max_;
-}
-
 double RunningStat::variance() const noexcept {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_ - 1);
 }
 
 double RunningStat::stddev() const noexcept { return std::sqrt(variance()); }
-
-void RunningStat::merge(const RunningStat& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n = static_cast<double>(n_);
-  const auto m = static_cast<double>(other.n_);
-  const double combined = n + m;
-  m2_ = m2_ + other.m2_ + delta * delta * n * m / combined;
-  mean_ = (n * mean_ + m * other.mean_) / combined;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  sum_ += other.sum_;
-  n_ += other.n_;
-  for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
-}
 
 double SampleSet::mean() const noexcept {
   if (samples_.empty()) return 0.0;
@@ -114,43 +75,6 @@ double SampleSet::quantile(double q) const {
   return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      bins_(bins, 0) {
-  if (!(hi > lo) || bins == 0) {
-    throw std::invalid_argument("Histogram: need hi > lo and bins > 0");
-  }
-}
-
-void Histogram::add(double x) noexcept {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    auto i = static_cast<std::size_t>((x - lo_) / width_);
-    if (i >= bins_.size()) i = bins_.size() - 1;  // fp edge
-    ++bins_[i];
-  }
-}
-
-double Histogram::bin_lo(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-std::string Histogram::to_string(std::size_t bar_width) const {
-  std::size_t peak = 1;
-  for (auto c : bins_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < bins_.size(); ++i) {
-    const auto bar = bins_[i] * bar_width / peak;
-    os << "[" << bin_lo(i) << ", " << bin_lo(i + 1) << ") "
-       << std::string(bar, '#') << " " << bins_[i] << "\n";
-  }
-  return os.str();
-}
-
 std::uint64_t CounterSet::get(const std::string& name) const {
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
@@ -166,12 +90,6 @@ std::string CounterSet::to_string() const {
   std::ostringstream os;
   for (const auto& [k, v] : counters_) os << k << "=" << v << "\n";
   return os.str();
-}
-
-RunningStat TimeSeries::summarize() const {
-  RunningStat s;
-  for (const auto& p : points_) s.add(p.value);
-  return s;
 }
 
 }  // namespace flecc::sim

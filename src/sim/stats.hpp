@@ -1,6 +1,6 @@
 // Measurement plumbing shared by tests, benches, and the protocol
-// implementations: streaming moments, quantile-capable sample sets,
-// histograms, named counters, and timestamped series.
+// implementations: streaming moments with log2 buckets,
+// quantile-capable sample sets, and named counters.
 #pragma once
 
 #include <cstdint>
@@ -11,15 +11,14 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/time.hpp"
-
 namespace flecc::sim {
 
 /// Streaming mean/variance/min/max (Welford's algorithm), plus a
 /// fixed set of power-of-two buckets over the non-negative range so
 /// tail quantiles (p99, p99.9) can be estimated without retaining
-/// samples. Bucket i counts values in [2^(i-1), 2^i) (bucket 0 is
-/// [0, 1)); negative values land in bucket 0.
+/// samples (obs::TimeSeriesRegistry's windowed quantiles read them).
+/// Bucket i counts values in [2^(i-1), 2^i) (bucket 0 is [0, 1));
+/// negative values land in bucket 0.
 class RunningStat {
  public:
   /// Number of log2 buckets; covers the whole non-negative double
@@ -43,15 +42,6 @@ class RunningStat {
   }
   /// Lower edge of bucket i: 0 for bucket 0, else 2^(i-1).
   [[nodiscard]] static double bucket_lo(std::size_t i) noexcept;
-  /// Estimated quantile from the log2 buckets (linear interpolation
-  /// inside the bucket, clamped to [min, max]); q in [0,1]. Returns 0
-  /// on an empty stat. Coarse by design — exact quantiles need a
-  /// SampleSet — but honest for tails: the estimate never leaves the
-  /// bucket the true value falls in.
-  [[nodiscard]] double quantile_est(double q) const noexcept;
-
-  /// Merge another stat into this one (parallel reduction friendly).
-  void merge(const RunningStat& other) noexcept;
 
  private:
   std::size_t n_ = 0;
@@ -81,31 +71,6 @@ class SampleSet {
  private:
   mutable std::vector<double> samples_;
   mutable bool sorted_ = false;
-};
-
-/// Fixed-width linear-bin histogram over [lo, hi); out-of-range samples
-/// land in underflow/overflow buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count(std::size_t i) const {
-    return bins_.at(i);
-  }
-  [[nodiscard]] std::size_t bins() const noexcept { return bins_.size(); }
-  [[nodiscard]] std::size_t underflow() const noexcept { return underflow_; }
-  [[nodiscard]] std::size_t overflow() const noexcept { return overflow_; }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  /// Left edge of bin i.
-  [[nodiscard]] double bin_lo(std::size_t i) const noexcept;
-  /// Render a terminal-friendly bar chart.
-  [[nodiscard]] std::string to_string(std::size_t bar_width = 40) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::size_t> bins_;
-  std::size_t underflow_ = 0, overflow_ = 0, total_ = 0;
 };
 
 /// Named monotonic counters ("messages.pull", "bytes.total", ...).
@@ -160,31 +125,6 @@ class CounterSet {
 
  private:
   std::map<std::string, std::uint64_t, std::less<>> counters_;
-};
-
-/// A value sampled against simulated time.
-struct TimePoint {
-  Time at;
-  double value;
-};
-
-/// An append-only (time, value) series for plotting figure data.
-class TimeSeries {
- public:
-  void add(Time at, double value) { points_.push_back({at, value}); }
-  [[nodiscard]] std::size_t size() const noexcept { return points_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return points_.empty(); }
-  [[nodiscard]] const TimePoint& at(std::size_t i) const {
-    return points_.at(i);
-  }
-  [[nodiscard]] const std::vector<TimePoint>& points() const noexcept {
-    return points_;
-  }
-  [[nodiscard]] RunningStat summarize() const;
-  void clear() { points_.clear(); }
-
- private:
-  std::vector<TimePoint> points_;
 };
 
 }  // namespace flecc::sim

@@ -283,6 +283,27 @@ TEST(DirectoryRecoveryTest, SecondCrashRecoversFromCompactedState) {
   EXPECT_EQ(h.primary_.cell(0), 2);
 }
 
+TEST(DirectoryRecoveryTest, CompactionKeepsTheRegistrationThatTriggeredIt) {
+  MemoryDurabilityStore store;
+  DirectoryManager::Config dcfg;
+  dcfg.durability = &store;
+  dcfg.compact_threshold = 3;  // the third registration compacts the log
+  Harness h(3, 100, dcfg);
+  auto a = h.make_member(0, 9);
+  auto b = h.make_member(10, 19);
+  auto c = h.make_member(20, 29);
+  h.run();
+  ASSERT_EQ(store.compactions(), 1u);
+  ASSERT_EQ(h.directory_->registered_count(), 3u);
+
+  restart_directory(h, store, dcfg);
+  // Straight from the checkpoint, before any view re-announces.
+  EXPECT_EQ(h.directory_->registered_count(), 3u);
+  EXPECT_TRUE(h.directory_->known(a.cm->id()));
+  EXPECT_TRUE(h.directory_->known(b.cm->id()));
+  EXPECT_TRUE(h.directory_->known(c.cm->id()));
+}
+
 // ---- generation fencing ---------------------------------------------------
 
 /// Bare endpoint for injecting hand-crafted protocol messages.

@@ -117,20 +117,20 @@ TEST(FabricFlowTest, OnlyBulkRequestsAreSheddable) {
 }
 
 TEST(FabricFlowTest, WatermarksDeriveFromCapacity) {
-  flow::FlowLimits limits;
-  limits.queue_capacity = 16;
-  const net::FlowControl fc = flow::make_fabric_flow(limits);
+  net::FlowControl bounds;
+  bounds.queue_capacity = 16;
+  const net::FlowControl fc = flow::make_fabric_flow(bounds);
   EXPECT_TRUE(fc.enabled());
-  EXPECT_EQ(fc.high(), 16u);
+  EXPECT_EQ(fc.queue_capacity, 16u);
   EXPECT_EQ(fc.low(), 8u);
   EXPECT_FALSE(fc.control(msg::kAcquireReq));
   EXPECT_TRUE(fc.control(msg::kAcquireGrant));
 }
 
 TEST(FabricFlowTest, BusyFactoryRecoversTheRequestIdentity) {
-  flow::FlowLimits limits;
-  limits.queue_capacity = 4;
-  const net::FlowControl fc = flow::make_fabric_flow(limits);
+  net::FlowControl bounds;
+  bounds.queue_capacity = 4;
+  const net::FlowControl fc = flow::make_fabric_flow(bounds);
   net::Message shed;
   shed.type = msg::kAcquireReq;
   shed.payload = msg::AcquireReq{/*view=*/7, AccessIntent::kReadWrite,
@@ -147,9 +147,9 @@ TEST(FabricFlowTest, BusyFactoryRecoversTheRequestIdentity) {
 }
 
 TEST(FabricFlowTest, UnanswerableTypesShedSilently) {
-  flow::FlowLimits limits;
-  limits.queue_capacity = 4;
-  const net::FlowControl fc = flow::make_fabric_flow(limits);
+  net::FlowControl bounds;
+  bounds.queue_capacity = 4;
+  const net::FlowControl fc = flow::make_fabric_flow(bounds);
   net::Message shed;
   shed.type = "t.unknown";
   shed.payload = 0;

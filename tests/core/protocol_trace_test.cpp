@@ -4,8 +4,6 @@
 // single active view among conflicting ones (one-copy serializability).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "core/cache_manager.hpp"
 #include "core/directory_manager.hpp"
 #include "net/sim_fabric.hpp"
@@ -103,7 +101,6 @@ struct Figure2 : ::testing::Test {
     std::vector<net::NodeId> hosts;
     auto topo = net::Topology::lan(3, net::LinkSpec{}, &hosts);
     fabric = std::make_unique<net::SimFabric>(sim, std::move(topo));
-    trace.attach(*fabric);
     dir_addr = net::Address{hosts[2], 1};
     directory = std::make_unique<DirectoryManager>(*fabric, dir_addr, primary);
 
@@ -122,15 +119,14 @@ struct Figure2 : ::testing::Test {
                                          dir_addr, v2_view, cfg2);
   }
 
+  /// Messages of `type` delivered so far.
   std::size_t count_type(const std::string& type) const {
     return static_cast<std::size_t>(
-        std::count_if(trace.entries().begin(), trace.entries().end(),
-                      [&](const net::TraceEntry& e) { return e.type == type; }));
+        fabric->counters().get("msg.delivered." + type));
   }
 
   sim::Simulator sim;
   std::unique_ptr<net::SimFabric> fabric;
-  net::TraceRecorder trace;
   SlotPrimary primary;
   net::Address dir_addr;
   std::unique_ptr<DirectoryManager> directory;

@@ -2,8 +2,9 @@
 // (PROTOCOL.md, "Delta echoes and the settled-round archive"), run once
 // per round kind: a live dirty reply, a duplicate reply, a late reply
 // merged from the settled-round archive, push-borne echoes for live,
-// settled, forgotten and pre-crash rounds, command resends, and the
-// death of a target or of the requester mid-round.
+// settled, forgotten and pre-crash rounds, a WAL compaction while a
+// round is open, command resends, and the death of a target or of the
+// requester mid-round.
 //
 // Requester and targets are scripted endpoints that speak only when
 // told to, so every reply, echo and duplicate lands exactly where the
@@ -426,6 +427,31 @@ TEST_P(RoundPathsTest, PreCrashLateReplyIsRevivedAfterARestart) {
   target().echo(kind(), round, 5);
   settle();
   EXPECT_EQ(dm("echo.duplicate"), 1u);
+  EXPECT_EQ(total(), 5);
+}
+
+TEST_P(RoundPathsTest, CompactionKeepsOpenRoundMerges) {
+  MemoryDurabilityStore store;
+  DirectoryManager::Config dcfg;
+  dcfg.durability = &store;
+  // Three registrations and the round's two kRoundOpen records are five
+  // appends; the first target's kRoundMerge, the sixth, compacts the
+  // log while the round is still open.
+  dcfg.compact_threshold = 6;
+  start(2, dcfg);
+  const std::uint64_t round = open_round();
+  target(0).answer(kind(), round, 5);
+  settle();
+  ASSERT_EQ(store.compactions(), 1u);
+  ASSERT_EQ(completions(), 0u);  // target 1 is still outstanding
+  ASSERT_EQ(total(), 5);
+  restart_directory(store);
+
+  // The merged extraction's echo: the checkpoint still knows it merged.
+  target(0).echo(kind(), round, 5);
+  settle();
+  EXPECT_EQ(dm("echo.duplicate"), 1u);
+  EXPECT_EQ(dm("recovery.revived_round"), 0u);
   EXPECT_EQ(total(), 5);
 }
 

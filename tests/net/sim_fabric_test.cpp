@@ -167,20 +167,27 @@ TEST_F(Fixture, TimersFireOnSchedule) {
   EXPECT_EQ(sim.now(), 500);
 }
 
-TEST_F(Fixture, TraceRecorderCapturesDeliveries) {
+TEST_F(Fixture, TraceHookSeesDeliveries) {
   Recorder rb;
   fabric->bind(b, rb);
-  TraceRecorder trace;
-  trace.attach(*fabric);
+  std::vector<TraceEntry> seen;
+  fabric->set_trace_hook([&](const TraceEntry& e) { seen.push_back(e); });
   fabric->send(a, b, "t.traced", 0, 64);
   sim.run();
-  ASSERT_EQ(trace.entries().size(), 1u);
-  const auto& e = trace.entries()[0];
+  ASSERT_EQ(seen.size(), 1u);
+  const auto& e = seen[0];
   EXPECT_EQ(e.type, "t.traced");
   EXPECT_EQ(e.bytes, 64u);
+  EXPECT_EQ(e.from, a);
+  EXPECT_EQ(e.to, b);
   EXPECT_EQ(e.sent_at, 0);
   EXPECT_GT(e.delivered_at, 0);
-  EXPECT_NE(trace.to_string().find("t.traced"), std::string::npos);
+
+  fabric->set_trace_hook(nullptr);  // detached: nothing more is seen
+  fabric->send(a, b, "t.untraced", 0, 8);
+  sim.run();
+  EXPECT_EQ(seen.size(), 1u);
+  EXPECT_EQ(rb.received.size(), 2u);
 }
 
 TEST_F(Fixture, PartitionBlocksCrossTrafficBothWays) {

@@ -1,5 +1,5 @@
-// MetricsRegistry tests: counters, absorb(), distributions, histogram
-// lifecycles, and the CSV/plaintext exports.
+// MetricsRegistry tests: counters, absorb(), distributions, and the
+// CSV/plaintext exports.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -40,24 +40,6 @@ TEST(MetricsRegistryTest, ObserveFeedsStatAndSamples) {
   EXPECT_EQ(reg.stat("latency").count(), 3u);
   EXPECT_DOUBLE_EQ(reg.stat("latency").mean(), 20.0);
   EXPECT_DOUBLE_EQ(reg.samples("latency").median(), 20.0);
-}
-
-TEST(MetricsRegistryTest, HistogramCreatedOnceThenReused) {
-  MetricsRegistry reg;
-  sim::Histogram& h = reg.histogram("lat", 0.0, 100.0, 10);
-  EXPECT_EQ(&reg.histogram("lat", 0.0, 999.0, 3), &h);  // params ignored
-  EXPECT_EQ(h.bins(), 10u);
-  EXPECT_EQ(reg.find_histogram("lat"), &h);
-  EXPECT_EQ(reg.find_histogram("nope"), nullptr);
-
-  // observe() routes into an existing histogram of the same name.
-  reg.observe("lat", 5.0);
-  reg.observe("lat", 95.0);
-  reg.observe("lat", 400.0);
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
 }
 
 TEST(MetricsRegistryTest, CsvHasCounterStatAndQuantileRows) {

@@ -1,74 +1,11 @@
 // Deeper coverage of the stats plumbing the obs layer leans on:
-// RunningStat::merge chains (parallel-reduction shapes), quantile edge
-// cases, and histogram boundary behavior.
+// SampleSet quantile edge cases.
 #include "sim/stats.hpp"
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 namespace flecc::sim {
 namespace {
-
-TEST(RunningStatMergeTest, ChainOfManyPartialsMatchesOnePass) {
-  // Fold 10 shards pairwise, the way a bench merges per-agent stats.
-  RunningStat whole;
-  std::vector<RunningStat> shards(10);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = (i * 37 % 101) - 50.0;
-    whole.add(x);
-    shards[static_cast<std::size_t>(i) % shards.size()].add(x);
-  }
-  RunningStat merged;
-  for (const auto& s : shards) merged.merge(s);
-  EXPECT_EQ(merged.count(), whole.count());
-  EXPECT_NEAR(merged.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(merged.variance(), whole.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(merged.min(), whole.min());
-  EXPECT_DOUBLE_EQ(merged.max(), whole.max());
-  EXPECT_NEAR(merged.sum(), whole.sum(), 1e-9);
-}
-
-TEST(RunningStatMergeTest, EmptyIntoNonEmptyAndBack) {
-  RunningStat filled;
-  filled.add(2.0);
-  filled.add(4.0);
-  RunningStat empty;
-
-  RunningStat a = filled;
-  a.merge(empty);  // no-op
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 3.0);
-
-  RunningStat b;  // empty absorbs filled wholesale
-  b.merge(filled);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(b.min(), 2.0);
-  EXPECT_DOUBLE_EQ(b.max(), 4.0);
-}
-
-TEST(RunningStatMergeTest, MinMaxCrossShards) {
-  RunningStat lo, hi;
-  lo.add(-7.0);
-  lo.add(1.0);
-  hi.add(3.0);
-  hi.add(99.0);
-  lo.merge(hi);
-  EXPECT_DOUBLE_EQ(lo.min(), -7.0);
-  EXPECT_DOUBLE_EQ(lo.max(), 99.0);
-}
-
-TEST(RunningStatMergeTest, MergeSelfCopyDoublesCounts) {
-  RunningStat s;
-  s.add(1.0);
-  s.add(5.0);
-  const RunningStat copy = s;
-  s.merge(copy);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 12.0);
-}
 
 TEST(SampleSetQuantileTest, ExtremesAndSingleSample) {
   SampleSet one;
@@ -99,38 +36,6 @@ TEST(SampleSetQuantileTest, ClearResets) {
   EXPECT_TRUE(s.empty());
   s.add(9.0);
   EXPECT_DOUBLE_EQ(s.median(), 9.0);
-}
-
-TEST(HistogramBoundaryTest, EdgesLandWhereDocumented) {
-  Histogram h(0.0, 10.0, 10);  // [0,10) in 10 bins of width 1
-  h.add(0.0);                  // left edge: bin 0
-  h.add(9.999);                // just inside: bin 9
-  h.add(10.0);                 // right edge is exclusive: overflow
-  h.add(-0.001);               // underflow
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(HistogramBoundaryTest, BinLoReportsLeftEdges) {
-  Histogram h(100.0, 200.0, 4);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 100.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 125.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 175.0);
-}
-
-TEST(HistogramBoundaryTest, LatencyShapedFill) {
-  // The shape flecc_trace uses: microsecond latencies, long tail.
-  Histogram h(0.0, 1000.0, 20);
-  for (int i = 0; i < 95; ++i) h.add(50.0 + i);
-  for (int i = 0; i < 5; ++i) h.add(5000.0);
-  EXPECT_EQ(h.total(), 100u);
-  EXPECT_EQ(h.overflow(), 5u);
-  std::size_t binned = 0;
-  for (std::size_t i = 0; i < h.bins(); ++i) binned += h.bin_count(i);
-  EXPECT_EQ(binned + h.overflow() + h.underflow(), h.total());
 }
 
 }  // namespace

@@ -32,32 +32,6 @@ TEST(RunningStatTest, SingleSampleVarianceIsZero) {
   EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
 }
 
-TEST(RunningStatTest, MergeEqualsSequential) {
-  RunningStat all, a, b;
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 0.37 - 3.0;
-    all.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-10);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStatTest, MergeWithEmpty) {
-  RunningStat a, empty;
-  a.add(1.0);
-  a.add(2.0);
-  const double mean = a.mean();
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), mean);
-  empty.merge(a);
-  EXPECT_DOUBLE_EQ(empty.mean(), mean);
-}
-
 TEST(SampleSetTest, QuantilesExact) {
   SampleSet s;
   for (const double x : {5.0, 1.0, 3.0, 2.0, 4.0}) s.add(x);
@@ -93,41 +67,6 @@ TEST(SampleSetTest, AddAfterQuantileStillSorted) {
   EXPECT_DOUBLE_EQ(s.quantile(0.0), 0.5);
 }
 
-TEST(HistogramTest, BinsLinearly) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.0);   // bin 0
-  h.add(1.99);  // bin 0
-  h.add(2.0);   // bin 1
-  h.add(9.99);  // bin 4
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(HistogramTest, UnderAndOverflow) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(-0.5);
-  h.add(1.0);  // hi is exclusive
-  h.add(2.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-}
-
-TEST(HistogramTest, BadConstructionThrows) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(HistogramTest, RendersBars) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(0.6);
-  h.add(1.5);
-  const std::string out = h.to_string(10);
-  EXPECT_NE(out.find("##########"), std::string::npos);
-}
-
 TEST(CounterSetTest, IncrementAndQuery) {
   CounterSet c;
   c.inc("a");
@@ -152,19 +91,6 @@ TEST(CounterSetTest, ToStringSortedByName) {
   c.inc("zeta");
   c.inc("alpha", 2);
   EXPECT_EQ(c.to_string(), "alpha=2\nzeta=1\n");
-}
-
-TEST(TimeSeriesTest, RecordsAndSummarizes) {
-  TimeSeries ts;
-  ts.add(10, 1.0);
-  ts.add(20, 3.0);
-  ts.add(30, 5.0);
-  EXPECT_EQ(ts.size(), 3u);
-  EXPECT_EQ(ts.at(1).at, 20);
-  EXPECT_DOUBLE_EQ(ts.at(1).value, 3.0);
-  const auto stat = ts.summarize();
-  EXPECT_DOUBLE_EQ(stat.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(stat.max(), 5.0);
 }
 
 }  // namespace
