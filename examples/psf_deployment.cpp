@@ -7,16 +7,24 @@
 //     insecure Internet hops with encryptor/decryptor pairs;
 //   * the domain-3 client requires low latency → the planner deploys a
 //     view (travel agent) inside domain 3, and Flecc keeps it coherent.
+// The deployed view is live: a Flecc directory in domain 1 fronts the
+// flight database over the spec's own topology, the view sells seats
+// locally, and its push lands them in the database across the WAN.
 // The monitoring module then reacts to an environment change by
 // triggering re-planning (the PSF adaptation loop of §3.1).
 //
 // Build & run:  ./build/examples/psf_deployment
 #include <cstdio>
 
+#include "airline/flight_database.hpp"
+#include "airline/psf_glue.hpp"
+#include "core/directory_manager.hpp"
+#include "net/sim_fabric.hpp"
 #include "psf/deployer.hpp"
 #include "psf/monitor.hpp"
 #include "psf/planner.hpp"
 #include "psf/spec.hpp"
+#include "sim/simulator.hpp"
 
 using namespace flecc;
 
@@ -73,18 +81,46 @@ int main() {
   std::printf("domain-3 client (latency QoS):\n%s\n",
               latency_plan->to_string(env).c_str());
 
+  // ---- the runtime: Flecc over the spec's topology --------------------
+  // The original component is the flight database (flights 100-199) in
+  // domain 1; its directory manager runs beside it.
+  sim::Simulator simulator;
+  net::SimFabric fabric(simulator, env.topology());
+  auto db = airline::FlightDatabase::uniform(100, 100, 50);
+  airline::FlightDatabaseAdapter adapter(db);
+  const net::Address dir_addr{spec.node_ids.at("domain1.server"), 1};
+  core::DirectoryManager directory(fabric, dir_addr, adapter);
+
   // ---- deploy both plans ----------------------------------------------
+  // The air.TravelAgent factory creates the view (flights 100-149, the
+  // spec's view data) with its cache manager, registered at `directory`.
   psf::Deployer deployer;
-  deployer.register_factory("air.TravelAgent", [](net::NodeId node) {
-    // In a full deployment this factory would create the travel agent
-    // view plus its Flecc cache manager (see examples/airline_reservation
-    // and src/airline/testbed.cpp for exactly that wiring).
-    return std::make_unique<psf::ComponentInstance>("air.TravelAgent", node);
-  });
+  airline::TravelAgentFactoryOptions opts;
+  opts.directory = dir_addr;
+  for (airline::FlightNumber f = 100; f < 150; ++f) opts.flights.push_back(f);
+  airline::register_travel_agent_factory(deployer, fabric, opts);
   const auto d2 = deployer.deploy(*privacy_plan);
-  const auto d3 = deployer.deploy(*latency_plan);
-  std::printf("deployed %zu instances for domain 2, %zu for domain 3\n\n",
+  auto d3 = deployer.deploy(*latency_plan);
+  std::printf("deployed %zu instances for domain 2, %zu for domain 3\n",
               d2.size(), d3.size());
+  simulator.run();  // the view registers and fetches its first image
+
+  // ---- the domain-3 view sells seats; Flecc pushes them home ----------
+  airline::TravelAgent& agent =
+      dynamic_cast<airline::TravelAgentInstance&>(d3.instance(0)).agent();
+  agent.run_reservation_loop(4, 100, 2, /*pull_first=*/true);
+  simulator.run();
+  agent.push_now();
+  simulator.run();
+  std::printf("domain-3 view sold 4 x 2 seats on flight 100\n");
+  std::printf("flight database at domain1.server: flight 100 reserved=%lld "
+              "(t=%.0f ms)\n",
+              static_cast<long long>(db.find(100)->reserved),
+              sim::to_ms(simulator.now()));
+  d3 = psf::Deployment{};  // stop(): the view's killImage
+  simulator.run();
+  std::printf("views registered after teardown: %zu\n\n",
+              directory.registered_count());
 
   // ---- the monitoring module reacts to environment changes ------------
   psf::Monitor monitor(env);

@@ -18,6 +18,10 @@ headers they document:
    circuit breaker) appear in PROTOCOL.md ("Flow control & overload"),
    and every `flow.*` / `shed.*` / `breaker.*` counter emitted by the
    code appears in OBSERVABILITY.md ("Flow control counter families").
+6. The directory's protocol constants (the round, merged-op and
+   migration-outcome windows, the rebuild window, the migration timeout
+   and resend budget) have the value in PROTOCOL.md that their
+   `constexpr` has in src/.
 
 Exit status 0 = clean, 1 = violations (each printed as file:line).
 """
@@ -203,6 +207,30 @@ def main() -> int:
             if counter not in observability:
                 errors.append(f"{rel}: counter '{counter}' is not "
                               "documented in OBSERVABILITY.md")
+
+    # Protocol constants: PROTOCOL.md states each one's value, which must
+    # be the value of its `constexpr` in src/ (`N` or `sim::msec(N)`,
+    # written `N` or `N ms` in the doc, which may wrap the line).
+    sources = "\n".join(p.read_text()
+                        for p in sorted(REPO.glob("src/**/*.[ch]pp")))
+    for name in ["kSettledRoundWindow", "kMergedOpWindow", "kRebuildWindow",
+                 "kMigrateTimeout", "kMigrateResends"]:
+        code = re.search(
+            rf"constexpr\s+[\w:]+\s+{name}\s*=\s*(sim::msec\()?(\d+)\)?;",
+            sources)
+        if not code:
+            errors.append(f"src/: protocol constant '{name}' named in "
+                          "docs_lint.py is not a constexpr in src/")
+            continue
+        value = code.group(2) + (" ms" if code.group(1) else "")
+        stated = re.findall(rf"`{name}\s*=\s*(\d+(?:\s+ms)?)`", protocol)
+        if not stated:
+            errors.append(f"PROTOCOL.md: protocol constant '{name}' is not "
+                          "stated as `name = value`")
+        for doc in stated:
+            if " ".join(doc.split()) != value:
+                errors.append(f"PROTOCOL.md: states `{name} = "
+                              f"{' '.join(doc.split())}`, src/ has {value}")
 
     # Live telemetry (OBSERVABILITY.md "Live telemetry"): the hub
     # knobs, the scrape routes, the alerts.* counter family, and the

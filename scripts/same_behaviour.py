@@ -28,6 +28,7 @@ import argparse
 import filecmp
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -101,10 +102,20 @@ def output_of(binary: Path, cwd: Path, args: list[str] | None = None) -> str:
                text=True).stdout
 
 
+def fingerprint_constants(source: str) -> list[str]:
+    """The recorded hashes: every `0x...ull` literal, in file order."""
+    return re.findall(r"\b0x[0-9a-fA-F]+ull\b", source)
+
+
 def check_fingerprint(ref: str, work: Path) -> None:
-    unchanged = subprocess.run(
-        ["git", "-C", str(ROOT), "diff", "--quiet", ref, "--",
-         FINGERPRINT_TEST]).returncode == 0
+    # Only the constants must be REF's; the rest of the test (its reach
+    # guard, say) may grow.
+    base = subprocess.run(
+        ["git", "-C", str(ROOT), "show", f"{ref}:{FINGERPRINT_TEST}"],
+        capture_output=True, text=True, check=True).stdout
+    recorded = fingerprint_constants(base)
+    unchanged = bool(recorded) and recorded == fingerprint_constants(
+        (ROOT / FINGERPRINT_TEST).read_text())
     passes = subprocess.run(
         [str(work / "tests/protocol_fingerprint_test")],
         capture_output=True).returncode == 0

@@ -33,11 +33,31 @@ constexpr sim::Duration kMigrateTimeout = sim::msec(250);
 /// view stays bound to its source.
 constexpr std::size_t kMigrateResends = 4;
 
+/// Parse a validity trigger that registration once accepted (a rebuild
+/// re-announce or a checkpointed record). A source that no longer
+/// parses leaves the view without a trigger rather than aborting.
+std::optional<trigger::Trigger> reparse_validity(const std::string& src) {
+  std::optional<trigger::Trigger> validity;
+  if (src.empty()) return validity;
+  try {
+    validity.emplace(src);
+  } catch (const trigger::ParseError&) {
+  }
+  return validity;
+}
+
 }  // namespace
 
 DirectoryManager::DirectoryManager(net::Fabric& fabric, net::Address self,
                                    PrimaryAdapter& primary, Config cfg)
-    : fabric_(fabric), self_(self), primary_(primary), cfg_(cfg) {
+    : fabric_(fabric),
+      self_(self),
+      primary_(primary),
+      cfg_(cfg),
+      archives_{{SettledRounds(kSettledRoundWindow),
+                 SettledRounds(kSettledRoundWindow)}},
+      migration_outcomes_(kSettledRoundWindow),
+      merged_ops_(kMergedOpWindow) {
   [[maybe_unused]] std::size_t replayed = 0;  // traced only
   bool recovering = false;
   if (cfg_.durability != nullptr) {
@@ -117,9 +137,8 @@ void DirectoryManager::on_message(const net::Message& m) {
       // known == false drives the sender into its reconnect path, which
       // re-registers under the current generation.
       const auto& hb = net::payload_as<msg::Heartbeat>(m);
-      msg::HeartbeatAck ack{hb.view, hb.seq, false, generation_};
-      fabric_.send(self_, m.from, msg::kHeartbeatAck, box(ack),
-                   msg::wire_size(ack));
+      send(m.from, msg::kHeartbeatAck,
+           msg::HeartbeatAck{hb.view, hb.seq, false, generation_});
     } else if (header.req != 0) {
       // Framed request: nack (never cached) so the sender aborts the op
       // and re-issues it under the current generation.
@@ -307,11 +326,6 @@ void DirectoryManager::cancel(net::TimerId& timer) {
   timer = net::kInvalidTimerId;
 }
 
-void DirectoryManager::send_to_view(const ViewRecord& rec, const char* type,
-                                    std::any payload, std::size_t bytes) {
-  fabric_.send(self_, rec.cache_addr, type, std::move(payload), bytes);
-}
-
 // ---- reliability helpers --------------------------------------------------
 
 DirectoryManager::DedupEntry* DirectoryManager::find_dedup(
@@ -358,23 +372,20 @@ void DirectoryManager::reply(const net::Address& to, std::uint64_t req,
 void DirectoryManager::send_nack(const net::Address& to, ViewId view,
                                  std::uint64_t req, const char* reason) {
   stats_.inc("op.nack.sent");
-  msg::OpNack nack{view, reason, req, generation_};
-  const auto bytes = msg::wire_size(nack);
   FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMsgSent,
                     obs::Role::kDirectory, obs::agent_key(self_),
                     obs::span_id(to, req), msg::kOpNack, view);
-  fabric_.send(self_, to, msg::kOpNack, box(std::move(nack)), bytes);
+  send(to, msg::kOpNack, msg::OpNack{view, reason, req, generation_});
 }
 
 void DirectoryManager::send_busy(const net::Address& to, ViewId view,
                                  std::uint64_t req, const char* reason) {
   stats_.inc("flow.busy.sent");
-  msg::Busy busy{view, reason, cfg_.busy_retry_after, req, generation_};
-  const auto bytes = msg::wire_size(busy);
   FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kLoadShed,
                     obs::Role::kDirectory, obs::agent_key(self_),
                     obs::span_id(to, req), reason, view);
-  fabric_.send(self_, to, msg::kBusy, box(std::move(busy)), bytes);
+  send(to, msg::kBusy,
+       msg::Busy{view, reason, cfg_.busy_retry_after, req, generation_});
 }
 
 void DirectoryManager::forget_in_progress(const net::Address& from,
@@ -424,7 +435,7 @@ void DirectoryManager::liveness_sweep() {
       // round timeout) to discover. Traffic from the dead incarnation
       // is fenced at re-registration (stale incarnation/generation).
       stats_.inc("view.evicted.strong_reclaim");
-      if (!invalidation_.has_value()) start_next_acquire();
+      start_next_acquire();
     }
   }
   arm_liveness_timer();
@@ -440,9 +451,8 @@ void DirectoryManager::handle_heartbeat(const net::Message& m) {
   } else {
     stats_.inc("heartbeat.unknown");
   }
-  msg::HeartbeatAck ack{hb.view, hb.seq, known, generation_};
-  fabric_.send(self_, m.from, msg::kHeartbeatAck, box(ack),
-               msg::wire_size(ack));
+  send(m.from, msg::kHeartbeatAck,
+       msg::HeartbeatAck{hb.view, hb.seq, known, generation_});
 }
 
 // ---- registration -------------------------------------------------------
@@ -463,11 +473,11 @@ void DirectoryManager::handle_register(const net::Message& m) {
   }
   note_in_progress(m.from, req.req);
 
-  auto reject = [&](const std::string& why) {
+  auto reject = [&](std::string why) {
     stats_.inc("op.register.rejected");
-    msg::RegisterAck ack{kInvalidViewId, false, why, req.req, generation_};
-    const auto bytes = msg::wire_size(ack);
-    reply(m.from, req.req, msg::kRegisterAck, box(std::move(ack)), bytes);
+    reply(m.from, req.req, msg::kRegisterAck,
+          msg::RegisterAck{kInvalidViewId, false, std::move(why), req.req,
+                           generation_});
   };
 
   if (req.view_name.empty()) {
@@ -494,9 +504,10 @@ void DirectoryManager::handle_register(const net::Message& m) {
   // the exactly-once keys were minted for. Fenced unless the claimed
   // incarnation is strictly newer than the recorded one — a retransmit
   // from the dead life must not steal the view back.
+  ViewRecord* rec = nullptr;
   if (req.resume_view != kInvalidViewId) {
-    if (auto* rec = find(req.resume_view);
-        rec != nullptr && rec->cache_addr != m.from) {
+    rec = find(req.resume_view);
+    if (rec != nullptr && rec->cache_addr != m.from) {
       // The record moved while this manager was dead: a live migration
       // rebound the view to another address (and reset its incarnation
       // sequence), so an incarnation comparison alone would let the
@@ -506,33 +517,14 @@ void DirectoryManager::handle_register(const net::Message& m) {
       // pushes still merge exactly once (merged_ops_ is keyed by
       // address, not view).
       stats_.inc("register.fenced.moved");
+      rec = nullptr;
     } else if (rec != nullptr) {
       if (req.incarnation <= rec->incarnation) {
         stats_.inc("register.fenced.incarnation");
         return reject("stale incarnation");
       }
-      if (migrating(req.resume_view)) {
-        abort_migration(req.resume_view, "source resumed");
-      }
-      rec->cache_addr = m.from;
-      unlink(*rec);
-      rec->name = req.view_name;
-      rec->properties = req.properties;
-      link(*rec);
-      rec->mode = req.mode;
-      rec->validity = std::move(validity);
-      rec->validity_src = req.validity_trigger;
-      rec->incarnation = req.incarnation;
-      // Conservative until the resumed manager re-syncs (Init/Pull).
-      rec->active = false;
-      rec->exclusive = false;
-      rec->last_seen_at = fabric_.now();
-      wal_append(register_record(*rec));
+      if (migrating(rec->id)) abort_migration(rec->id, "source resumed");
       stats_.inc("view.resumed");
-      msg::RegisterAck ack{req.resume_view, true, {}, req.req, generation_};
-      const auto bytes = msg::wire_size(ack);
-      reply(m.from, req.req, msg::kRegisterAck, box(std::move(ack)), bytes);
-      return;
     } else {
       // Record gone (evicted, killed, or dropped by a directory
       // rebuild): fall through to a fresh registration. The replayed
@@ -542,39 +534,51 @@ void DirectoryManager::handle_register(const net::Message& m) {
     }
   }
 
-  // A registration from an address we already know supersedes the old
-  // record: the cache manager reconnected (fail-safe path) and its
-  // previous incarnation is a ghost.
-  for (auto it = views_.begin(); it != views_.end();) {
-    if (it->second.cache_addr == m.from) {
-      const ViewId ghost = it->first;
-      it = drop_view(it);
-      complete_fetch_or_acquire_for_dead_view(ghost);
-      stats_.inc("op.register.superseded");
-    } else {
-      ++it;
+  if (rec != nullptr) {
+    rec->incarnation = req.incarnation;
+    // Conservative until the resumed manager re-syncs (Init/Pull).
+    rec->active = false;
+    rec->exclusive = false;
+  } else {
+    // A registration from an address we already know supersedes the old
+    // record: the cache manager reconnected (fail-safe path) and its
+    // previous incarnation is a ghost.
+    for (auto it = views_.begin(); it != views_.end();) {
+      if (it->second.cache_addr == m.from) {
+        const ViewId ghost = it->first;
+        it = drop_view(it);
+        complete_fetch_or_acquire_for_dead_view(ghost);
+        stats_.inc("op.register.superseded");
+      } else {
+        ++it;
+      }
     }
+    // Filed before its append: a compaction that the append triggers
+    // snapshots views_, which must already hold the new view.
+    const ViewId id = next_view_id_++;
+    rec = &views_[id];
+    rec->id = id;
   }
+  rec->cache_addr = m.from;
+  rec->last_seen_at = fabric_.now();
+  describe(*rec, req.view_name, req.properties, req.mode,
+           req.validity_trigger, std::move(validity));
+  wal_append(register_record(*rec));
+  reply(m.from, req.req, msg::kRegisterAck,
+        msg::RegisterAck{rec->id, true, {}, req.req, generation_});
+}
 
-  ViewRecord rec;
-  rec.id = next_view_id_++;
-  rec.cache_addr = m.from;
-  rec.name = req.view_name;
-  rec.properties = req.properties;
-  rec.mode = req.mode;
+void DirectoryManager::describe(ViewRecord& rec, const std::string& name,
+                                const props::PropertySet& properties,
+                                Mode mode, const std::string& validity_src,
+                                std::optional<trigger::Trigger> validity) {
+  if (find(rec.id) != nullptr) unlink(rec);
+  rec.name = name;
+  rec.properties = properties;
+  rec.mode = mode;
+  rec.validity_src = validity_src;
   rec.validity = std::move(validity);
-  rec.validity_src = req.validity_trigger;
-  rec.last_seen_at = fabric_.now();
-  const ViewId id = rec.id;
-  // Filed before its append: a compaction that the append triggers
-  // snapshots views_, which must already hold the new view.
-  ViewRecord& filed = views_.emplace(id, std::move(rec)).first->second;
-  link(filed);
-  wal_append(register_record(filed));
-
-  msg::RegisterAck ack{id, true, {}, req.req, generation_};
-  const auto bytes = msg::wire_size(ack);
-  reply(m.from, req.req, msg::kRegisterAck, box(std::move(ack)), bytes);
+  link(rec);
 }
 
 // ---- init ---------------------------------------------------------------
@@ -594,9 +598,7 @@ void DirectoryManager::handle_init(const net::Message& m) {
   rec->active = true;
   rec->last_sync = version_;
   rec->last_sync_at = fabric_.now();
-  const auto bytes = msg::wire_size(out);
-  reply(rec->cache_addr, req.req, msg::kInitReply, box(std::move(out)),
-        bytes);
+  reply(rec->cache_addr, req.req, msg::kInitReply, std::move(out));
 }
 
 // ---- weak-mode pull (with validity-triggered demand fetch) ---------------
@@ -690,9 +692,8 @@ void DirectoryManager::handle_push(const net::Message& m) {
   process_echoes(req.echoes);
   merge_op(m.from, req.req, *rec, req.image, "push", "op.push.replayed_merge");
   rec->active = true;
-  msg::PushAck ack{version_, req.req, generation_};
-  reply(rec->cache_addr, req.req, msg::kPushAck, box(ack),
-        msg::wire_size(ack));
+  reply(rec->cache_addr, req.req, msg::kPushAck,
+        msg::PushAck{version_, req.req, generation_});
 }
 
 void DirectoryManager::merge_update(const ObjectImage& image, ViewId source,
@@ -718,12 +719,11 @@ void DirectoryManager::merge_update(const ObjectImage& image, ViewId source,
     for (const ViewId id : conflicting_views(source)) {
       const ViewRecord& other = *find(id);
       if (!other.active) continue;
-      msg::UpdateNotify note{version_, generation_};
       FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMsgSent,
                         obs::Role::kDirectory, obs::agent_key(self_), 0,
                         msg::kUpdateNotify, version_, id);
-      send_to_view(other, msg::kUpdateNotify, box(note),
-                   msg::wire_size(note));
+      send(other.cache_addr, msg::kUpdateNotify,
+           msg::UpdateNotify{version_, generation_});
       stats_.inc("op.notify.sent");
     }
   }
@@ -758,10 +758,12 @@ void DirectoryManager::handle_acquire(const net::Message& m) {
   }
   note_in_progress(m.from, req.req);
   acquire_queue_.push_back(req);
-  if (!invalidation_.has_value()) start_next_acquire();
+  start_next_acquire();
 }
 
 void DirectoryManager::start_next_acquire() {
+  // One invalidation round at a time: completing it drains the queue.
+  if (invalidation_.has_value()) return;
   // Strong-mode arbitration is frozen until the post-restart rebuild
   // settles: granting exclusivity against a half-rebuilt sharing set
   // could skip an invalidation. Requests queue; finish_rebuild() drains.
@@ -870,13 +872,10 @@ void DirectoryManager::send_command(const Round& r, const ViewRecord& target,
   const char* type = kind_info(r.kind).command;
   FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), event, obs::Role::kDirectory,
                     obs::agent_key(self_), r.span, type, r.id, target.id);
-  auto send = [&](const auto& cmd) {
-    send_to_view(target, type, box(cmd), msg::wire_size(cmd));
-  };
   if (r.kind == RoundKind::kFetch) {
-    send(msg::FetchReq{r.id, generation_});
+    send(target.cache_addr, type, msg::FetchReq{r.id, generation_});
   } else {
-    send(msg::InvalidateReq{r.id, generation_});
+    send(target.cache_addr, type, msg::InvalidateReq{r.id, generation_});
   }
 }
 
@@ -943,13 +942,13 @@ void DirectoryManager::handle_round_reply(RoundKind kind, std::uint64_t id,
     // A dirty straggler carries the only copy of its extraction: merge
     // it via the settled-round archive, once.
     stats_.inc(k.late);
-    RoundLedger* settled = settled_round(kind, id);
+    RoundLedger* settled = archive(kind).find(id);
     if (settled == nullptr && dirty && pre_crash_round(id)) {
       // A gen == 0 straggler from a round the checkpoint lost (stamped
       // replies from the old incarnation are fenced before this point):
       // revive its archive slot.
       stats_.inc("recovery.revived_round");
-      settled = &archive_slot(kind, id);
+      settled = &archive(kind).file(id);
     }
     if (settled != nullptr && dirty && settled->merged.count(view) == 0 &&
         merge_round_image(kind, id, *settled, view, image, k.late_path, 0)) {
@@ -993,14 +992,14 @@ void DirectoryManager::process_echoes(
       }
       continue;
     }
-    RoundLedger* settled = settled_round(kind, e.round);
+    RoundLedger* settled = archive(kind).find(e.round);
     // A round a previous incarnation opened and the checkpoint lost: the
     // echoed extraction may exist nowhere else, so revive an archive
     // slot and merge it exactly once per epoch.
     const bool revived = settled == nullptr && pre_crash_round(e.round);
     if (revived) {
       stats_.inc("recovery.revived_round");
-      settled = &archive_slot(kind, e.round);
+      settled = &archive(kind).file(e.round);
     }
     if (settled == nullptr) {
       // Evicted from the window: the reply must have merged long ago.
@@ -1031,7 +1030,9 @@ bool DirectoryManager::merge_round_image(RoundKind kind, std::uint64_t id,
   if (ps == nullptr) return false;
   merge_update(image, view, *ps, path, id, span);
   ledger.merged.insert(view);
-  note_round_merge(kind, id, view);
+  if (cfg_.durability != nullptr) {
+    wal_append(round_record(WalKind::kRoundMerge, kind, id, view));
+  }
   return true;
 }
 
@@ -1045,9 +1046,7 @@ void DirectoryManager::release_target(ViewId v) {
 void DirectoryManager::complete_round(Round& open) {
   const Round r = close_round(open);
   answer_requester(r);
-  if (r.kind == RoundKind::kInvalidate && !invalidation_.has_value()) {
-    start_next_acquire();
-  }
+  if (r.kind == RoundKind::kInvalidate) start_next_acquire();
 }
 
 DirectoryManager::Round DirectoryManager::close_round(Round& open) {
@@ -1058,7 +1057,7 @@ DirectoryManager::Round DirectoryManager::close_round(Round& open) {
     invalidation_.reset();
   }
   cancel_timers(r);
-  archive_slot(r.kind, r.id) = std::move(r.ledger);
+  archive(r.kind).file(r.id) = std::move(r.ledger);
   return r;
 }
 
@@ -1076,42 +1075,14 @@ void DirectoryManager::answer_requester(const Round& r) {
   if (r.kind == RoundKind::kInvalidate) rec->exclusive = true;
   rec->last_sync = version_;
   rec->last_sync_at = fabric_.now();
-  auto send = [&](auto out, const char* type) {
-    out.image = std::move(image);
-    out.req = r.req;
-    out.gen = generation_;
-    const auto bytes = msg::wire_size(out);
-    reply(rec->cache_addr, r.req, type, box(std::move(out)), bytes);
-  };
   if (r.kind == RoundKind::kFetch) {
-    msg::PullReply out;
-    out.unseen_before = r.unseen_before;
-    send(std::move(out), msg::kPullReply);
+    reply(rec->cache_addr, r.req, msg::kPullReply,
+          msg::PullReply{std::move(image), r.unseen_before, r.req,
+                         generation_});
   } else {
-    send(msg::AcquireGrant{}, msg::kAcquireGrant);
+    reply(rec->cache_addr, r.req, msg::kAcquireGrant,
+          msg::AcquireGrant{std::move(image), r.req, generation_});
   }
-}
-
-DirectoryManager::RoundLedger* DirectoryManager::settled_round(
-    RoundKind kind, std::uint64_t id) {
-  auto& rounds = archives_[static_cast<std::size_t>(kind)].rounds;
-  auto it = rounds.find(id);
-  return it == rounds.end() ? nullptr : &it->second;
-}
-
-DirectoryManager::RoundLedger& DirectoryManager::archive_slot(
-    RoundKind kind, std::uint64_t id) {
-  RoundArchive& archive = archives_[static_cast<std::size_t>(kind)];
-  auto [it, inserted] = archive.rounds.try_emplace(id);
-  if (inserted) {
-    archive.order.push_back(id);
-    if (archive.order.size() > kSettledRoundWindow &&
-        archive.order.front() != id) {
-      archive.rounds.erase(archive.order.front());
-      archive.order.pop_front();
-    }
-  }
-  return it->second;
 }
 
 // ---- mode change ----------------------------------------------------------
@@ -1144,9 +1115,8 @@ void DirectoryManager::handle_mode_change(const net::Message& m) {
     rec->active = false;
     rec->exclusive = false;
   }
-  msg::ModeChangeAck ack{req.mode, req.req, generation_};
-  reply(rec->cache_addr, req.req, msg::kModeChangeAck, box(ack),
-        msg::wire_size(ack));
+  reply(rec->cache_addr, req.req, msg::kModeChangeAck,
+        msg::ModeChangeAck{req.mode, req.req, generation_});
 }
 
 // ---- kill -----------------------------------------------------------------
@@ -1163,8 +1133,7 @@ void DirectoryManager::handle_kill(const net::Message& m) {
     // it covers a replay whose window entry has been evicted. Unframed
     // kills keep the seed's silent-drop behavior.
     if (req.req != 0) {
-      msg::KillAck ack{req.req, generation_};
-      reply(m.from, req.req, msg::kKillAck, box(ack), msg::wire_size(ack));
+      reply(m.from, req.req, msg::kKillAck, msg::KillAck{req.req, generation_});
     }
     return;
   }
@@ -1177,15 +1146,19 @@ void DirectoryManager::handle_kill(const net::Message& m) {
   const net::Address addr = rec->cache_addr;
   drop_view(views_.find(req.view));
   complete_fetch_or_acquire_for_dead_view(req.view);
-  msg::KillAck ack{req.req, generation_};
-  reply(addr, req.req, msg::kKillAck, box(ack), msg::wire_size(ack));
+  reply(addr, req.req, msg::kKillAck, msg::KillAck{req.req, generation_});
 }
 
 void DirectoryManager::complete_fetch_or_acquire_for_dead_view(ViewId v) {
   // Every deregistration path (kill, supersede, liveness eviction,
   // rebuild drop) funnels through here: checkpoint the departure and
   // release any rebuild wait on the view.
-  wal_deregister(v);
+  if (cfg_.durability != nullptr) {
+    WalRecord w;
+    w.kind = WalKind::kDeregister;
+    w.view = v;
+    wal_append(w);
+  }
   if (migrating(v)) abort_migration(v, "view departed");
   if (rebuilding_) {
     rebuild_awaiting_.erase(v);
@@ -1231,54 +1204,41 @@ bool DirectoryManager::begin_migration(ViewId v, net::Address dest) {
   FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMigrateBegin,
                     obs::Role::kDirectory, obs::agent_key(self_), 0,
                     rec->name.c_str(), v, mig.epoch);
-  auto [it, inserted] = migrations_.emplace(v, std::move(mig));
-  (void)inserted;
-  send_move_req(it->second);
-  arm_migrate_resend(v);
+  send_phase(migrations_.emplace(v, std::move(mig)).first->second);
   if (cfg_.on_migrate_phase) cfg_.on_migrate_phase(v, kMigrateQuiesce);
   return true;
 }
 
-void DirectoryManager::send_move_req(const PendingMigration& mig) {
-  msg::ViewMoveReq req{mig.view, mig.epoch, generation_};
-  FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMsgSent,
-                    obs::Role::kDirectory, obs::agent_key(self_), 0,
-                    msg::kViewMoveReq, mig.epoch, mig.view);
-  fabric_.send(self_, mig.src, msg::kViewMoveReq, box(req),
-               msg::wire_size(req));
-}
-
-void DirectoryManager::send_move_install(const PendingMigration& mig) {
-  const auto* rec = find(mig.view);
-  if (rec == nullptr) return;
-  msg::ViewMoveInstall inst;
-  inst.view = mig.view;
-  inst.epoch = mig.epoch;
-  inst.view_name = rec->name;
-  inst.properties = rec->properties;
-  inst.mode = rec->mode;
-  inst.validity_trigger = rec->validity_src;
-  inst.exclusive = rec->exclusive;
-  // A fresh primary extraction (the handoff delta is already merged):
-  // the destination starts valid without a separate pull round.
-  inst.image = primary_.extract_from_object(rec->properties);
-  inst.image.set_version(version_);
-  inst.gen = generation_;
-  const auto bytes = msg::wire_size(inst);
-  stats_.inc("migrate.install.sent");
-  FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMsgSent,
-                    obs::Role::kDirectory, obs::agent_key(self_), 0,
-                    msg::kViewMoveInstall, mig.epoch, mig.view);
-  fabric_.send(self_, mig.dest, msg::kViewMoveInstall, box(std::move(inst)),
-               bytes);
-}
-
-void DirectoryManager::arm_migrate_resend(ViewId v) {
-  auto it = migrations_.find(v);
-  if (it == migrations_.end()) return;
-  it->second.resend_timer =
-      fabric_.schedule(self_, kMigrateTimeout,
-                       [this, v] { on_migrate_timeout(v); });
+void DirectoryManager::send_phase(PendingMigration& mig) {
+  if (mig.phase == kMigrateQuiesce) {
+    FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMsgSent,
+                      obs::Role::kDirectory, obs::agent_key(self_), 0,
+                      msg::kViewMoveReq, mig.epoch, mig.view);
+    send(mig.src, msg::kViewMoveReq,
+         msg::ViewMoveReq{mig.view, mig.epoch, generation_});
+  } else if (const ViewRecord* rec = find(mig.view); rec != nullptr) {
+    msg::ViewMoveInstall inst;
+    inst.view = mig.view;
+    inst.epoch = mig.epoch;
+    inst.view_name = rec->name;
+    inst.properties = rec->properties;
+    inst.mode = rec->mode;
+    inst.validity_trigger = rec->validity_src;
+    inst.exclusive = rec->exclusive;
+    // A fresh primary extraction (the handoff delta is already merged):
+    // the destination starts valid without a separate pull round.
+    inst.image = primary_.extract_from_object(rec->properties);
+    inst.image.set_version(version_);
+    inst.gen = generation_;
+    stats_.inc("migrate.install.sent");
+    FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMsgSent,
+                      obs::Role::kDirectory, obs::agent_key(self_), 0,
+                      msg::kViewMoveInstall, mig.epoch, mig.view);
+    send(mig.dest, msg::kViewMoveInstall, std::move(inst));
+  }
+  const ViewId v = mig.view;
+  mig.resend_timer = fabric_.schedule(self_, kMigrateTimeout,
+                                      [this, v] { on_migrate_timeout(v); });
 }
 
 void DirectoryManager::on_migrate_timeout(ViewId v) {
@@ -1291,52 +1251,37 @@ void DirectoryManager::on_migrate_timeout(ViewId v) {
   }
   --it->second.resends_left;
   stats_.inc("migrate.resend");
-  if (it->second.phase == kMigrateQuiesce) {
-    send_move_req(it->second);
-  } else {
-    send_move_install(it->second);
-  }
-  arm_migrate_resend(v);
+  send_phase(it->second);
 }
 
 void DirectoryManager::abort_migration(ViewId v,
                                        [[maybe_unused]] const char* why) {
   auto it = migrations_.find(v);
   if (it == migrations_.end()) return;
+  stats_.inc("migrate.aborted");
+  FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMigrateAborted,
+                    obs::Role::kDirectory, obs::agent_key(self_), 0, why, v,
+                    it->second.epoch);
+  settle_migration(it, /*aborted=*/true);
+}
+
+void DirectoryManager::settle_migration(MigrationMap::iterator it,
+                                        bool aborted) {
   PendingMigration mig = std::move(it->second);
   migrations_.erase(it);
   cancel(mig.resend_timer);
-  stats_.inc("migrate.aborted");
-  FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMigrateAborted,
-                    obs::Role::kDirectory, obs::agent_key(self_), 0, why,
-                    mig.view, mig.epoch);
-  note_migration_outcome(mig.view, mig.epoch, true);
-  msg::ViewMoveDone done{mig.view, mig.epoch, true, generation_};
-  fabric_.send(self_, mig.src, msg::kViewMoveDone, box(done),
-               msg::wire_size(done));
-  if (mig.phase == kMigrateHandoff) {
+  migration_outcomes_.file(mig.view) = MigrationOutcome{mig.epoch, aborted};
+  const msg::ViewMoveDone done{mig.view, mig.epoch, aborted, generation_};
+  send(mig.src, msg::kViewMoveDone, done);
+  if (aborted && mig.phase == kMigrateHandoff) {
     // The install may already have landed at the destination whose ack
     // we never saw: uninstall it, or the view would be served twice.
-    fabric_.send(self_, mig.dest, msg::kViewMoveDone, box(done),
-                 msg::wire_size(done));
+    send(mig.dest, msg::kViewMoveDone, done);
   }
-  if (cfg_.on_migrate_phase) cfg_.on_migrate_phase(v, kMigrateAborted);
-  if (migrations_.empty() && !invalidation_.has_value()) {
-    start_next_acquire();
+  if (cfg_.on_migrate_phase) {
+    cfg_.on_migrate_phase(mig.view, aborted ? kMigrateAborted : kMigrateDone);
   }
-}
-
-void DirectoryManager::note_migration_outcome(ViewId v, std::uint64_t epoch,
-                                              bool aborted) {
-  const bool fresh = migration_outcomes_.count(v) == 0;
-  migration_outcomes_[v] = {epoch, aborted};
-  if (fresh) {
-    migration_outcome_order_.push_back(v);
-    while (migration_outcome_order_.size() > kSettledRoundWindow) {
-      migration_outcomes_.erase(migration_outcome_order_.front());
-      migration_outcome_order_.pop_front();
-    }
-  }
+  start_next_acquire();
 }
 
 void DirectoryManager::handle_handoff_state(const net::Message& m) {
@@ -1349,13 +1294,11 @@ void DirectoryManager::handle_handoff_state(const net::Message& m) {
       it->second.src != m.from) {
     // Retransmit for a migration that already settled: replay the
     // outcome so the source can release (done) or unseal (aborted).
-    if (auto oit = migration_outcomes_.find(hs.view);
-        oit != migration_outcomes_.end() && oit->second.first == hs.epoch) {
+    if (const MigrationOutcome* o = migration_outcomes_.find(hs.view);
+        o != nullptr && o->epoch == hs.epoch) {
       stats_.inc("migrate.handoff.replayed");
-      msg::ViewMoveDone done{hs.view, hs.epoch, oit->second.second,
-                             generation_};
-      fabric_.send(self_, m.from, msg::kViewMoveDone, box(done),
-                   msg::wire_size(done));
+      send(m.from, msg::kViewMoveDone,
+           msg::ViewMoveDone{hs.view, hs.epoch, o->aborted, generation_});
     } else {
       stats_.inc("migrate.handoff.unknown");
     }
@@ -1385,8 +1328,7 @@ void DirectoryManager::handle_handoff_state(const net::Message& m) {
   mig.phase = kMigrateHandoff;
   mig.resends_left = kMigrateResends;
   cancel(mig.resend_timer);
-  send_move_install(mig);
-  arm_migrate_resend(hs.view);
+  send_phase(mig);
   if (cfg_.on_migrate_phase) cfg_.on_migrate_phase(hs.view, kMigrateHandoff);
 }
 
@@ -1398,23 +1340,15 @@ void DirectoryManager::handle_view_move_ack(const net::Message& m) {
     stats_.inc("migrate.ack.stale");
     return;
   }
-  PendingMigration mig = std::move(it->second);
-  migrations_.erase(it);
-  cancel(mig.resend_timer);
   auto* rec = find(ack.view);
   if (rec == nullptr) {  // unreachable (eviction aborts), but be safe
-    note_migration_outcome(ack.view, ack.epoch, true);
-    msg::ViewMoveDone done{ack.view, ack.epoch, true, generation_};
-    fabric_.send(self_, mig.src, msg::kViewMoveDone, box(done),
-                 msg::wire_size(done));
-    fabric_.send(self_, mig.dest, msg::kViewMoveDone, box(done),
-                 msg::wire_size(done));
+    abort_migration(ack.view, "view departed");
     return;
   }
   // The atomic rebind: from this statement on, the view IS its
   // destination. The view id (and with it the monitor's ownership
   // bookkeeping) is unchanged; only the serving address moves.
-  rec->cache_addr = mig.dest;
+  rec->cache_addr = it->second.dest;
   rec->incarnation = 1;  // the destination starts a fresh life sequence
   rec->active = true;
   rec->last_sync = version_;
@@ -1425,14 +1359,7 @@ void DirectoryManager::handle_view_move_ack(const net::Message& m) {
   FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMigrateDone,
                     obs::Role::kDirectory, obs::agent_key(self_), 0,
                     rec->name.c_str(), ack.view, ack.epoch);
-  note_migration_outcome(ack.view, ack.epoch, false);
-  msg::ViewMoveDone done{ack.view, ack.epoch, false, generation_};
-  fabric_.send(self_, mig.src, msg::kViewMoveDone, box(done),
-               msg::wire_size(done));
-  if (cfg_.on_migrate_phase) cfg_.on_migrate_phase(ack.view, kMigrateDone);
-  if (migrations_.empty() && !invalidation_.has_value()) {
-    start_next_acquire();
-  }
+  settle_migration(it, /*aborted=*/false);
 }
 
 // ---- durability & crash recovery ------------------------------------------
@@ -1460,20 +1387,6 @@ WalRecord DirectoryManager::register_record(const ViewRecord& rec) const {
   return w;
 }
 
-void DirectoryManager::wal_deregister(ViewId v) {
-  if (cfg_.durability == nullptr) return;
-  WalRecord w;
-  w.kind = WalKind::kDeregister;
-  w.view = v;
-  wal_append(w);
-}
-
-void DirectoryManager::note_round_merge(RoundKind kind, std::uint64_t round,
-                                        ViewId v) {
-  if (cfg_.durability == nullptr) return;
-  wal_append(round_record(WalKind::kRoundMerge, kind, round, v));
-}
-
 WalRecord DirectoryManager::round_record(WalKind wal, RoundKind kind,
                                          std::uint64_t round, ViewId v,
                                          const props::PropertySet& props) {
@@ -1486,12 +1399,21 @@ WalRecord DirectoryManager::round_record(WalKind wal, RoundKind kind,
   return w;
 }
 
+WalRecord DirectoryManager::op_record(const MergedOpKey& key) {
+  WalRecord w;
+  w.kind = WalKind::kOpMerged;
+  w.node = std::get<0>(key);
+  w.port = std::get<1>(key);
+  w.req = std::get<2>(key);
+  return w;
+}
+
 void DirectoryManager::merge_op(const net::Address& from, std::uint64_t req,
                                 const ViewRecord& rec,
                                 const ObjectImage& image, const char* path,
                                 const char* replayed) {
   const MergedOpKey key{from.node, from.port, req};
-  if (req != 0 && merged_ops_.count(key) != 0) {
+  if (req != 0 && merged_ops_.find(key) != nullptr) {
     // A previous incarnation merged it; the ack was lost to the crash.
     // Ack without re-merging (the within-incarnation equivalent is the
     // dedup window, which did not survive the restart).
@@ -1500,19 +1422,9 @@ void DirectoryManager::merge_op(const net::Address& from, std::uint64_t req,
   }
   merge_update(image, rec.id, rec.properties, path, 0,
                obs::span_id(from, req));
-  if (req == 0 || !merged_ops_.insert(key).second) return;
-  merged_ops_order_.push_back(key);
-  while (merged_ops_order_.size() > kMergedOpWindow) {
-    merged_ops_.erase(merged_ops_order_.front());
-    merged_ops_order_.pop_front();
-  }
-  if (cfg_.durability == nullptr) return;
-  WalRecord w;
-  w.kind = WalKind::kOpMerged;
-  w.node = from.node;
-  w.port = from.port;
-  w.req = req;
-  wal_append(w);
+  if (req == 0) return;
+  merged_ops_.file(key);
+  if (cfg_.durability != nullptr) wal_append(op_record(key));
 }
 
 std::size_t DirectoryManager::replay_checkpoint(
@@ -1524,21 +1436,11 @@ std::size_t DirectoryManager::replay_checkpoint(
   for (const auto& w : records) {
     switch (w.kind) {
       case WalKind::kRegister: {
-        ViewRecord rec;
+        ViewRecord& rec = views_[w.view];
         rec.id = w.view;
         rec.cache_addr = net::Address{w.node, w.port};
-        rec.name = w.name;
-        rec.properties = w.properties;
-        rec.mode = w.mode;
-        rec.validity_src = w.validity;
-        if (!w.validity.empty()) {
-          try {
-            rec.validity.emplace(w.validity);
-          } catch (const trigger::ParseError&) {
-            // Registration validated the source; a corrupt checkpoint
-            // line degrades to "no validity trigger", not an abort.
-          }
-        }
+        describe(rec, w.name, w.properties, w.mode, w.validity,
+                 reparse_validity(w.validity));
         // Conservative restart state: nothing is active or exclusive
         // until the view re-announces (RebuildReply) or re-syncs.
         rec.active = false;
@@ -1546,8 +1448,6 @@ std::size_t DirectoryManager::replay_checkpoint(
         rec.last_seen_at = fabric_.now();
         rec.incarnation = w.req == 0 ? 1 : w.req;
         next_view_id_ = std::max(next_view_id_, w.view + 1);
-        if (auto* old = find(w.view); old != nullptr) unlink(*old);
-        link(views_[w.view] = std::move(rec));
         break;
       }
       case WalKind::kDeregister:
@@ -1557,25 +1457,17 @@ std::size_t DirectoryManager::replay_checkpoint(
         if (auto* rec = find(w.view); rec != nullptr) rec->mode = w.mode;
         break;
       case WalKind::kRoundOpen:
-        archive_slot(kind_of(w.ns), w.round).target_props[w.view] =
+        archive(kind_of(w.ns)).file(w.round).target_props[w.view] =
             w.properties;
         break;
       case WalKind::kRoundMerge:
         // Creates the slot if kRoundOpen never made it to disk (revived
         // rounds): the exactly-once marker must survive regardless.
-        archive_slot(kind_of(w.ns), w.round).merged.insert(w.view);
+        archive(kind_of(w.ns)).file(w.round).merged.insert(w.view);
         break;
-      case WalKind::kOpMerged: {
-        const MergedOpKey key{w.node, w.port, w.req};
-        if (merged_ops_.insert(key).second) {
-          merged_ops_order_.push_back(key);
-          while (merged_ops_order_.size() > kMergedOpWindow) {
-            merged_ops_.erase(merged_ops_order_.front());
-            merged_ops_order_.pop_front();
-          }
-        }
+      case WalKind::kOpMerged:
+        merged_ops_.file(MergedOpKey{w.node, w.port, w.req});
         break;
-      }
       case WalKind::kCmBind:
       case WalKind::kCmWrite:
       case WalKind::kCmIntent:
@@ -1593,7 +1485,7 @@ void DirectoryManager::compact_wal() {
   if (cfg_.durability == nullptr) return;
   wal_appends_since_compact_ = 0;
   std::vector<WalRecord> snap;
-  snap.reserve(views_.size() + merged_ops_order_.size());
+  snap.reserve(views_.size() + merged_ops_.size());
   for (const auto& [id, rec] : views_) {
     (void)id;
     snap.push_back(register_record(rec));
@@ -1613,11 +1505,10 @@ void DirectoryManager::compact_wal() {
     }
   };
   for (const RoundKind kind : {RoundKind::kFetch, RoundKind::kInvalidate}) {
-    const RoundArchive& archive = archives_[static_cast<std::size_t>(kind)];
-    for (const std::uint64_t round : archive.order) {
-      auto it = archive.rounds.find(round);
-      if (it != archive.rounds.end()) snap_ledger(kind, round, it->second);
-    }
+    archive(kind).for_each(
+        [&](std::uint64_t round, const RoundLedger& ledger) {
+          snap_ledger(kind, round, ledger);
+        });
   }
   for (const auto& [token, r] : fetch_rounds_) {
     snap_ledger(RoundKind::kFetch, token, r.ledger);
@@ -1626,14 +1517,9 @@ void DirectoryManager::compact_wal() {
     snap_ledger(RoundKind::kInvalidate, invalidation_->id,
                 invalidation_->ledger);
   }
-  for (const MergedOpKey& key : merged_ops_order_) {
-    WalRecord w;
-    w.kind = WalKind::kOpMerged;
-    w.node = std::get<0>(key);
-    w.port = std::get<1>(key);
-    w.req = std::get<2>(key);
-    snap.push_back(std::move(w));
-  }
+  merged_ops_.for_each([&](const MergedOpKey& key, std::monostate) {
+    snap.push_back(op_record(key));
+  });
   stats_.inc("recovery.compactions");
   cfg_.durability->compact(snap);
 }
@@ -1642,17 +1528,9 @@ void DirectoryManager::start_rebuild() {
   rebuilding_ = true;
   rebuild_awaiting_.clear();
   for (const auto& [id, rec] : views_) {
-    (void)rec;
     rebuild_awaiting_.insert(id);
-  }
-  for (const auto& [id, rec] : views_) {
     stats_.inc("recovery.probe.sent");
-    msg::DirectoryRebuild probe{id, generation_};
-    FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMsgSent,
-                      obs::Role::kDirectory, obs::agent_key(self_), 0,
-                      msg::kDirectoryRebuild, generation_, id);
-    send_to_view(rec, msg::kDirectoryRebuild, box(probe),
-                 msg::wire_size(probe));
+    send_probe(rec, obs::EventKind::kMsgSent);
   }
   rebuild_resends_left_ = cfg_.command_retries;
   // A plain (non-daemon) timer: the rebuild window must hold the sim
@@ -1677,16 +1555,19 @@ void DirectoryManager::arm_rebuild_resend() {
       const auto* rec = find(id);
       if (rec == nullptr) continue;
       stats_.inc("recovery.probe.retry");
-      msg::DirectoryRebuild probe{id, generation_};
-      FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(),
-                        obs::EventKind::kMsgRetransmitted,
-                        obs::Role::kDirectory, obs::agent_key(self_), 0,
-                        msg::kDirectoryRebuild, generation_, id);
-      send_to_view(*rec, msg::kDirectoryRebuild, box(probe),
-                   msg::wire_size(probe));
+      send_probe(*rec, obs::EventKind::kMsgRetransmitted);
     }
     arm_rebuild_resend();
   });
+}
+
+void DirectoryManager::send_probe(const ViewRecord& rec,
+                                  [[maybe_unused]] obs::EventKind event) {
+  FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), event, obs::Role::kDirectory,
+                    obs::agent_key(self_), 0, msg::kDirectoryRebuild,
+                    generation_, rec.id);
+  send(rec.cache_addr, msg::kDirectoryRebuild,
+       msg::DirectoryRebuild{rec.id, generation_});
 }
 
 void DirectoryManager::handle_rebuild_reply(const net::Message& m) {
@@ -1710,20 +1591,8 @@ void DirectoryManager::handle_rebuild_reply(const net::Message& m) {
   }
   // The cache manager is authoritative over the (possibly stale)
   // checkpoint: adopt its registration data and cached-copy state.
-  unlink(*rec);
-  rec->name = rep.view_name;
-  rec->properties = rep.properties;
-  link(*rec);
-  rec->mode = rep.mode;
-  rec->validity_src = rep.validity_trigger;
-  rec->validity.reset();
-  if (!rep.validity_trigger.empty()) {
-    try {
-      rec->validity.emplace(rep.validity_trigger);
-    } catch (const trigger::ParseError&) {
-      // Same degradation as replay_checkpoint.
-    }
-  }
+  describe(*rec, rep.view_name, rep.properties, rep.mode,
+           rep.validity_trigger, reparse_validity(rep.validity_trigger));
   rec->active = rep.active;
   rec->exclusive = rep.exclusive;
   rec->last_sync = version_;

@@ -33,6 +33,7 @@
 #include <string>
 #include <tuple>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "core/adapters.hpp"
@@ -221,6 +222,43 @@ class DirectoryManager : public net::Endpoint {
     std::vector<ViewId> neighbours;
   };
 
+  /// An insertion-ordered map of at most `cap` entries: filing a new key
+  /// past the cap forgets the oldest one, and a key already present
+  /// keeps its age. The settled-round archives, the merged-op markers
+  /// and the migration outcomes are such windows.
+  template <typename K, typename V>
+  class Window {
+   public:
+    explicit Window(std::size_t cap) : cap_(cap) {}
+    [[nodiscard]] V* find(const K& key) {
+      auto it = entries_.find(key);
+      return it == entries_.end() ? nullptr : &it->second;
+    }
+    /// The entry for `key`, created if absent.
+    V& file(const K& key) {
+      auto [it, inserted] = entries_.try_emplace(key);
+      if (inserted) {
+        order_.push_back(key);
+        if (order_.size() > cap_) {
+          entries_.erase(order_.front());
+          order_.pop_front();
+        }
+      }
+      return it->second;
+    }
+    [[nodiscard]] std::size_t size() const noexcept { return order_.size(); }
+    /// Visit every entry, oldest first.
+    template <typename F>
+    void for_each(F&& visit) const {
+      for (const K& key : order_) visit(key, entries_.at(key));
+    }
+
+   private:
+    std::size_t cap_;
+    std::map<K, V> entries_;
+    std::deque<K> order_;
+  };
+
   /// One in-flight view migration (per-view FSM; see MigratePhase).
   struct PendingMigration {
     ViewId view = kInvalidViewId;
@@ -230,6 +268,13 @@ class DirectoryManager : public net::Endpoint {
     int phase = kMigrateQuiesce;
     net::TimerId resend_timer = net::kInvalidTimerId;
     std::size_t resends_left = 0;
+  };
+
+  /// How a settled migration ended, replayed to a source that resends
+  /// its HandoffState.
+  struct MigrationOutcome {
+    std::uint64_t epoch = 0;
+    bool aborted = false;
   };
 
   /// A round asks every active conflicting view to extract its updates
@@ -287,13 +332,11 @@ class DirectoryManager : public net::Endpoint {
     std::uint64_t unseen_before = 0;  // the pull's quality, for PullReply
   };
 
-  /// Settled rounds of one kind, kept in a bounded window so a straggler
-  /// reply or push-borne echo (msg::DeltaEcho) of an extraction that
-  /// never arrived in time can still be merged exactly once.
-  struct RoundArchive {
-    std::map<std::uint64_t, RoundLedger> rounds;
-    std::deque<std::uint64_t> order;  // insertion order, for eviction
-  };
+  /// Settled rounds of one kind by id, kept in a bounded window so a
+  /// straggler reply or push-borne echo (msg::DeltaEcho) of an
+  /// extraction that never arrived in time can still be merged exactly
+  /// once.
+  using SettledRounds = Window<std::uint64_t, RoundLedger>;
 
   /// One slot of the per-sender idempotent-replay window.
   struct DedupEntry {
@@ -318,17 +361,28 @@ class DirectoryManager : public net::Endpoint {
   void handle_view_move_ack(const net::Message& m);
 
   // migration helpers
-  void send_move_req(const PendingMigration& mig);
-  void send_move_install(const PendingMigration& mig);
-  void arm_migrate_resend(ViewId v);
+  using MigrationMap = std::map<ViewId, PendingMigration>;
+  /// Send the phase's ViewMoveReq (quiesce) or ViewMoveInstall (handoff)
+  /// and arm its resend.
+  void send_phase(PendingMigration& mig);
   void on_migrate_timeout(ViewId v);
   void abort_migration(ViewId v, const char* why);
-  void note_migration_outcome(ViewId v, std::uint64_t epoch, bool aborted);
+  /// Close the migration: record its outcome, tell the source (and,
+  /// after an aborted install, the destination), fire the phase hook and
+  /// resume arbitration.
+  void settle_migration(MigrationMap::iterator it, bool aborted);
   [[nodiscard]] bool migrating(ViewId v) const {
     return migrations_.count(v) != 0;
   }
 
   // helpers
+  /// Where registration data lands (fresh registration, journal resume,
+  /// rebuild re-announce, WAL replay): unlink rec if it is indexed, set
+  /// the fields, and link it again.
+  void describe(ViewRecord& rec, const std::string& name,
+                const props::PropertySet& properties, Mode mode,
+                const std::string& validity_src,
+                std::optional<trigger::Trigger> validity);
   ViewRecord* find(ViewId v);
   const ViewRecord* find(ViewId v) const;
   /// find(), nacking a framed request from an unknown view.
@@ -368,12 +422,11 @@ class DirectoryManager : public net::Endpoint {
   void open_round(Round r);
   /// The open round (kind, id), or nullptr.
   Round* find_round(RoundKind kind, std::uint64_t id);
-  /// Settled round (kind, id) in the archive, or nullptr.
-  RoundLedger* settled_round(RoundKind kind, std::uint64_t id);
-  /// The archive slot for (kind, id), created if absent; creating one
-  /// past the window evicts the kind's oldest. Settling, WAL replay, and
-  /// reviving a pre-crash round the checkpoint lost all go through it.
-  RoundLedger& archive_slot(RoundKind kind, std::uint64_t id);
+  /// The settled rounds of `kind`. Settling, WAL replay, and reviving a
+  /// pre-crash round the checkpoint lost all file into it.
+  SettledRounds& archive(RoundKind kind) {
+    return archives_[static_cast<std::size_t>(kind)];
+  }
   void send_command(const Round& r, const ViewRecord& target,
                     obs::EventKind event);
   /// Arm the round's timeout (resend == false) or its next resend.
@@ -408,16 +461,27 @@ class DirectoryManager : public net::Endpoint {
   void maybe_prune_log();
   /// Cancel `timer` if armed, and disarm it.
   void cancel(net::TimerId& timer);
-  void send_to_view(const ViewRecord& rec, const char* type, std::any payload,
-                    std::size_t bytes);
-  /// Type-erase an outgoing payload through the slot pool (callers
-  /// compute wire bytes BEFORE boxing). The dedup window caches the
-  /// same handle, so a replay costs one refcount bump, not a copy.
+  /// Type-erase an outgoing payload through the slot pool. The dedup
+  /// window caches the same handle, so a replay costs one refcount bump,
+  /// not a copy.
   template <typename T>
   std::any box(T value) {
     net::PoolPtr<T> slot = pools_.acquire<T>();
     *slot = std::move(value);
     return std::any(std::move(slot));
+  }
+  /// Send one message: count its wire bytes, then box it.
+  template <typename T>
+  void send(const net::Address& to, const char* type, T value) {
+    const std::size_t bytes = msg::wire_size(value);
+    fabric_.send(self_, to, type, box(std::move(value)), bytes);
+  }
+  /// Like send(), through the dedup-caching reply() below.
+  template <typename T>
+  void reply(const net::Address& to, std::uint64_t req, const char* type,
+             T value) {
+    const std::size_t bytes = msg::wire_size(value);
+    reply(to, req, type, box(std::move(value)), bytes);
   }
 
   // reliability helpers
@@ -448,14 +512,15 @@ class DirectoryManager : public net::Endpoint {
   /// compaction past cfg_.compact_threshold.
   void wal_append(const WalRecord& rec);
   [[nodiscard]] WalRecord register_record(const ViewRecord& rec) const;
-  void wal_deregister(ViewId v);
-  /// Record (and persist) that round `round` merged view `v`'s image.
-  void note_round_merge(RoundKind kind, std::uint64_t round, ViewId v);
   /// A kRoundOpen (with the target's property snapshot) or kRoundMerge
   /// checkpoint record.
   [[nodiscard]] static WalRecord round_record(
       WalKind wal, RoundKind kind, std::uint64_t round, ViewId v,
       const props::PropertySet& props = {});
+  /// A merged-op marker: the sender's (node, port) and request id.
+  using MergedOpKey = std::tuple<std::uint32_t, std::uint32_t, std::uint64_t>;
+  /// The kOpMerged checkpoint record of one merged-op marker.
+  [[nodiscard]] static WalRecord op_record(const MergedOpKey& key);
   /// Merge a push, kill or handoff image from `rec` once per (sender,
   /// request id), recording (and persisting) the merge so a post-restart
   /// re-issue is acked without re-merging (counted as `replayed`).
@@ -466,6 +531,9 @@ class DirectoryManager : public net::Endpoint {
   std::size_t replay_checkpoint(const std::vector<WalRecord>& records);
   void compact_wal();
   void start_rebuild();
+  /// A DirectoryRebuild probe to rec's cache manager; `event` tells the
+  /// first probe from a resend.
+  void send_probe(const ViewRecord& rec, obs::EventKind event);
   void arm_rebuild_resend();
   void finish_rebuild();
   /// A round id minted by a previous incarnation (its generation bits
@@ -498,7 +566,7 @@ class DirectoryManager : public net::Endpoint {
   std::map<std::uint64_t, Round> fetch_rounds_;  // by token
   std::uint64_t next_token_ = 1;
   /// Settled rounds, indexed by RoundKind.
-  std::array<RoundArchive, 2> archives_;
+  std::array<SettledRounds, 2> archives_;
 
   // Strong-mode acquires are processed strictly FIFO, one at a time.
   std::vector<msg::AcquireReq> acquire_queue_;
@@ -506,13 +574,11 @@ class DirectoryManager : public net::Endpoint {
   std::uint64_t next_epoch_ = 1;
 
   // ---- view migration --------------------------------------------------
-  std::map<ViewId, PendingMigration> migrations_;
-  /// Recently finished migrations (view -> epoch, aborted), kept in a
-  /// bounded window so a source still retransmitting HandoffState after
-  /// completion gets its ViewMoveDone replayed instead of a spurious
-  /// abort.
-  std::map<ViewId, std::pair<std::uint64_t, bool>> migration_outcomes_;
-  std::deque<ViewId> migration_outcome_order_;
+  MigrationMap migrations_;
+  /// Recently settled migrations by view, kept in a bounded window so a
+  /// source still retransmitting HandoffState after completion gets its
+  /// ViewMoveDone replayed instead of a spurious abort.
+  Window<ViewId, MigrationOutcome> migration_outcomes_;
 
   /// Idempotent-replay windows, keyed by cache-manager address (stable
   /// across reconnects, unlike view ids).
@@ -533,12 +599,10 @@ class DirectoryManager : public net::Endpoint {
   std::size_t rebuild_resends_left_ = 0;
   std::uint64_t reannounced_ = 0;
   std::size_t wal_appends_since_compact_ = 0;
-  /// Bounded (address, request id) window of merged push/kill requests,
-  /// replayed from the WAL so a post-restart re-issue of an
+  /// Bounded (address, request id) window of merged push/kill/handoff
+  /// requests, replayed from the WAL so a post-restart re-issue of an
   /// already-merged request is acked without a double merge.
-  using MergedOpKey = std::tuple<std::uint32_t, std::uint32_t, std::uint64_t>;
-  std::set<MergedOpKey> merged_ops_;
-  std::deque<MergedOpKey> merged_ops_order_;
+  Window<MergedOpKey, std::monostate> merged_ops_;
 
   /// Per-payload-type slot pools behind box().
   net::PoolSet pools_;

@@ -1,310 +1,6 @@
 #include "core/durability.hpp"
 
-#include <charconv>
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
-
 namespace flecc::core {
-
-const char* to_string(WalKind k) noexcept {
-  switch (k) {
-    case WalKind::kRegister: return "register";
-    case WalKind::kDeregister: return "deregister";
-    case WalKind::kModeChange: return "mode_change";
-    case WalKind::kRoundOpen: return "round_open";
-    case WalKind::kRoundMerge: return "round_merge";
-    case WalKind::kOpMerged: return "op_merged";
-    case WalKind::kCmBind: return "cm_bind";
-    case WalKind::kCmWrite: return "cm_write";
-    case WalKind::kCmIntent: return "cm_intent";
-    case WalKind::kCmFlush: return "cm_flush";
-    case WalKind::kCmReq: return "cm_req";
-  }
-  return "unknown";
-}
-
-namespace {
-
-/// Percent-escape so encoded strings never contain whitespace or the
-/// structural characters of the record/property grammar.
-std::string escape(const std::string& s) {
-  static constexpr const char* kUnsafe = "%=;:, -\t\n\r";
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (std::string_view(kUnsafe).find(c) != std::string_view::npos ||
-        static_cast<unsigned char>(c) < 0x20) {
-      char buf[4];
-      std::snprintf(buf, sizeof(buf), "%%%02x",
-                    static_cast<unsigned char>(c));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-bool unescape(const std::string& s, std::string& out) {
-  out.clear();
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '%') {
-      out += s[i];
-      continue;
-    }
-    if (i + 2 >= s.size()) return false;
-    unsigned code = 0;
-    const char* first = s.data() + i + 1;
-    const auto [p, ec] = std::from_chars(first, first + 2, code, 16);
-    if (ec != std::errc{} || p != first + 2) return false;
-    out += static_cast<char>(code & 0xff);
-    i += 2;
-  }
-  return true;
-}
-
-/// Empty strings need a stand-in token in space-separated lines.
-std::string field(const std::string& s) {
-  return s.empty() ? std::string("-") : escape(s);
-}
-
-bool unfield(const std::string& tok, std::string& out) {
-  if (tok == "-") {
-    out.clear();
-    return true;
-  }
-  return unescape(tok, out);
-}
-
-template <typename T>
-bool parse_num(const std::string& s, T& out) {
-  const char* first = s.data();
-  const char* last = s.data() + s.size();
-  const auto [p, ec] = std::from_chars(first, last, out);
-  return ec == std::errc{} && p == last;
-}
-
-std::string serialize_value(const props::Value& v) {
-  std::string out;
-  if (const auto* iv = std::get_if<std::int64_t>(&v)) {
-    out = 'i';
-    out += std::to_string(*iv);
-  } else {
-    out = 's';
-    out += escape(std::get<std::string>(v));
-  }
-  return out;
-}
-
-bool parse_value(const std::string& s, props::Value& out) {
-  if (s.empty()) return false;
-  if (s[0] == 'i') {
-    std::int64_t iv = 0;
-    if (!parse_num(s.substr(1), iv)) return false;
-    out = iv;
-    return true;
-  }
-  if (s[0] == 's') {
-    std::string sv;
-    if (!unescape(s.substr(1), sv)) return false;
-    out = std::move(sv);
-    return true;
-  }
-  return false;
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      out.push_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string serialize_properties(const props::PropertySet& ps) {
-  // name=interval:lo:hi | name=discrete:v1,v2,...  joined by ';'.
-  std::string out;
-  for (const auto& [name, domain] : ps) {
-    if (!out.empty()) out += ';';
-    out += escape(name);
-    out += '=';
-    if (domain.is_interval()) {
-      const auto& iv = domain.as_interval();
-      out += "interval:";
-      out += std::to_string(iv.lo);
-      out += ':';
-      out += std::to_string(iv.hi);
-    } else {
-      out += "discrete:";
-      bool first = true;
-      for (const auto& v : domain.as_discrete()) {
-        if (!first) out += ',';
-        out += serialize_value(v);
-        first = false;
-      }
-    }
-  }
-  return out;
-}
-
-bool parse_properties(const std::string& s, props::PropertySet& out) {
-  out = {};
-  if (s.empty()) return true;
-  for (const auto& entry : split(s, ';')) {
-    const auto eq = entry.find('=');
-    if (eq == std::string::npos) return false;
-    std::string name;
-    if (!unescape(entry.substr(0, eq), name)) return false;
-    const std::string body = entry.substr(eq + 1);
-    if (body.rfind("interval:", 0) == 0) {
-      const auto parts = split(body.substr(9), ':');
-      std::int64_t lo = 0;
-      std::int64_t hi = 0;
-      if (parts.size() != 2 || !parse_num(parts[0], lo) ||
-          !parse_num(parts[1], hi) || lo > hi) {
-        return false;
-      }
-      out.set(std::move(name), props::Domain::interval(lo, hi));
-    } else if (body.rfind("discrete:", 0) == 0) {
-      std::set<props::Value> values;
-      const std::string list = body.substr(9);
-      if (!list.empty()) {
-        for (const auto& tok : split(list, ',')) {
-          props::Value v;
-          if (!parse_value(tok, v)) return false;
-          values.insert(std::move(v));
-        }
-      }
-      out.set(std::move(name), props::Domain::discrete(std::move(values)));
-    } else {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::string serialize_image(const ObjectImage& img) {
-  // v<version>;key=ival|rval|sval joined by ';' — same escape discipline
-  // as property sets, so an image token never breaks line framing.
-  std::string out = "v";
-  out += std::to_string(img.version());
-  for (const auto& [key, value] : img) {
-    out += ';';
-    out += escape(key);
-    out += '=';
-    if (const auto* iv = std::get_if<std::int64_t>(&value)) {
-      out += 'i';
-      out += std::to_string(*iv);
-    } else if (const auto* rv = std::get_if<double>(&value)) {
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), "r%.17g", *rv);
-      out += buf;
-    } else {
-      out += 's';
-      out += escape(std::get<std::string>(value));
-    }
-  }
-  return out;
-}
-
-bool parse_image(const std::string& s, ObjectImage& out) {
-  out = {};
-  if (s.empty() || s[0] != 'v') return false;
-  const auto parts = split(s, ';');
-  std::uint64_t version = 0;
-  if (!parse_num(parts[0].substr(1), version)) return false;
-  out.set_version(version);
-  for (std::size_t i = 1; i < parts.size(); ++i) {
-    const auto eq = parts[i].find('=');
-    if (eq == std::string::npos) return false;
-    std::string key;
-    if (!unescape(parts[i].substr(0, eq), key)) return false;
-    const std::string body = parts[i].substr(eq + 1);
-    if (body.empty()) return false;
-    if (body[0] == 'i') {
-      std::int64_t iv = 0;
-      if (!parse_num(body.substr(1), iv)) return false;
-      out.set_int(key, iv);
-    } else if (body[0] == 'r') {
-      char* end = nullptr;
-      const std::string num = body.substr(1);
-      const double rv = std::strtod(num.c_str(), &end);
-      if (end == nullptr || *end != '\0') return false;
-      out.set_real(key, rv);
-    } else if (body[0] == 's') {
-      std::string sv;
-      if (!unescape(body.substr(1), sv)) return false;
-      out.set_str(key, std::move(sv));
-    } else {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::string serialize_record(const WalRecord& rec) {
-  std::ostringstream out;
-  out << "W " << to_string(rec.kind) << ' ' << rec.view << ' ' << rec.node
-      << ' ' << rec.port << ' '
-      << (rec.mode == Mode::kStrong ? "strong" : "weak") << ' '
-      << static_cast<unsigned>(rec.ns) << ' ' << rec.round << ' ' << rec.req
-      << ' ' << field(rec.name) << ' ' << field(rec.validity) << ' '
-      << field(serialize_properties(rec.properties));
-  // The image token is optional (13th): absent means empty, so every
-  // pre-journal checkpoint still parses.
-  if (!(rec.image == ObjectImage{})) out << ' ' << serialize_image(rec.image);
-  return out.str();
-}
-
-bool parse_record(const std::string& line, WalRecord& out) {
-  const auto tok = split(line, ' ');
-  if ((tok.size() != 12 && tok.size() != 13) || tok[0] != "W") return false;
-  out = {};
-  bool kind_ok = false;
-  for (const WalKind k :
-       {WalKind::kRegister, WalKind::kDeregister, WalKind::kModeChange,
-        WalKind::kRoundOpen, WalKind::kRoundMerge, WalKind::kOpMerged,
-        WalKind::kCmBind, WalKind::kCmWrite, WalKind::kCmIntent,
-        WalKind::kCmFlush, WalKind::kCmReq}) {
-    if (tok[1] == to_string(k)) {
-      out.kind = k;
-      kind_ok = true;
-      break;
-    }
-  }
-  if (!kind_ok) return false;
-  unsigned ns = 0;
-  if (!parse_num(tok[2], out.view) || !parse_num(tok[3], out.node) ||
-      !parse_num(tok[4], out.port) || !parse_num(tok[6], ns) ||
-      !parse_num(tok[7], out.round) || !parse_num(tok[8], out.req)) {
-    return false;
-  }
-  if (tok[5] == "strong") {
-    out.mode = Mode::kStrong;
-  } else if (tok[5] == "weak") {
-    out.mode = Mode::kWeak;
-  } else {
-    return false;
-  }
-  out.ns = static_cast<std::uint8_t>(ns);
-  std::string props_s;
-  if (!unfield(tok[9], out.name) || !unfield(tok[10], out.validity) ||
-      !unfield(tok[11], props_s)) {
-    return false;
-  }
-  if (tok.size() == 13 && !parse_image(tok[12], out.image)) return false;
-  return parse_properties(props_s, out.properties);
-}
-
-// ---- MemoryDurabilityStore ---------------------------------------------
 
 void MemoryDurabilityStore::append(const WalRecord& rec) {
   buffered_.push_back(rec);
@@ -325,69 +21,6 @@ void MemoryDurabilityStore::compact(const std::vector<WalRecord>& snapshot) {
   durable_ = snapshot;
   buffered_.clear();
   ++compactions_;
-}
-
-// ---- FileDurabilityStore -----------------------------------------------
-
-FileDurabilityStore::FileDurabilityStore(std::string path)
-    : path_(std::move(path)) {
-  // Scan any existing log for the generation superblock and count.
-  std::ifstream in(path_);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("G ", 0) == 0) {
-      (void)parse_num(line.substr(2), generation_);
-    } else if (!line.empty()) {
-      ++entry_count_;
-    }
-  }
-  in.close();
-  reopen_append();
-}
-
-void FileDurabilityStore::reopen_append() {
-  out_.open(path_, std::ios::app);
-}
-
-void FileDurabilityStore::append(const WalRecord& rec) {
-  out_ << serialize_record(rec) << '\n';
-  ++entry_count_;
-}
-
-void FileDurabilityStore::flush() { out_.flush(); }
-
-std::vector<WalRecord> FileDurabilityStore::load() {
-  flush();
-  std::vector<WalRecord> out;
-  std::ifstream in(path_);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (line.rfind("G ", 0) == 0) {
-      (void)parse_num(line.substr(2), generation_);
-      continue;
-    }
-    WalRecord rec;
-    if (parse_record(line, rec)) out.push_back(std::move(rec));
-  }
-  return out;
-}
-
-void FileDurabilityStore::compact(const std::vector<WalRecord>& snapshot) {
-  out_.close();
-  std::ofstream rewrite(path_, std::ios::trunc);
-  rewrite << "G " << generation_ << '\n';
-  for (const auto& rec : snapshot) rewrite << serialize_record(rec) << '\n';
-  rewrite.flush();
-  rewrite.close();
-  entry_count_ = snapshot.size();
-  reopen_append();
-}
-
-void FileDurabilityStore::set_generation(std::uint64_t gen) {
-  generation_ = gen;
-  out_ << "G " << gen << '\n';
-  out_.flush();
 }
 
 }  // namespace flecc::core

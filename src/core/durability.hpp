@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -42,10 +41,8 @@ enum class WalKind : std::uint8_t {
   kCmReq,       // request-id ceiling promise: ids below req may be used
 };
 
-[[nodiscard]] const char* to_string(WalKind k) noexcept;
-
 /// One append-only log entry. Which fields are meaningful depends on
-/// `kind`; unused fields keep their defaults and serialize compactly.
+/// `kind`; unused fields keep their defaults.
 struct WalRecord {
   WalKind kind = WalKind::kRegister;
   ViewId view = kInvalidViewId;
@@ -65,28 +62,9 @@ struct WalRecord {
   std::uint64_t round = 0;  // kRoundOpen, kRoundMerge
   std::uint64_t req = 0;    // kOpMerged: the merged request id
   /// Journaled delta (kCmWrite: cumulative pending snapshot; kCmIntent:
-  /// the extracted op image). Empty for directory-side kinds, and
-  /// serialized as the optional 13th token — records without one parse
-  /// with an empty image, keeping old checkpoints readable.
+  /// the extracted op image). Empty for directory-side kinds.
   ObjectImage image;
-
-  friend bool operator==(const WalRecord&, const WalRecord&) = default;
 };
-
-/// Image (de)serialization for the journal's 13th token.
-[[nodiscard]] std::string serialize_image(const ObjectImage& img);
-[[nodiscard]] bool parse_image(const std::string& s, ObjectImage& out);
-
-// ---- record (de)serialization ------------------------------------------
-// Deterministic single-line text encoding, shared by the file store and
-// by tests that want to inspect a checkpoint. Strings are
-// percent-escaped so names/triggers cannot break the line framing.
-
-[[nodiscard]] std::string serialize_properties(const props::PropertySet& ps);
-[[nodiscard]] bool parse_properties(const std::string& s,
-                                    props::PropertySet& out);
-[[nodiscard]] std::string serialize_record(const WalRecord& rec);
-[[nodiscard]] bool parse_record(const std::string& line, WalRecord& out);
 
 /// Where the directory persists its recoverable state. Implementations
 /// must keep append order; load() returns records in that order.
@@ -153,36 +131,6 @@ class MemoryDurabilityStore final : public DurabilityStore {
   std::vector<WalRecord> buffered_;
   std::uint64_t generation_ = 0;
   std::size_t compactions_ = 0;
-};
-
-/// File-backed store: one serialized record per line, appended to
-/// `path`; the generation is a `G <n>` line (last one wins) written
-/// through immediately. No external dependencies — plain text I/O.
-class FileDurabilityStore final : public DurabilityStore {
- public:
-  explicit FileDurabilityStore(std::string path);
-
-  void append(const WalRecord& rec) override;
-  void flush() override;
-  [[nodiscard]] std::vector<WalRecord> load() override;
-  void compact(const std::vector<WalRecord>& snapshot) override;
-  void set_generation(std::uint64_t gen) override;
-  [[nodiscard]] std::uint64_t generation() const override {
-    return generation_;
-  }
-  [[nodiscard]] std::size_t entry_count() const override {
-    return entry_count_;
-  }
-
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-
- private:
-  void reopen_append();
-
-  std::string path_;
-  std::ofstream out_;
-  std::uint64_t generation_ = 0;
-  std::size_t entry_count_ = 0;
 };
 
 }  // namespace flecc::core

@@ -117,14 +117,4 @@ bool Trigger::references_time() const noexcept {
   return false;
 }
 
-TriggerSet TriggerSet::from_sources(std::string_view push_src,
-                                    std::string_view pull_src,
-                                    std::string_view validity_src) {
-  TriggerSet ts;
-  if (!push_src.empty()) ts.push.emplace(push_src);
-  if (!pull_src.empty()) ts.pull.emplace(pull_src);
-  if (!validity_src.empty()) ts.validity.emplace(validity_src);
-  return ts;
-}
-
 }  // namespace flecc::trigger

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,19 +54,6 @@ class Trigger {
   std::string source_;
   NodePtr root_;
   std::vector<std::string> variables_;
-};
-
-/// A view's optional trigger bundle: push / pull / validity
-/// (paper Figure 3 passes all three to the cache manager constructor).
-struct TriggerSet {
-  std::optional<Trigger> push;
-  std::optional<Trigger> pull;
-  std::optional<Trigger> validity;
-
-  /// Build from (possibly empty) source strings; empty string → absent.
-  static TriggerSet from_sources(std::string_view push_src,
-                                 std::string_view pull_src,
-                                 std::string_view validity_src);
 };
 
 }  // namespace flecc::trigger

@@ -1,11 +1,9 @@
-// Directory crash-recovery tests: the DurabilityStore implementations
-// (WAL record round-trips, flush lag, file persistence, compaction),
-// checkpoint replay + the CM-assisted rebuild round, generation
-// fencing of pre-crash traffic, and recovery across an empty
+// Directory crash-recovery tests: the in-memory DurabilityStore (flush
+// lag, compaction), checkpoint replay + the CM-assisted rebuild round,
+// generation fencing of pre-crash traffic, and recovery across an empty
 // checkpoint (PROTOCOL.md, "Directory crash-recovery").
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <memory>
 #include <string>
 
@@ -19,46 +17,6 @@ namespace {
 using testing::Harness;
 using testing::cells;
 using testing::inc_key;
-
-// ---- WAL record (de)serialization -----------------------------------------
-
-TEST(WalRecordTest, RoundTripsEveryKind) {
-  WalRecord reg;
-  reg.kind = WalKind::kRegister;
-  reg.view = 7;
-  reg.node = 3;
-  reg.port = 1;
-  reg.name = "kv View % with\nodd chars";
-  reg.properties = cells(0, 9);
-  reg.mode = Mode::kStrong;
-  reg.validity = "(_age < 500)";
-
-  WalRecord round;
-  round.kind = WalKind::kRoundOpen;
-  round.view = 9;
-  round.properties = cells(5, 5);
-  round.ns = 1;
-  round.round = (2ull << 32) | 17;
-
-  WalRecord op;
-  op.kind = WalKind::kOpMerged;
-  op.node = 4;
-  op.port = 1;
-  op.req = 12345;
-
-  for (const WalRecord& rec : {reg, round, op}) {
-    WalRecord parsed;
-    ASSERT_TRUE(parse_record(serialize_record(rec), parsed))
-        << serialize_record(rec);
-    EXPECT_EQ(parsed, rec) << serialize_record(rec);
-  }
-}
-
-TEST(WalRecordTest, ParseRejectsGarbage) {
-  WalRecord out;
-  EXPECT_FALSE(parse_record("", out));
-  EXPECT_FALSE(parse_record("not a record", out));
-}
 
 // ---- MemoryDurabilityStore ------------------------------------------------
 
@@ -101,34 +59,6 @@ TEST(MemoryDurabilityStoreTest, CompactReplacesTheLog) {
   EXPECT_EQ(records[0].view, 1u);
   store.crash();  // a compacted snapshot is durable at once
   EXPECT_EQ(store.load().size(), 1u);
-}
-
-// ---- FileDurabilityStore --------------------------------------------------
-
-TEST(FileDurabilityStoreTest, StateSurvivesReopen) {
-  const std::string path = "durability_test.wal";
-  std::remove(path.c_str());
-  {
-    FileDurabilityStore store(path);
-    EXPECT_EQ(store.generation(), 0u);
-    store.set_generation(2);
-    WalRecord rec;
-    rec.kind = WalKind::kRegister;
-    rec.view = 11;
-    rec.name = "air.TravelAgent";
-    rec.properties = cells(0, 4);
-    store.append(rec);
-    store.flush();
-  }
-  {
-    FileDurabilityStore store(path);
-    EXPECT_EQ(store.generation(), 2u);
-    const auto records = store.load();
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records[0].view, 11u);
-    EXPECT_EQ(records[0].name, "air.TravelAgent");
-  }
-  std::remove(path.c_str());
 }
 
 // ---- crash-restart recovery ----------------------------------------------

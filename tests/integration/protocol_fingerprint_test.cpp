@@ -239,7 +239,8 @@ TEST(ProtocolFingerprintTest, MigrationJournalAndWriteBuffer) {
 }
 
 // The fingerprint only guards paths the scenarios reach: every round
-// path of tests/core/round_paths_test.cpp must run somewhere here, and
+// path of tests/core/round_paths_test.cpp must run somewhere here, so
+// must the directory's migration, registration and rebuild paths, and
 // so must the cache manager's command deferral and replay, and its
 // retransmission, migration, journal and write-buffer paths.
 TEST(ProtocolFingerprintTest, ScenariosReachEveryRoundPath) {
@@ -256,7 +257,11 @@ TEST(ProtocolFingerprintTest, ScenariosReachEveryRoundPath) {
        {"msg.duplicate.dropped", "op.fetch.retry", "op.invalidate.retry",
         "op.fetch.late.merged", "op.invalidate.late.merged", "echo.merged",
         "echo.duplicate", "echo.unknown", "echo.revived",
-        "recovery.revived_round", "view.evicted.liveness"}) {
+        "recovery.revived_round", "view.evicted.liveness",
+        // The lifecycle paths (tests/core/view_lifecycle_test).
+        "migrate.done", "migrate.aborted", "migrate.resend",
+        "migrate.install.sent", "op.register.superseded",
+        "recovery.probe.sent", "recovery.reannounced", "view.resumed"}) {
     EXPECT_GT(dm[counter], 0u) << "dm." << counter;
   }
   for (const char* counter :

@@ -110,14 +110,6 @@ TEST(TriggerTest, BadSourceThrowsParseError) {
   EXPECT_THROW(Trigger("1 +"), ParseError);
 }
 
-TEST(TriggerSetTest, FromSourcesEmptyMeansAbsent) {
-  const auto ts = TriggerSet::from_sources("", "(t > 100)", "");
-  EXPECT_FALSE(ts.push.has_value());
-  ASSERT_TRUE(ts.pull.has_value());
-  EXPECT_FALSE(ts.validity.has_value());
-  EXPECT_EQ(ts.pull->source(), "(t > 100)");
-}
-
 TEST(LayeredEnvTest, FrontShadowsBack) {
   VariableStore front{{"x", 1.0}};
   VariableStore back{{"x", 2.0}, {"y", 3.0}};
