@@ -195,10 +195,7 @@ class TrainPrimary : public core::PrimaryAdapter {
   void merge_into_object(const core::ObjectImage& image,
                          const props::PropertySet&) override {
     for (const auto& [key, value] : image) {
-      const auto* iv = std::get_if<std::int64_t>(&value);
-      if (iv != nullptr && key.rfind("inc.", 0) == 0) {
-        cells_[std::stoll(key.substr(4))] += *iv;
-      }
+      if (key.rfind("inc.", 0) == 0) cells_[std::stoll(key.substr(4))] += value;
     }
   }
 

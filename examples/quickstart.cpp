@@ -36,10 +36,7 @@ class SlotComponent : public core::PrimaryAdapter {
   void merge_into_object(const core::ObjectImage& image,
                          const props::PropertySet&) override {
     for (const auto& [key, value] : image) {
-      if (key.rfind("slot.", 0) != 0) continue;
-      if (const auto* iv = std::get_if<std::int64_t>(&value)) {
-        slots_[key.substr(5)] = *iv;
-      }
+      if (key.rfind("slot.", 0) == 0) slots_[key.substr(5)] = value;
     }
   }
   [[nodiscard]] props::PropertySet data_properties() const override {
@@ -83,10 +80,7 @@ class SlotView : public core::ViewAdapter {
   void merge_into_view(const core::ObjectImage& image,
                        const props::PropertySet&) override {
     for (const auto& [key, value] : image) {
-      if (key.rfind("slot.", 0) != 0) continue;
-      if (const auto* iv = std::get_if<std::int64_t>(&value)) {
-        local_[key.substr(5)] = *iv;
-      }
+      if (key.rfind("slot.", 0) == 0) local_[key.substr(5)] = value;
     }
   }
   [[nodiscard]] const trigger::Env& variables() const override {

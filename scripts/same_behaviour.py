@@ -11,6 +11,9 @@ under DIR (default: a new temporary directory), then compares:
   chaos_soak    `--trace` JSONL and out/chaos_soak.csv, byte for byte, in
                 the six modes of the verify recipe
   fig4          fig4_efficiency output
+  figures       fig5_adaptability, fig6_flexibility and the six ablations'
+                output (ablation_static_vs_dynamic without its ns/query
+                timing columns)
   quickstart    quickstart output
   e2e           `flecc_e2e --smoke` digest (events, msgs, hops, bytes,
                 allocs, total_reserved) and stale grants of the four
@@ -45,10 +48,14 @@ SOAK_MODES = {
     "overload+crash-dm": ["--overload", "--crash-dm"],
     "batch+wbuf4": ["--batch", "--wbuf", "4"],
 }
+FIGURES = ["fig5_adaptability", "fig6_flexibility", "ablation_granularity",
+           "ablation_rw_semantics", "ablation_hierarchical",
+           "ablation_centralized", "ablation_notify",
+           "ablation_static_vs_dynamic"]
 E2E_WORKLOADS = ["fig4_fanout", "fleet_2k", "push_train", "strong_durable"]
 E2E_SEEDS = [1, 2]
 TARGETS = ["protocol_fingerprint_test", "chaos_soak", "fig4_efficiency",
-           "quickstart"]
+           "quickstart", *FIGURES]
 
 differences = 0
 
@@ -149,6 +156,27 @@ def check_output(name: str, path: str, builds: dict[str, Path],
     report(same, name, "output identical" if same else "output differs")
 
 
+def untimed(name: str, output: str) -> str:
+    """ablation_static_vs_dynamic's rows lose their two ns/query columns."""
+    if name != "ablation_static_vs_dynamic":
+        return output
+    return re.sub(r"^(\d+)\s+[\d.]+\s+[\d.]+\s+([\d.]+%)$", r"\1 \2",
+                  output, flags=re.M)
+
+
+def check_figures(builds: dict[str, Path], scratch: Path) -> None:
+    differ = []
+    for name in FIGURES:
+        out = {side: untimed(name, output_of(build / "bench" / name,
+                                             scratch / "figures" / side))
+               for side, build in builds.items()}
+        if out["base"] != out["work"]:
+            differ.append(name)
+    report(not differ, "figures",
+           "output identical" if not differ
+           else " and ".join(differ) + " differ")
+
+
 def check_e2e(e2e: dict[str, Path], scratch: Path) -> None:
     for workload in E2E_WORKLOADS:
         for seed in E2E_SEEDS:
@@ -204,6 +232,7 @@ def main() -> int:
     check_fingerprint(sha, builds["work"])
     check_soak(builds, scratch)
     check_output("fig4", "bench/fig4_efficiency", builds, scratch)
+    check_figures(builds, scratch)
     check_output("quickstart", "examples/quickstart", builds, scratch)
     check_e2e({side: path / "flecc_e2e" for side, path in e2e.items()},
               scratch)

@@ -155,12 +155,10 @@ void FlightDatabaseAdapter::merge_into_object(const core::ObjectImage& image,
     char kind = 0;
     if (!parse_key(key, n, kind)) continue;
     if (scope != nullptr && !scope->contains(props::Value{n})) continue;
-    const auto* iv = std::get_if<std::int64_t>(&value);
-    if (iv == nullptr) continue;
     if (kind == 'd') {
-      db_.reserve(n, *iv);  // clamped: the conflict-resolution policy
+      db_.reserve(n, value);  // clamped: the conflict-resolution policy
     } else if (kind == 'r') {
-      db_.raise_reserved(n, *iv);  // monotone state merge (gossip)
+      db_.raise_reserved(n, value);  // monotone state merge (gossip)
     }
     // 'c' (capacity) is immutable primary state; ignore inbound writes.
   }

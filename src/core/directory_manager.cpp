@@ -191,13 +191,8 @@ void DirectoryManager::on_message(const net::Message& m) {
   if (m.type == msg::kRebuildReply) return handle_rebuild_reply(m);
   if (m.type == msg::kHandoffState) return handle_handoff_state(m);
   if (m.type == msg::kViewMoveAck) return handle_view_move_ack(m);
-  if (m.type == msg::kBusy) {
-    // A fabric-synthesized Busy for one of our commands: the command's
-    // round timeout + resends already cover a slow receiver, so the
-    // directory just counts it.
-    stats_.inc("flow.busy.ignored");
-    return;
-  }
+  // Busy lands here too: fabrics synthesize it only for the four bulk
+  // requests, which only cache managers send.
   stats_.inc("msg.unknown");
 }
 

@@ -19,24 +19,20 @@ auto field_lower_bound(Fields& fields, const std::string& key) {
 
 }  // namespace
 
-std::string to_string(const ImageValue& v) {
-  if (const auto* i = std::get_if<std::int64_t>(&v)) return std::to_string(*i);
-  if (const auto* d = std::get_if<double>(&v)) return std::to_string(*d);
-  return "\"" + std::get<std::string>(v) + "\"";
-}
-
-void ObjectImage::set(const std::string& key, ImageValue v) {
+void ObjectImage::set_int(const std::string& key, std::int64_t v) {
   auto it = field_lower_bound(fields_, key);
   if (it != fields_.end() && it->first == key) {
-    it->second = std::move(v);
+    it->second = v;
   } else {
-    fields_.emplace(it, key, std::move(v));
+    fields_.emplace(it, key, v);
   }
 }
 
-const ImageValue* ObjectImage::find(const std::string& key) const {
+std::optional<std::int64_t> ObjectImage::get_int(
+    const std::string& key) const {
   auto it = field_lower_bound(fields_, key);
-  return it == fields_.end() || it->first != key ? nullptr : &it->second;
+  if (it == fields_.end() || it->first != key) return std::nullopt;
+  return it->second;
 }
 
 bool ObjectImage::erase(const std::string& key) {
@@ -46,46 +42,14 @@ bool ObjectImage::erase(const std::string& key) {
   return true;
 }
 
-std::optional<std::int64_t> ObjectImage::get_int(
-    const std::string& key) const {
-  const auto* v = find(key);
-  if (v == nullptr) return std::nullopt;
-  if (const auto* i = std::get_if<std::int64_t>(v)) return *i;
-  return std::nullopt;
-}
-
-std::optional<double> ObjectImage::get_real(const std::string& key) const {
-  const auto* v = find(key);
-  if (v == nullptr) return std::nullopt;
-  if (const auto* d = std::get_if<double>(v)) return *d;
-  if (const auto* i = std::get_if<std::int64_t>(v)) {
-    return static_cast<double>(*i);
-  }
-  return std::nullopt;
-}
-
-std::optional<std::string> ObjectImage::get_str(const std::string& key) const {
-  const auto* v = find(key);
-  if (v == nullptr) return std::nullopt;
-  if (const auto* s = std::get_if<std::string>(v)) return *s;
-  return std::nullopt;
-}
-
 std::size_t ObjectImage::overlay(const ObjectImage& delta) {
-  for (const auto& [k, v] : delta.fields_) set(k, v);
+  for (const auto& [k, v] : delta.fields_) set_int(k, v);
   return delta.fields_.size();
 }
 
 std::size_t ObjectImage::wire_size() const {
   std::size_t bytes = 16;  // header: version + count
-  for (const auto& [k, v] : fields_) {
-    bytes += k.size() + 2;
-    if (const auto* s = std::get_if<std::string>(&v)) {
-      bytes += s->size() + 2;
-    } else {
-      bytes += 8;
-    }
-  }
+  for (const auto& [k, v] : fields_) bytes += k.size() + 2 + 8;
   return bytes;
 }
 
@@ -96,7 +60,7 @@ std::string ObjectImage::to_string() const {
   for (const auto& [k, v] : fields_) {
     if (!first) os << ", ";
     first = false;
-    os << k << "=" << core::to_string(v);
+    os << k << "=" << v;
   }
   os << "}";
   return os.str();

@@ -1,9 +1,10 @@
 // ObjectImage — the application-neutral unit of state transfer.
 //
 // Flecc never interprets application data; extract/merge functions map
-// between the application's objects and this keyed scalar container
-// (paper §4.1, "Merge/Extract methods"). Images also serve as *deltas*:
-// an application may extract only changed keys and merge them key-wise.
+// between the application's objects and this keyed integer container
+// (paper §4.1, "Merge/Extract methods"); every adapter's state is
+// counts. Images also serve as *deltas*: an application may extract
+// only changed keys and merge them key-wise.
 //
 // Storage is a flat key-sorted vector rather than a node-based map: a
 // whole image lives in one buffer (typical field keys fit the string
@@ -18,38 +19,24 @@
 #include <optional>
 #include <string>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "core/types.hpp"
 
 namespace flecc::core {
 
-using ImageValue = std::variant<std::int64_t, double, std::string>;
-
-std::string to_string(const ImageValue& v);
-
 class ObjectImage {
  public:
-  using Field = std::pair<std::string, ImageValue>;
+  using Field = std::pair<std::string, std::int64_t>;
 
   ObjectImage() = default;
 
-  void set_int(const std::string& key, std::int64_t v) { set(key, ImageValue{v}); }
-  void set_real(const std::string& key, double v) { set(key, ImageValue{v}); }
-  void set_str(const std::string& key, std::string v) {
-    set(key, ImageValue{std::move(v)});
-  }
-  void set(const std::string& key, ImageValue v);
+  void set_int(const std::string& key, std::int64_t v);
 
   [[nodiscard]] bool has(const std::string& key) const {
-    return find(key) != nullptr;
+    return get_int(key).has_value();
   }
-  [[nodiscard]] const ImageValue* find(const std::string& key) const;
   [[nodiscard]] std::optional<std::int64_t> get_int(
-      const std::string& key) const;
-  [[nodiscard]] std::optional<double> get_real(const std::string& key) const;
-  [[nodiscard]] std::optional<std::string> get_str(
       const std::string& key) const;
 
   bool erase(const std::string& key);
@@ -74,7 +61,8 @@ class ObjectImage {
   [[nodiscard]] Version version() const noexcept { return version_; }
   void set_version(Version v) noexcept { version_ = v; }
 
-  /// Simulated wire size: per-field key + value costs plus a header.
+  /// Simulated wire size: a 16-byte header plus, per field, the key,
+  /// two length bytes and the 8-byte value.
   [[nodiscard]] std::size_t wire_size() const;
 
   [[nodiscard]] std::string to_string() const;
@@ -86,7 +74,7 @@ class ObjectImage {
   friend bool operator==(const ObjectImage&, const ObjectImage&) = default;
 
  private:
-  /// Sorted by key; invariant maintained by set()/erase().
+  /// Sorted by key; invariant maintained by set_int()/erase().
   std::vector<Field> fields_;
   Version version_ = 0;
 };

@@ -46,15 +46,6 @@ class ObjectPool;
 
 namespace detail {
 
-/// Running totals for one pool; see ObjectPool::stats().
-struct PoolStats {
-  std::uint64_t acquired = 0;   // total acquire() calls
-  std::uint64_t reused = 0;     // served from the freelist
-  std::uint64_t allocated = 0;  // served by operator new (pool "miss")
-  std::uint64_t recycled = 0;   // slots returned to the freelist
-  std::uint64_t freed = 0;      // slots deleted (freelist full/pool gone)
-};
-
 template <typename T>
 struct PoolCore {
   struct Slot {
@@ -65,7 +56,6 @@ struct PoolCore {
 
   std::mutex mu;
   std::vector<Slot*> free;
-  PoolStats stats;
   std::size_t max_free;
   bool attached = true;     // false once the owning ObjectPool died
   std::size_t outstanding = 0;  // live slots not on the freelist
@@ -80,10 +70,7 @@ struct PoolCore {
       if (attached && free.size() < max_free) {
         s->refs.store(1, std::memory_order_relaxed);
         free.push_back(s);
-        ++stats.recycled;
         s = nullptr;
-      } else {
-        ++stats.freed;
       }
       delete_core = !attached && outstanding == 0;
     }
@@ -141,8 +128,8 @@ class PoolPtr {
 };
 
 /// A pool of T slots with a bounded freelist. Growth on exhaustion is
-/// graceful: an empty freelist falls back to operator new (counted as a
-/// miss in stats().allocated) rather than failing.
+/// graceful: an empty freelist falls back to operator new rather than
+/// failing.
 template <typename T>
 class ObjectPool {
   using Core = detail::PoolCore<T>;
@@ -158,7 +145,6 @@ class ObjectPool {
       std::lock_guard<std::mutex> lock(core_->mu);
       core_->attached = false;
       drop.swap(core_->free);
-      core_->stats.freed += drop.size();
       delete_core = core_->outstanding == 0;
     }
     for (auto* s : drop) delete s;
@@ -174,14 +160,10 @@ class ObjectPool {
     typename Core::Slot* s = nullptr;
     {
       std::lock_guard<std::mutex> lock(core_->mu);
-      ++core_->stats.acquired;
       ++core_->outstanding;
       if (!core_->free.empty()) {
         s = core_->free.back();
         core_->free.pop_back();
-        ++core_->stats.reused;
-      } else {
-        ++core_->stats.allocated;
       }
     }
     if (s == nullptr) {
@@ -189,15 +171,6 @@ class ObjectPool {
       s->core = core_;
     }
     return PoolPtr<T>(s);
-  }
-
-  [[nodiscard]] detail::PoolStats stats() const {
-    std::lock_guard<std::mutex> lock(core_->mu);
-    return core_->stats;
-  }
-  [[nodiscard]] std::size_t free_slots() const {
-    std::lock_guard<std::mutex> lock(core_->mu);
-    return core_->free.size();
   }
 
  private:
@@ -218,13 +191,6 @@ class PoolSet {
       holder = std::make_unique<Holder<T>>(max_free_);
     }
     return static_cast<Holder<T>*>(holder.get())->pool.acquire();
-  }
-
-  template <typename T>
-  [[nodiscard]] detail::PoolStats stats() const {
-    auto it = pools_.find(std::type_index(typeid(T)));
-    if (it == pools_.end()) return {};
-    return static_cast<const Holder<T>*>(it->second.get())->pool.stats();
   }
 
  private:

@@ -52,14 +52,6 @@ bool is_builtin_function(const std::string& name) noexcept;
 /// human-readable complaint (used as the ParseError message).
 std::string check_builtin_arity(const std::string& name, std::size_t argc);
 
-/// Deep copy of an expression tree.
-NodePtr clone(const Node& root);
-
-/// Constant folding: collapse every variable-free subtree into a number
-/// node. Subtrees whose evaluation would fail (division by zero) are
-/// left untouched so errors still surface at evaluation time.
-NodePtr fold_constants(NodePtr root);
-
 /// Collect the distinct variable names referenced by the tree (sorted).
 std::vector<std::string> collect_variables(const Node& root);
 

@@ -88,7 +88,7 @@ double eval(const Node& n, const Env& env) {
 }
 
 Trigger::Trigger(std::string_view source)
-    : source_(source), root_(fold_constants(parse(source))) {
+    : source_(source), root_(parse(source)) {
   variables_ = collect_variables(*root_);
 }
 

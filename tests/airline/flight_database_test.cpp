@@ -122,7 +122,6 @@ TEST(FlightDatabaseAdapterTest, MergeIgnoresCapacityWritesAndJunk) {
   FlightDatabaseAdapter adapter(db);
   core::ObjectImage img;
   img.set_int(key_capacity(10), 999);
-  img.set_str("d.10", "not a number");
   img.set_int("unrelated.key", 7);
   img.set_int("f.10.bogus", 7);
   img.set_int("d.", 7);

@@ -31,9 +31,8 @@ class CounterPeerApp : public PeerAdapter {
   }
   void apply_update(const core::ObjectImage& delta) override {
     for (const auto& [key, value] : delta) {
-      if (key.rfind("inc.", 0) != 0) continue;
-      if (const auto* iv = std::get_if<std::int64_t>(&value)) {
-        counters_[std::stoll(key.substr(4))] += *iv;
+      if (key.rfind("inc.", 0) == 0) {
+        counters_[std::stoll(key.substr(4))] += value;
       }
     }
   }

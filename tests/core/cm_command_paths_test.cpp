@@ -2,7 +2,10 @@
 // "Idempotent replay"), run once per command kind: a clean and a dirty
 // reply, deferral inside a use section, the serving order at
 // endUseImage, a newer command while one is deferred, the replay window,
-// reconnect, and a migration that waits for a deferred command.
+// reconnect, and a migration that waits for a deferred command. Then
+// the recovery paths no other suite reaches: journal compaction with a
+// push in flight, a destination's uninstall, and a sealed source that
+// abandons its handoff.
 //
 // The directory is a scripted endpoint: it answers the cache manager's
 // own requests and otherwise sends only the commands a case asks for,
@@ -11,15 +14,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/durability.hpp"
 #include "test_support.hpp"
 
 namespace flecc::core {
 namespace {
 
 using testing::Harness;
+using testing::KvView;
+using testing::cells;
 using testing::inc_key;
 
 enum class Kind { kFetch, kInvalidate };
@@ -40,8 +49,9 @@ struct Reply {
 
 /// A directory played by the test. It takes the harness directory's
 /// address, accepts the registration, answers init, pull and push
-/// requests at once, records every reply to a command, and stamps
-/// everything it sends with its current generation.
+/// requests at once, records every reply to a command and every
+/// handoff, and stamps everything it sends with its current generation.
+/// An acked push merges into its database once per request id.
 class ScriptedDirectory final : public net::Endpoint {
  public:
   explicit ScriptedDirectory(Harness& h) : h_(h) {
@@ -68,7 +78,13 @@ class ScriptedDirectory final : public net::Endpoint {
     } else if (m.type == msg::kPushUpdate) {
       const auto& push = net::payload_as<msg::PushUpdate>(m);
       pushes_.push_back(push);
+      if (!ack_pushes) return;
+      if (merged_.insert(push.req).second) {
+        db_ += push.image.get_int(inc_key(kCell)).value_or(0);
+      }
       send(msg::kPushAck, msg::PushAck{pushes_.size(), push.req, gen_});
+    } else if (m.type == msg::kHandoffState) {
+      handoffs_.push_back(net::payload_as<msg::HandoffState>(m));
     } else if (m.type == msg::kFetchReply) {
       const auto& r = net::payload_as<msg::FetchReply>(m);
       replies_.push_back(Reply{Kind::kFetch, r.token, r.dirty,
@@ -96,6 +112,28 @@ class ScriptedDirectory final : public net::Endpoint {
     send(msg::kViewMoveReq, msg::ViewMoveReq{kView, epoch, gen_});
   }
 
+  /// Install the view over cells [0, 9] at `to` for migration `epoch`.
+  void install(const net::Address& to, std::uint64_t epoch) {
+    msg::ViewMoveInstall inst;
+    inst.view = kView;
+    inst.epoch = epoch;
+    inst.view_name = "kv.View";
+    inst.properties = cells(0, 9);
+    inst.gen = gen_;
+    send_to(to, msg::kViewMoveInstall, std::move(inst));
+  }
+
+  /// Settle migration `epoch` at `to`.
+  void done(const net::Address& to, std::uint64_t epoch, bool aborted) {
+    send_to(to, msg::kViewMoveDone,
+            msg::ViewMoveDone{kView, epoch, aborted, gen_});
+  }
+
+  /// The rebuild probe of a restarted directory.
+  void probe() {
+    send(msg::kDirectoryRebuild, msg::DirectoryRebuild{kView, gen_});
+  }
+
   /// Stamp everything sent from now on with generation `gen`.
   void set_generation(std::uint64_t gen) { gen_ = gen; }
 
@@ -103,16 +141,28 @@ class ScriptedDirectory final : public net::Endpoint {
   [[nodiscard]] const std::vector<msg::PushUpdate>& pushes() const {
     return pushes_;
   }
+  [[nodiscard]] const std::vector<msg::HandoffState>& handoffs() const {
+    return handoffs_;
+  }
+  /// The sum of the merged increments of kCell.
+  [[nodiscard]] std::int64_t db() const { return db_; }
   /// Message types received, in arrival order.
   [[nodiscard]] const std::vector<std::string>& received() const {
     return received_;
   }
 
+  /// Whether pushes are acked and merged; an unacked push is lost.
+  bool ack_pushes = true;
+
  private:
   template <typename T>
   void send(const char* type, T payload) {
+    send_to(cm_, type, std::move(payload));
+  }
+  template <typename T>
+  void send_to(const net::Address& to, const char* type, T payload) {
     const std::size_t bytes = msg::wire_size(payload);
-    h_.fabric_->send(h_.dir_addr_, cm_, type, std::move(payload), bytes);
+    h_.fabric_->send(h_.dir_addr_, to, type, std::move(payload), bytes);
   }
 
   Harness& h_;
@@ -120,6 +170,9 @@ class ScriptedDirectory final : public net::Endpoint {
   std::uint64_t gen_ = 1;
   std::vector<Reply> replies_;
   std::vector<msg::PushUpdate> pushes_;
+  std::vector<msg::HandoffState> handoffs_;
+  std::set<std::uint64_t> merged_;
+  std::int64_t db_ = 0;
   std::vector<std::string> received_;
 };
 
@@ -354,6 +407,207 @@ INSTANTIATE_TEST_SUITE_P(Kinds, CmCommandPathsTest,
                            return info.param == Kind::kFetch ? "Fetch"
                                                              : "Invalidate";
                          });
+
+// ---- recovery paths --------------------------------------------------------
+
+class CmRecoveryPathsTest : public ::testing::Test {
+ protected:
+  CmRecoveryPathsTest() : h_(2), dir_(h_) {}
+
+  /// A registered, initialised member over cells [0, 9].
+  Harness::Member member(CacheManager::Config cfg = {}) {
+    auto m = h_.make_member(0, 9, std::move(cfg));
+    m.cm->init_image();
+    settle();
+    return m;
+  }
+
+  /// One sale: add 1 to kCell inside a use section, then push it.
+  void sell(Harness::Member& m) {
+    m.cm->start_use_image();
+    settle();
+    m.view->increment(kCell, 1);
+    m.cm->end_use_image(/*modified=*/true);
+    m.cm->push_image();
+    settle();
+  }
+
+  /// Acked sales, then a clean push if one record is missing, until
+  /// `journal` holds `records` records, none compacted. A sale appends
+  /// its intent and its flush, a clean push only its flush.
+  void fill(Harness::Member& m, MemoryDurabilityStore& journal,
+            std::size_t records, std::int64_t& sales) {
+    while (journal.entry_count() + 1 < records) {
+      sell(m);
+      ++sales;
+    }
+    if (journal.entry_count() < records) {
+      m.cm->push_image();
+      settle();
+    }
+    ASSERT_EQ(journal.entry_count(), records);
+    ASSERT_EQ(m.cm->stats().get("journal.compacted"), 0u);
+    ASSERT_EQ(dir_.db(), sales);
+  }
+
+  /// Crash `m` and restart it on the same address and journal with an
+  /// empty view: whatever it re-delivers comes from the journal.
+  Harness::Member restart(Harness::Member& m,
+                          MemoryDurabilityStore& journal) {
+    const net::Address addr = m.cm->address();
+    m.cm->halt();
+    journal.crash();
+    m.cm.reset();
+    auto view = std::make_unique<KvView>(0, 9);
+    CacheManager::Config cfg;
+    cfg.view_name = "kv.View";
+    cfg.properties = view->properties();
+    cfg.journal = &journal;
+    auto cm = std::make_unique<CacheManager>(*h_.fabric_, addr, h_.dir_addr_,
+                                             *view, std::move(cfg));
+    settle();
+    return Harness::Member{std::move(view), std::move(cm)};
+  }
+
+  /// Seal `m` for migration `epoch` with kCell += 5 unpushed; returns
+  /// the handoff it sent.
+  msg::HandoffState seal(Harness::Member& m, std::uint64_t epoch) {
+    m.cm->start_use_image();
+    settle();
+    m.view->increment(kCell, 5);
+    m.cm->end_use_image(/*modified=*/true);
+    dir_.move(epoch);
+    settle();
+    EXPECT_TRUE(m.cm->sealed());
+    EXPECT_EQ(dir_.handoffs().size(), 1u);
+    return dir_.handoffs().empty() ? msg::HandoffState{}
+                                   : dir_.handoffs().back();
+  }
+
+  /// Every push the directory received re-delivers the handoff: the
+  /// same request id and the same delta.
+  void expect_repushes(const msg::HandoffState& hs) {
+    ASSERT_FALSE(dir_.pushes().empty());
+    for (const auto& p : dir_.pushes()) {
+      EXPECT_EQ(p.req, hs.req);
+      EXPECT_EQ(p.image, hs.delta);
+    }
+    EXPECT_EQ(dir_.db(), 5);
+  }
+
+  void settle() { h_.run_until(h_.sim_.now() + sim::msec(5)); }
+
+  Harness h_;
+  ScriptedDirectory dir_;
+};
+
+TEST_F(CmRecoveryPathsTest, CompactionKeepsTheIntentOfAPushInFlight) {
+  MemoryDurabilityStore journal;
+  CacheManager::Config cfg;
+  cfg.journal = &journal;
+  auto m = member(cfg);
+  std::int64_t sales = 0;
+  ASSERT_NO_FATAL_FAILURE(fill(m, journal, 255, sales));
+
+  // This sale's push is lost, and its intent is the 256th append: the
+  // journal compacts while the push is in flight.
+  dir_.ack_pushes = false;
+  sell(m);
+  ++sales;
+  ASSERT_EQ(m.cm->stats().get("journal.compacted"), 1u);
+  const std::uint64_t lost = dir_.pushes().back().req;
+
+  dir_.ack_pushes = true;
+  const std::size_t before = dir_.pushes().size();
+  auto restarted = restart(m, journal);
+  EXPECT_EQ(restarted.cm->stats().get("journal.replayed.intent"), 1u);
+  ASSERT_EQ(dir_.pushes().size(), before + 1);
+  EXPECT_EQ(dir_.pushes().back().req, lost);
+  EXPECT_EQ(dir_.db(), sales);
+}
+
+TEST_F(CmRecoveryPathsTest, CompactionKeepsTheIntentOfAQueuedPush) {
+  MemoryDurabilityStore journal;
+  CacheManager::Config cfg;
+  cfg.journal = &journal;
+  auto m = member(cfg);
+  std::int64_t sales = 0;
+  ASSERT_NO_FATAL_FAILURE(fill(m, journal, 254, sales));
+
+  // This sale's push is lost. A reconnect parks it back on the queue,
+  // and the new registration's records compact the journal while it
+  // waits there.
+  dir_.ack_pushes = false;
+  sell(m);
+  ++sales;
+  const std::uint64_t lost = dir_.pushes().back().req;
+  ASSERT_EQ(m.cm->stats().get("journal.compacted"), 0u);
+  m.cm->reconnect();
+  settle();
+  ASSERT_EQ(m.cm->stats().get("journal.compacted"), 1u);
+
+  dir_.ack_pushes = true;
+  const std::size_t before = dir_.pushes().size();
+  auto restarted = restart(m, journal);
+  EXPECT_EQ(restarted.cm->stats().get("journal.replayed.intent"), 1u);
+  ASSERT_EQ(dir_.pushes().size(), before + 1);
+  EXPECT_EQ(dir_.pushes().back().req, lost);
+  EXPECT_EQ(dir_.db(), sales);
+}
+
+TEST_F(CmRecoveryPathsTest, AbortedMoveUninstallsAnInstalledDestination) {
+  CacheManager::Config cfg;
+  cfg.await_migration = true;
+  auto dest = h_.make_member(0, 9, cfg);
+  constexpr std::uint64_t kEpoch = 5;
+  dir_.install(dest.cm->address(), kEpoch);
+  settle();
+  ASSERT_EQ(dest.cm->id(), kView);
+  ASSERT_TRUE(dest.cm->registered());
+  ASSERT_EQ(dest.cm->stats().get("migrate.installed"), 1u);
+
+  // The directory never saw the ViewMoveAck and aborts the move.
+  dir_.done(dest.cm->address(), kEpoch, /*aborted=*/true);
+  settle();
+  EXPECT_EQ(dest.cm->stats().get("migrate.uninstalled"), 1u);
+  EXPECT_EQ(dest.cm->id(), kInvalidViewId);
+  EXPECT_FALSE(dest.cm->registered());
+  EXPECT_FALSE(dest.cm->valid());
+
+  // It stops serving: an operation no longer reaches the directory.
+  const std::size_t before = dir_.received().size();
+  dest.cm->pull_image();
+  settle();
+  EXPECT_EQ(dir_.received().size(), before);
+}
+
+TEST_F(CmRecoveryPathsTest, RestartedDirectoryMakesASealedSourceAbandon) {
+  auto m = member();
+  const msg::HandoffState hs = seal(m, /*epoch=*/7);
+  ASSERT_TRUE(hs.dirty);
+  ASSERT_TRUE(dir_.pushes().empty());
+
+  // The restarted directory forgot the migration and probes the view.
+  dir_.set_generation(2);
+  dir_.probe();
+  settle();
+  EXPECT_EQ(m.cm->stats().get("migrate.abandoned.rebuild"), 1u);
+  EXPECT_FALSE(m.cm->sealed());
+  expect_repushes(hs);
+}
+
+TEST_F(CmRecoveryPathsTest, SealedSourceAbandonsWhenHandoffRetriesRunOut) {
+  auto m = member();
+  const msg::HandoffState hs = seal(m, /*epoch=*/7);
+  ASSERT_TRUE(hs.dirty);
+
+  // No ViewMoveDone ever comes: every attempt's timeout lapses.
+  h_.run_until(h_.sim_.now() + sim::seconds(60));
+  EXPECT_EQ(dir_.handoffs().size(), CacheManager::Config{}.retry.max_attempts);
+  EXPECT_EQ(m.cm->stats().get("migrate.handoff.abandoned"), 1u);
+  EXPECT_FALSE(m.cm->sealed());
+  expect_repushes(hs);
+}
 
 }  // namespace
 }  // namespace flecc::core

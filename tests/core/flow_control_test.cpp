@@ -192,6 +192,57 @@ TEST(AdmissionControlTest, FullAcquireQueueShedsWithBusyAndRetryConverges) {
   EXPECT_GE(busy_received, 1u);
 }
 
+TEST(AdmissionControlTest, FetchRoundCapShedsAPullAndServesItsRetry) {
+  DirectoryManager::Config dir_cfg;
+  dir_cfg.max_fetch_rounds = 1;
+  dir_cfg.busy_retry_after = sim::msec(50);
+  Harness h(3, 100, dir_cfg);
+  const auto dm = [&h](const char* counter) {
+    return h.directory_->stats().get(counter);
+  };
+  const auto settle = [&h] { h.run_until(h.sim_.now() + sim::msec(5)); };
+
+  // Two requesters whose validity trigger always fails, so each pull
+  // needs a fetch round, and a third view both conflict with.
+  CacheManager::Config req_cfg;
+  req_cfg.validity_trigger = "false";
+  auto a = h.make_member(0, 9, req_cfg);
+  auto b = h.make_member(0, 9, req_cfg);
+  auto target = h.make_member(0, 9);
+  for (auto* m : {&a, &b, &target}) m->cm->init_image();
+  h.run();
+
+  // Inside its use section the target defers its FetchReq, so A's round
+  // stays open and takes the only slot.
+  target.cm->start_use_image();
+  settle();
+  bool a_done = false;
+  bool b_done = false;
+  a.cm->pull_image([&a_done] { a_done = true; });
+  settle();
+  ASSERT_EQ(dm("op.pull.fetch_round"), 1u);
+  b.cm->pull_image([&b_done] { b_done = true; });
+  settle();
+  EXPECT_EQ(dm("shed.pull"), 1u);
+  EXPECT_EQ(dm("shed.pull.global"), 1u);
+  EXPECT_EQ(b.cm->stats().get("flow.busy.received"), 1u);
+  EXPECT_FALSE(a_done);
+  EXPECT_FALSE(b_done);
+
+  // The first round closes; B's retry under the same request id then
+  // opens the next one and is served, not dropped as a duplicate of the
+  // round that never opened.
+  target.cm->end_use_image(/*modified=*/false);
+  settle();
+  EXPECT_TRUE(a_done);
+  EXPECT_FALSE(b_done);
+  h.run_until(h.sim_.now() + dir_cfg.busy_retry_after * 2);
+  EXPECT_TRUE(b_done);
+  EXPECT_EQ(dm("op.pull.fetch_round"), 2u);
+  EXPECT_EQ(dm("shed.pull"), 1u);
+  EXPECT_EQ(dm("msg.duplicate.dropped"), 0u);
+}
+
 // ---- CM degradation ladder --------------------------------------------------
 
 TEST(DegradationTest, BusyStormDegradesStrongToWeakAndRestores) {

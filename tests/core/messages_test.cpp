@@ -23,7 +23,7 @@ TEST(WireSizeTest, ImagesAddTheirSize) {
   InitReply reply;
   EXPECT_EQ(wire_size(reply), kHeaderBytes + reply.image.wire_size());
   reply.image.set_int("f.100.res", 7);
-  reply.image.set_str("name", "flecc");
+  reply.image.set_int("f.100.cap", 9);
   EXPECT_EQ(wire_size(reply), kHeaderBytes + reply.image.wire_size());
   EXPECT_GT(wire_size(reply), kHeaderBytes + 16);
 }

@@ -28,10 +28,7 @@ class SlotPrimary : public PrimaryAdapter {
   void merge_into_object(const ObjectImage& image,
                          const props::PropertySet&) override {
     for (const auto& [key, value] : image) {
-      if (key.rfind("slot.", 0) != 0) continue;
-      if (const auto* iv = std::get_if<std::int64_t>(&value)) {
-        slots_[key.substr(5)] = *iv;
-      }
+      if (key.rfind("slot.", 0) == 0) slots_[key.substr(5)] = value;
     }
   }
   [[nodiscard]] props::PropertySet data_properties() const override {
@@ -80,10 +77,7 @@ class SlotView : public ViewAdapter {
   void merge_into_view(const ObjectImage& image,
                        const props::PropertySet&) override {
     for (const auto& [key, value] : image) {
-      if (key.rfind("slot.", 0) != 0) continue;
-      if (const auto* iv = std::get_if<std::int64_t>(&value)) {
-        local_[key.substr(5)] = *iv;
-      }
+      if (key.rfind("slot.", 0) == 0) local_[key.substr(5)] = value;
     }
   }
   [[nodiscard]] const trigger::Env& variables() const override {

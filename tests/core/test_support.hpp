@@ -55,15 +55,13 @@ class KvPrimary : public PrimaryAdapter {
     (void)vpl;
     ++merges_;
     for (const auto& [key, value] : image) {
-      const auto* iv = std::get_if<std::int64_t>(&value);
-      if (iv == nullptr) continue;
       if (key.rfind("inc.", 0) == 0) {
-        cells_[std::stoll(key.substr(4))] += *iv;
+        cells_[std::stoll(key.substr(4))] += value;
       } else if (key.rfind("cell.", 0) == 0) {
         // Monotone (max) state merge, mirroring the airline database's
         // raise_reserved: makes state-based gossip convergent.
         auto& cell = cells_[std::stoll(key.substr(5))];
-        cell = std::max(cell, *iv);
+        cell = std::max(cell, value);
       }
     }
   }
@@ -134,10 +132,7 @@ class KvView : public ViewAdapter {
     (void)vpl;
     ++merges_;
     for (const auto& [key, value] : image) {
-      const auto* iv = std::get_if<std::int64_t>(&value);
-      if (iv != nullptr && key.rfind("cell.", 0) == 0) {
-        base_[std::stoll(key.substr(5))] = *iv;
-      }
+      if (key.rfind("cell.", 0) == 0) base_[std::stoll(key.substr(5))] = value;
     }
   }
 

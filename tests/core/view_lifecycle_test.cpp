@@ -1,8 +1,10 @@
 // Every step of a view's life at the directory that no other suite
 // drives to its edge: registration rejections and journal resumes, the
-// post-restart rebuild round, the settle paths of a live migration, the
-// merged-op markers that absorb a re-issued dirty request, and both
-// bounded windows (migration outcomes and merged ops) at their cap.
+// post-restart rebuild round and the checkpoint replay before it, the
+// settle paths of a live migration and the two guards that keep STRONG
+// arbitration and fetch rounds away from a sealed view, the merged-op
+// markers that absorb a re-issued dirty request, and both bounded
+// windows (migration outcomes and merged ops) at their cap.
 //
 // Every cache manager here is a scripted peer that sends only what the
 // case asks for, so each message lands exactly where the case needs it.
@@ -56,6 +58,8 @@ class Peer final : public net::Endpoint {
       if (ack_->accepted) id_ = ack_->view;
     } else if (m.type == msg::kFetchReq) {
       tokens_.push_back(net::payload_as<msg::FetchReq>(m).token);
+    } else if (m.type == msg::kInvalidateReq) {
+      invalidations_.push_back(net::payload_as<msg::InvalidateReq>(m).epoch);
     } else if (m.type == msg::kViewMoveReq) {
       epochs_.push_back(net::payload_as<msg::ViewMoveReq>(m).epoch);
     } else if (m.type == msg::kViewMoveInstall) {
@@ -91,6 +95,28 @@ class Peer final : public net::Endpoint {
   void pull() {
     send(msg::kPullReq,
          msg::PullReq{id_, AccessIntent::kReadWrite, next_req_++});
+  }
+
+  /// A STRONG acquire: opens an invalidation round over the active
+  /// conflicting views.
+  void acquire() {
+    send(msg::kAcquireReq,
+         msg::AcquireReq{id_, AccessIntent::kReadWrite, next_req_++});
+  }
+
+  void switch_mode(Mode mode) {
+    send(msg::kModeChangeReq, msg::ModeChangeReq{id_, mode, next_req_++});
+  }
+
+  /// A clean answer to FetchReq `token`.
+  void fetch_reply(std::uint64_t token) {
+    send(msg::kFetchReply, msg::FetchReply{id_, token, {}, false, 0});
+  }
+
+  /// A clean answer to InvalidateReq `epoch`, for view `view` (the one
+  /// this peer serves, which it may host after a migration).
+  void invalidate_ack(ViewId view, std::uint64_t epoch) {
+    send(msg::kInvalidateAck, msg::InvalidateAck{view, epoch, {}, false, 0});
   }
 
   /// A framed dirty push adding `delta` to kCell; returns its request id.
@@ -167,6 +193,10 @@ class Peer final : public net::Endpoint {
   [[nodiscard]] const std::vector<std::uint64_t>& tokens() const {
     return tokens_;
   }
+  /// Epochs of the InvalidateReqs received, in arrival order.
+  [[nodiscard]] const std::vector<std::uint64_t>& invalidations() const {
+    return invalidations_;
+  }
   /// Migration epochs of the ViewMoveReqs and ViewMoveInstalls received.
   [[nodiscard]] const std::vector<std::uint64_t>& epochs() const {
     return epochs_;
@@ -183,6 +213,7 @@ class Peer final : public net::Endpoint {
   std::uint64_t next_req_ = 1;
   std::optional<msg::RegisterAck> ack_;
   std::vector<std::uint64_t> tokens_;
+  std::vector<std::uint64_t> invalidations_;
   std::vector<std::uint64_t> epochs_;
   std::vector<msg::ViewMoveDone> dones_;
   std::map<std::string, std::size_t> received_;
@@ -329,6 +360,23 @@ TEST_F(ViewLifecycleTest, SilentCheckpointedViewIsReprobedThenDropped) {
   EXPECT_EQ(dm("recovery.completed"), 1u);
   EXPECT_FALSE(dir().known(p.id()));
   EXPECT_EQ(p.received(msg::kDirectoryRebuild), 3u);
+}
+
+TEST_F(ViewLifecycleTest, CheckpointedModeChangeIsReplayedBeforeTheRebuild) {
+  MemoryDurabilityStore store;
+  start(&store);
+  Peer& p = peer(0);
+  p.switch_mode(Mode::kStrong);
+  settle();
+  ASSERT_EQ(dir().mode_of(p.id()), Mode::kStrong);
+
+  // The registration record says WEAK; only the kModeChange record
+  // after it says STRONG. No probe is answered, so the mode can come
+  // from the checkpoint alone.
+  p.answer_probes = false;
+  restart(store);
+  ASSERT_TRUE(dir().rebuilding());
+  EXPECT_EQ(dir().mode_of(p.id()), Mode::kStrong);
 }
 
 class RebuildRepliesTest : public ViewLifecycleTest {
@@ -522,6 +570,52 @@ TEST_F(MigrationSettleTest, HandoffOfAnAlreadyMergedRequestDoesNotMerge) {
   EXPECT_EQ(dm("merge.count"), 1u);
   EXPECT_EQ(total(), 5);
   EXPECT_EQ(dest_->epochs(), (std::vector<std::uint64_t>{epoch}));
+}
+
+TEST_F(MigrationSettleTest, AcquireWaitsForTheMigrationToSettle) {
+  Peer& requester = peer(2);
+  const std::uint64_t epoch = begin();
+  requester.acquire();
+  settle();
+  // Arbitration is frozen while the view moves: no round opens, so the
+  // sealed source gets no InvalidateReq and nothing is granted.
+  EXPECT_TRUE(source_->invalidations().empty());
+  EXPECT_EQ(requester.received(msg::kAcquireGrant), 0u);
+
+  source_->handoff(epoch);
+  settle();
+  EXPECT_TRUE(source_->invalidations().empty());
+  EXPECT_EQ(requester.received(msg::kAcquireGrant), 0u);
+  dest_->move_ack(source_->id(), epoch);
+  settle();
+  ASSERT_EQ(dm("migrate.done"), 1u);
+
+  // Settling drains the queue: the view is invalidated at its new home.
+  EXPECT_TRUE(source_->invalidations().empty());
+  ASSERT_EQ(dest_->invalidations().size(), 1u);
+  EXPECT_EQ(requester.received(msg::kAcquireGrant), 0u);
+  dest_->invalidate_ack(source_->id(), dest_->invalidations().back());
+  settle();
+  EXPECT_EQ(requester.received(msg::kAcquireGrant), 1u);
+  EXPECT_TRUE(dir().is_exclusive(requester.id()));
+}
+
+TEST_F(MigrationSettleTest, FetchRoundLeavesOutTheSealedSource) {
+  Peer& requester = peer(2, 1, /*register_it=*/true, /*validity=*/"false");
+  Peer& other = peer(2, 2);
+  begin();
+  requester.pull();
+  settle();
+  // The round opens over the one conflicting view that can answer.
+  EXPECT_EQ(dm("op.pull.fetch_round"), 1u);
+  EXPECT_TRUE(source_->tokens().empty());
+  ASSERT_EQ(other.tokens().size(), 1u);
+  EXPECT_EQ(requester.received(msg::kPullReply), 0u);
+
+  other.fetch_reply(other.tokens().back());
+  settle();
+  EXPECT_EQ(requester.received(msg::kPullReply), 1u);
+  EXPECT_TRUE(source_->tokens().empty());
 }
 
 // ---- merged-op markers ----------------------------------------------------

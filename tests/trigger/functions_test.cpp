@@ -1,7 +1,6 @@
-// Builtin functions and constant folding in the trigger language.
+// Builtin functions in the trigger language.
 #include <gtest/gtest.h>
 
-#include "sim/rng.hpp"
 #include "trigger/errors.hpp"
 #include "trigger/parser.hpp"
 #include "trigger/trigger.hpp"
@@ -80,76 +79,6 @@ TEST(FunctionsTest, CollectVariablesSeesCallArgs) {
   EXPECT_EQ(collect_variables(*parse("min(a, b) + abs(t)")),
             (std::vector<std::string>{"a", "b", "t"}));
 }
-
-// ---- constant folding -----------------------------------------------------
-
-TEST(FoldTest, FoldsPureConstantTrees) {
-  EXPECT_EQ(to_string(*fold_constants(parse("1 + 2 * 3"))), "7");
-  EXPECT_EQ(to_string(*fold_constants(parse("min(4, 2) + 1"))), "3");
-  EXPECT_EQ(to_string(*fold_constants(parse("!(1 > 2)"))), "1");
-}
-
-TEST(FoldTest, FoldsConstantSubtreesOnly) {
-  EXPECT_EQ(to_string(*fold_constants(parse("x + (2 * 3)"))), "(x + 6)");
-  EXPECT_EQ(to_string(*fold_constants(parse("(t > 1000 + 500)"))),
-            "(t > 1500)");
-}
-
-TEST(FoldTest, LeavesVariablesAlone) {
-  EXPECT_EQ(to_string(*fold_constants(parse("x + y"))), "(x + y)");
-}
-
-TEST(FoldTest, KeepsFaultyConstantsForEvalTimeErrors) {
-  // 1/0 must still raise EvalError, not disappear or crash at parse.
-  auto folded = fold_constants(parse("1 / 0"));
-  EXPECT_THROW(eval(*folded, VariableStore{}), EvalError);
-  // ... and a short-circuit guard must still protect it.
-  auto guarded = fold_constants(parse("false && (1 / 0 > 0)"));
-  EXPECT_DOUBLE_EQ(eval(*guarded, VariableStore{}), 0.0);
-}
-
-TEST(FoldTest, CloneProducesIndependentEqualTree) {
-  const auto original = parse("min(a, 3) && t > 1500");
-  const auto copy = clone(*original);
-  EXPECT_EQ(to_string(*original), to_string(*copy));
-  EXPECT_EQ(collect_variables(*original), collect_variables(*copy));
-}
-
-class FoldPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(FoldPropertyTest, FoldingPreservesSemantics) {
-  // Random expressions over {x, y, constants}: folded and unfolded trees
-  // must agree on every environment.
-  sim::Rng rng(GetParam());
-  const char* vars[] = {"x", "y"};
-
-  std::function<std::string(int)> gen = [&](int depth) -> std::string {
-    if (depth <= 0 || rng.chance(0.3)) {
-      if (rng.chance(0.5)) {
-        return std::to_string(rng.uniform_int(-5, 5));
-      }
-      return vars[rng.uniform_int(0, 1)];
-    }
-    const char* ops[] = {"+", "-", "*", "<", ">", "==", "&&", "||"};
-    const char* op = ops[rng.uniform_int(0, 7)];
-    return "(" + gen(depth - 1) + " " + op + " " + gen(depth - 1) + ")";
-  };
-
-  for (int iter = 0; iter < 50; ++iter) {
-    const std::string src = gen(4);
-    const auto plain = parse(src);
-    const auto folded = fold_constants(parse(src));
-    for (int e = 0; e < 5; ++e) {
-      VariableStore env{
-          {"x", static_cast<double>(rng.uniform_int(-5, 5))},
-          {"y", static_cast<double>(rng.uniform_int(-5, 5))}};
-      EXPECT_DOUBLE_EQ(eval(*plain, env), eval(*folded, env)) << src;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, FoldPropertyTest,
-                         ::testing::Values(101u, 202u, 303u));
 
 }  // namespace
 }  // namespace flecc::trigger
