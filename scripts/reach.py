@@ -9,7 +9,9 @@ as a Debug build with `-O1 --coverage` passed on the cmake command line
 `gcov --json-format` output over every object file. It prints, per
 file under src/, how many instrumented lines ctest never executed,
 then lists those lines for each FILE (default:
-src/core/directory_manager.cpp and src/core/cache_manager.cpp).
+src/core/directory_manager.cpp and src/core/cache_manager.cpp), each
+with the function that encloses it (parameter lists elided), so two
+reports compare across commits even where line numbers moved.
 
 A line counts as executed if any object file's copy of it ran: a
 header's inline code is instrumented once per object file that uses it.
@@ -57,12 +59,18 @@ def build_and_test(build: Path, jobs: int) -> None:
     log("\n".join(summary) or tests.stdout[-2000:])
 
 
-def gcov_lines(gcda: Path) -> list[tuple[Path, int, int]]:
-    """(source, line, count) for every instrumented line in one object."""
+Lines = list[tuple[Path, int, int]]
+Functions = list[tuple[Path, int, int, str]]
+
+
+def gcov_object(gcda: Path) -> tuple[Lines, Functions]:
+    """For one object: (source, line, count) for every instrumented line,
+    and (source, first line, last line, name) for every function."""
     out = subprocess.run(
         ["gcov", "--json-format", "--stdout", gcda.name],
         cwd=gcda.parent, capture_output=True, text=True).stdout
-    rows = []
+    lines: Lines = []
+    functions: Functions = []
     for doc in out.splitlines():
         if not doc.startswith("{"):
             continue
@@ -70,19 +78,52 @@ def gcov_lines(gcda: Path) -> list[tuple[Path, int, int]]:
         cwd = Path(data.get("current_working_directory", gcda.parent))
         for f in data["files"]:
             source = (cwd / f["file"]).resolve()
-            rows += [(source, ln["line_number"], ln["count"])
-                     for ln in f["lines"]]
-    return rows
+            lines += [(source, ln["line_number"], ln["count"])
+                      for ln in f["lines"]]
+            functions += [(source, fn["start_line"], fn["end_line"],
+                           fn.get("demangled_name", fn["name"]))
+                          for fn in f.get("functions", [])]
+    return lines, functions
 
 
-def merged_counts(build: Path, jobs: int) -> dict[Path, dict[int, int]]:
+def elide_parameters(name: str) -> str:
+    """`A::f(int, B<C>) const` -> `A::f() const`, nested lists too."""
+    out, depth = [], 0
+    for ch in name.replace("(anonymous namespace)", "{anonymous}"):
+        if ch == ")":
+            depth -= 1
+        if depth == 0:
+            out.append(ch)
+        if ch == "(":
+            depth += 1
+    return "".join(out)
+
+
+def merged_counts(build: Path, jobs: int) -> tuple[
+        dict[Path, dict[int, int]], dict[Path, dict[tuple[int, int], str]]]:
+    """Per source: the highest count of each line over every object, and
+    each function's name keyed by its (first, last) line."""
     counts: dict[Path, dict[int, int]] = {}
+    functions: dict[Path, dict[tuple[int, int], str]] = {}
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for rows in pool.map(gcov_lines, sorted(build.rglob("*.gcda"))):
-            for source, line, count in rows:
+        for lines, fns in pool.map(gcov_object,
+                                   sorted(build.rglob("*.gcda"))):
+            for source, line, count in lines:
                 per_line = counts.setdefault(source, {})
                 per_line[line] = max(per_line.get(line, 0), count)
-    return counts
+            for source, first, last, name in fns:
+                functions.setdefault(source, {}).setdefault(
+                    (first, last), elide_parameters(name))
+    return counts, functions
+
+
+def enclosing(functions: dict[tuple[int, int], str], line: int) -> str:
+    """The innermost function whose lines include `line` (a lambda
+    rather than the function around it)."""
+    spans = [(last - first, name)
+             for (first, last), name in functions.items()
+             if first <= line <= last]
+    return min(spans)[1] if spans else "?"
 
 
 def main() -> int:
@@ -101,7 +142,7 @@ def main() -> int:
     build = scratch / "coverage-build"
     log(f"reach: coverage build of {ROOT} in {build}")
     build_and_test(build, args.jobs)
-    counts = merged_counts(build, args.jobs)
+    counts, functions = merged_counts(build, args.jobs)
 
     src = ROOT / "src"
     print(f"{'file':<44} {'never executed':>15}")
@@ -121,7 +162,8 @@ def main() -> int:
               "never executed")
         text = source.read_text().splitlines()
         for line in missed:
-            print(f"{line:>6}  {text[line - 1].rstrip()}")
+            where = enclosing(functions.get(source, {}), line)
+            print(f"{line:>6}  {where}:  {text[line - 1].strip()}")
     return 0
 
 

@@ -302,8 +302,8 @@ void CacheManager::on_retry_timeout(ExchangeKind k) {
       issue();
       return;
     case ExchangeKind::kHandoff:
-      if (!sealed_) return;
-      if (handoff_.attempts < cfg_.retry.max_attempts) {
+      if (!handoff_.has_value()) return;
+      if (handoff_->ex.attempts < cfg_.retry.max_attempts) {
         send_handoff();
         return;
       }
@@ -400,7 +400,7 @@ void CacheManager::enqueue(Op op) {
 }
 
 void CacheManager::pump() {
-  if (sealed_) return;  // quiesced for migration: nothing issues
+  if (sealed()) return;  // quiesced for migration: nothing issues
   if (current_.has_value() || !registered_ || queue_.empty()) {
     try_seal();  // the queue may just have drained under a move request
     return;
@@ -721,7 +721,7 @@ void CacheManager::on_message(const net::Message& m) {
   if (m.type == msg::kHeartbeatAck) {
     const auto& ack = net::payload_as<msg::HeartbeatAck>(m);
     if (!alive_ || !registered_ || ack.view != id_) return;
-    if (sealed_) {
+    if (sealed()) {
       // Mid-migration the record may already point at the destination
       // (known=false for us) — reconnecting now would fresh-register and
       // steal the view back. The ViewMoveDone settles our fate instead.
@@ -823,7 +823,6 @@ void CacheManager::on_message(const net::Message& m) {
     return;
   }
   if (m.type == msg::kUpdateNotify) {
-    ++notifies_received_;
     stats_.inc("notify.received");
     return;
   }
@@ -890,7 +889,10 @@ void CacheManager::handle_rebuild_probe(const net::Message& m) {
     stats_.inc("rebuild.probe.ignored");
     return;
   }
-  if (sealed_) {
+  // Only an op in flight before this probe was lost with the old dedup
+  // window; unseal_resume() issues an abandoned handoff's push itself.
+  const bool reissue = current_.has_value();
+  if (sealed()) {
     // The directory restarted mid-migration and forgot it (migrations
     // are not checkpointed): abandon the handoff and resume serving —
     // the re-pushed delta dedups against the WAL-persisted merge marker.
@@ -923,7 +925,7 @@ void CacheManager::handle_rebuild_probe(const net::Message& m) {
   // The restarted directory lost our in-flight request with its dedup
   // window; re-issue immediately under the new generation instead of
   // waiting out the retransmission backoff.
-  if (current_.has_value()) {
+  if (reissue) {
     stats_.inc("op.reissued.rebuild");
     issue();
   }
@@ -1140,20 +1142,19 @@ void CacheManager::compact_journal() {
       snapshot.push_back(cm_record(WalKind::kCmBind, incarnation_, id_));
     }
     snapshot.push_back(cm_record(WalKind::kCmReq, req_ceiling_));
-    const auto add_intent = [&](std::uint64_t req, const ObjectImage& img) {
-      if (!img.empty()) {
-        snapshot.push_back(cm_record(WalKind::kCmIntent, req, id_, img));
+    // Every extracted image not yet acked, in issue order: the in-flight
+    // op (i == 0), the queue, then the sealed handoff (i == n + 1).
+    const std::size_t n = queue_.size();
+    for (std::size_t i = 0; i <= n + 1; ++i) {
+      const std::optional<Op>& end = i == 0 ? current_ : handoff_;
+      const Op* op = i > 0 && i <= n    ? &queue_[i - 1]
+                     : end.has_value() ? &*end
+                                       : nullptr;
+      if (op != nullptr && op->image.has_value() && !op->image->empty()) {
+        snapshot.push_back(
+            cm_record(WalKind::kCmIntent, op->ex.req, id_, *op->image));
       }
-    };
-    if (current_.has_value() && current_->image.has_value()) {
-      add_intent(current_->ex.req, *current_->image);
     }
-    for (const auto& op : queue_) {
-      if (op.image.has_value() && op.ex.req != 0) {
-        add_intent(op.ex.req, *op.image);
-      }
-    }
-    if (sealed_ && handoff_dirty_) add_intent(handoff_.req, handoff_image_);
     WalRecord wb = cm_record(WalKind::kCmWrite, 0, id_,
                              view_.peek_from_view(cfg_.properties));
     if (!wb.image.empty()) snapshot.push_back(std::move(wb));
@@ -1181,13 +1182,12 @@ void CacheManager::handle_move_req(const net::Message& m) {
     stats_.inc("migrate.req.ignored");
     return;
   }
-  if (sealed_) {
-    if (req.epoch != seal_epoch_) {
+  if (sealed()) {
+    if (req.epoch != move_epoch_) {
       // The directory opened a fresh migration attempt for us; the same
       // sealed extraction simply travels under the new epoch (its merge
-      // stays keyed by handoff_.req, so no double-merge is possible).
-      seal_epoch_ = req.epoch;
-      pending_move_epoch_ = req.epoch;
+      // stays keyed by the handoff's req, so no double-merge is possible).
+      move_epoch_ = req.epoch;
       stats_.inc("migrate.requiesced");
     } else {
       stats_.inc("msg.duplicate.dropped");
@@ -1195,7 +1195,7 @@ void CacheManager::handle_move_req(const net::Message& m) {
     send_handoff();
     return;
   }
-  if (move_requested_ && pending_move_epoch_ == req.epoch) {
+  if (move_requested_ && move_epoch_ == req.epoch) {
     stats_.inc("msg.duplicate.dropped");
     return;
   }
@@ -1203,13 +1203,13 @@ void CacheManager::handle_move_req(const net::Message& m) {
                     obs::Role::kCacheManager, obs::agent_key(self_), 0,
                     msg::kViewMoveReq, req.epoch);
   move_requested_ = true;
-  pending_move_epoch_ = req.epoch;
+  move_epoch_ = req.epoch;
   stats_.inc("migrate.quiesce");
   try_seal();
 }
 
 void CacheManager::try_seal() {
-  if (!move_requested_ || sealed_ || !alive_ || !registered_) return;
+  if (!move_requested_ || sealed() || !alive_ || !registered_) return;
   if (in_use_ || current_.has_value() || !queue_.empty()) return;
   for (const auto& l : commands_) {
     if (!l.deferred.empty()) return;
@@ -1218,63 +1218,56 @@ void CacheManager::try_seal() {
 }
 
 void CacheManager::seal() {
-  sealed_ = true;
-  seal_epoch_ = pending_move_epoch_;
-  handoff_dirty_ = dirty_;
-  handoff_image_ = ObjectImage{};
-  handoff_ = Exchange{alloc_req()};
-  if (handoff_dirty_) {
+  // Filed before the journal appends below, so a compaction they
+  // trigger snapshots its intent.
+  Op& h = handoff_.emplace(OpKind::kPush, Mode::kWeak, Done{});
+  h.ex.req = alloc_req();
+  if (dirty_) {
     // Extracted exactly once; every retransmission (and any post-abort
-    // or journal-replayed re-push) resends this same image under
-    // handoff_.req.
-    handoff_image_ = extract_dirty();
+    // or journal-replayed re-push) resends this same image under h's req.
+    h.image = extract_dirty();
     journal_write_buffer();  // the buffered set left with the handoff
-    journal_intent(handoff_.req, handoff_image_);
+    journal_intent(h.ex.req, *h.image);
   }
-  handoff_echoes_.assign(unconfirmed_echoes_.begin(),
-                         unconfirmed_echoes_.end());
+  h.echoes.assign(unconfirmed_echoes_.begin(), unconfirmed_echoes_.end());
   stats_.inc("migrate.sealed");
   send_handoff();
 }
 
 void CacheManager::send_handoff() {
-  if (!sealed_ || !alive_) return;
-  next_attempt(handoff_, ExchangeKind::kHandoff);
+  if (!handoff_.has_value() || !alive_) return;
+  Op& h = *handoff_;
+  next_attempt(h.ex, ExchangeKind::kHandoff);
   msg::HandoffState hs;
   hs.view = id_;
-  hs.epoch = seal_epoch_;
+  hs.epoch = move_epoch_;
   hs.mode = mode_;
   hs.exclusive = exclusive_;
-  hs.dirty = handoff_dirty_;
-  hs.delta = handoff_image_;
-  hs.echoes = handoff_echoes_;
-  hs.req = handoff_.req;
+  hs.dirty = h.image.has_value();
+  if (h.image.has_value()) hs.delta = *h.image;
+  hs.echoes = h.echoes;
+  hs.req = h.ex.req;
   hs.gen = dir_generation_;
   // b = dirty: an extraction the directory must merge exactly once.
-  FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), send_event(handoff_),
+  FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), send_event(h.ex),
                     obs::Role::kCacheManager, obs::agent_key(self_),
-                    obs::span_id(self_, handoff_.req), msg::kHandoffState,
-                    handoff_.attempts, handoff_dirty_ ? 1 : 0);
+                    obs::span_id(self_, h.ex.req), msg::kHandoffState,
+                    h.ex.attempts, hs.dirty ? 1 : 0);
   send_dir(msg::kHandoffState, std::move(hs));
 }
 
 void CacheManager::unseal_resume() {
-  if (!sealed_) return;
+  if (!handoff_.has_value()) return;
   cancel(retry_timer(ExchangeKind::kHandoff));
-  sealed_ = false;
   move_requested_ = false;
   stats_.inc("migrate.resumed");
-  if (handoff_dirty_) {
-    Op op{OpKind::kPush, Mode::kWeak, {}};
-    op.ex.req = handoff_.req;
-    op.image = std::move(handoff_image_);
-    op.echoes = std::move(handoff_echoes_);
-    queue_.push_front(std::move(op));
+  if (handoff_->image.has_value()) {
+    // The push it becomes: a fresh exchange under the same request id.
+    handoff_->ex = Exchange{handoff_->ex.req};
+    queue_.push_front(std::move(*handoff_));
     stats_.inc("migrate.repush");
   }
-  handoff_dirty_ = false;
-  handoff_image_ = ObjectImage{};
-  handoff_echoes_.clear();
+  handoff_.reset();
   pump();
 }
 
@@ -1323,7 +1316,7 @@ void CacheManager::handle_move_install(const net::Message& m) {
 void CacheManager::handle_move_done(const net::Message& m) {
   const auto& done = net::payload_as<msg::ViewMoveDone>(m);
   if (!alive_) return;
-  if (sealed_ && done.view == id_ && done.epoch == seal_epoch_) {
+  if (sealed() && done.view == id_ && done.epoch == move_epoch_) {
     FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMsgReceived,
                       obs::Role::kCacheManager, obs::agent_key(self_), 0,
                       msg::kViewMoveDone, done.epoch, done.aborted ? 1 : 0);
@@ -1336,12 +1329,9 @@ void CacheManager::handle_move_done(const net::Message& m) {
     // good. Its journal is wiped so a restart can never resurrect the
     // moved view.
     moved_ = true;
-    sealed_ = false;
+    handoff_.reset();
     move_requested_ = false;
     alive_ = false;
-    handoff_dirty_ = false;
-    handoff_image_ = ObjectImage{};
-    handoff_echoes_.clear();
     unconfirmed_echoes_.clear();
     cancel(retry_timer(ExchangeKind::kHandoff));
     retire();
@@ -1349,8 +1339,8 @@ void CacheManager::handle_move_done(const net::Message& m) {
     fail_queued();
     return;
   }
-  if (done.aborted && !sealed_ && move_requested_ && done.view == id_ &&
-      done.epoch == pending_move_epoch_) {
+  if (done.aborted && !sealed() && move_requested_ && done.view == id_ &&
+      done.epoch == move_epoch_) {
     // Aborted before we even quiesced: stand down the move request so
     // triggers resume firing.
     move_requested_ = false;

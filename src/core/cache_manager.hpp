@@ -202,8 +202,8 @@ class CacheManager : public net::Endpoint {
   [[nodiscard]] std::uint64_t last_pull_unseen() const noexcept {
     return last_pull_unseen_;
   }
-  [[nodiscard]] std::uint64_t notifies_received() const noexcept {
-    return notifies_received_;
+  [[nodiscard]] std::uint64_t notifies_received() const {
+    return stats_.get("notify.received");
   }
   /// Highest directory generation observed (generation fencing). 0
   /// until the first stamped directory message arrives.
@@ -225,7 +225,7 @@ class CacheManager : public net::Endpoint {
   /// True while overload degraded a STRONG manager to buffered WEAK.
   [[nodiscard]] bool degraded() const noexcept { return degraded_; }
   /// True while quiesced for a view migration (HandoffState in flight).
-  [[nodiscard]] bool sealed() const noexcept { return sealed_; }
+  [[nodiscard]] bool sealed() const noexcept { return handoff_.has_value(); }
   /// True once a migration moved this manager's view away for good.
   [[nodiscard]] bool moved() const noexcept { return moved_; }
   /// This manager's life number (journal-derived; 1 on a fresh store).
@@ -420,9 +420,9 @@ class CacheManager : public net::Endpoint {
   void handle_move_req(const net::Message& m);
   void handle_move_install(const net::Message& m);
   void handle_move_done(const net::Message& m);
-  /// Abort path: resume serving and surrender the sealed extraction
-  /// through the regular push path under the SAME request id (the
-  /// directory's exactly-once key absorbs an already-merged handoff).
+  /// Abort path: resume serving and re-queue the sealed extraction as
+  /// the push it is, under the SAME request id (the directory's
+  /// exactly-once key absorbs an already-merged handoff).
   void unseal_resume();
   /// Send `value` to the directory in a pooled slot, and record the
   /// traffic for heartbeat piggybacking.
@@ -452,7 +452,6 @@ class CacheManager : public net::Endpoint {
   bool dirty_ = false;
   Version last_version_ = 0;
   std::uint64_t last_pull_unseen_ = 0;
-  std::uint64_t notifies_received_ = 0;
 
   sim::Time last_push_at_ = 0;
   sim::Time last_pull_at_ = 0;
@@ -507,21 +506,17 @@ class CacheManager : public net::Endpoint {
   std::size_t journal_appends_ = 0;
   /// A ViewMoveReq arrived; sealing happens at the next quiescent point.
   bool move_requested_ = false;
-  /// Quiesced: HandoffState retransmits until ViewMoveDone settles it.
-  bool sealed_ = false;
   /// The view now lives at the migration destination; inert forever.
   bool moved_ = false;
-  /// Epoch of the ViewMoveReq we are quiescing for (not yet sealed).
-  std::uint64_t pending_move_epoch_ = 0;
-  /// Epoch the handoff was extracted and sent under.
-  std::uint64_t seal_epoch_ = 0;
-  /// The handoff delta travels under this exchange's request id: the
-  /// directory's (address, req) exactly-once key absorbs any
-  /// journal-replayed or post-abort re-push of the same extraction.
-  Exchange handoff_;
-  bool handoff_dirty_ = false;
-  ObjectImage handoff_image_;
-  std::vector<msg::DeltaEcho> handoff_echoes_;
+  /// Epoch of the latest ViewMoveReq: the one we quiesce for, and once
+  /// sealed the one the handoff travels under.
+  std::uint64_t move_epoch_ = 0;
+  /// Sealed (quiesced): the handoff is the push it becomes on abort,
+  /// and HandoffState retransmits until ViewMoveDone settles it. Its
+  /// request id is the directory's (address, req) exactly-once key for
+  /// every send and re-push of the extraction; `image` is present iff
+  /// the view was dirty; `echoes` are the unconfirmed echoes at sealing.
+  std::optional<Op> handoff_;
   /// Destination side: epoch of the install we adopted (idempotent ack
   /// replay for retransmitted installs).
   std::uint64_t installed_epoch_ = 0;

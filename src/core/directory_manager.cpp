@@ -592,7 +592,6 @@ void DirectoryManager::handle_init(const net::Message& m) {
   out.gen = generation_;
   rec->active = true;
   rec->last_sync = version_;
-  rec->last_sync_at = fabric_.now();
   reply(rec->cache_addr, req.req, msg::kInitReply, std::move(out));
 }
 
@@ -786,13 +785,11 @@ void DirectoryManager::start_next_acquire() {
     // Fig. 2, steps 12-14).
     const bool ro_share =
         cfg_.use_rw_semantics && req.intent == AccessIntent::kReadOnly;
-    if (!cfg_.chaos_ignore_conflicts) {
-      for (const ViewId id : conflicting_views(req.view)) {
-        const ViewRecord& other = *find(id);
-        if (!other.active) continue;
-        if (ro_share && !other.exclusive) continue;  // RO can coexist
-        r.outstanding.insert(id);
-      }
+    for (const ViewId id : conflicting_views(req.view)) {
+      const ViewRecord& other = *find(id);
+      if (!other.active) continue;
+      if (ro_share && !other.exclusive) continue;  // RO can coexist
+      r.outstanding.insert(id);
     }
     if (r.outstanding.empty()) {
       answer_requester(r);
@@ -1069,7 +1066,6 @@ void DirectoryManager::answer_requester(const Round& r) {
   rec->active = true;
   if (r.kind == RoundKind::kInvalidate) rec->exclusive = true;
   rec->last_sync = version_;
-  rec->last_sync_at = fabric_.now();
   if (r.kind == RoundKind::kFetch) {
     reply(rec->cache_addr, r.req, msg::kPullReply,
           msg::PullReply{std::move(image), r.unseen_before, r.req,
@@ -1146,8 +1142,10 @@ void DirectoryManager::handle_kill(const net::Message& m) {
 
 void DirectoryManager::complete_fetch_or_acquire_for_dead_view(ViewId v) {
   // Every deregistration path (kill, supersede, liveness eviction,
-  // rebuild drop) funnels through here: checkpoint the departure and
-  // release any rebuild wait on the view.
+  // rebuild drop) funnels through here right after drop_view():
+  // checkpoint the departure, abort the view's migration (so a
+  // migration's view record always exists), and release any rebuild
+  // wait on the view.
   if (cfg_.durability != nullptr) {
     WalRecord w;
     w.kind = WalKind::kDeregister;
@@ -1306,20 +1304,16 @@ void DirectoryManager::handle_handoff_state(const net::Message& m) {
     stats_.inc("msg.duplicate.dropped");
     return;
   }
-  auto* rec = find(hs.view);
-  if (rec == nullptr) {  // unreachable (eviction aborts), but be safe
-    abort_migration(hs.view, "view departed");
-    return;
-  }
-  touch(*rec);
+  ViewRecord& rec = *find(hs.view);  // a departed view's move was aborted
+  touch(rec);
   // Merge the sealed write-buffer delta exactly once under the source's
   // (address, req) key — the same key absorbs a journal-replayed push of
   // this delta after an abort or a source crash, so no path double-merges.
   if (hs.dirty) {
-    merge_op(m.from, hs.req, *rec, hs.delta, "migrate",
+    merge_op(m.from, hs.req, rec, hs.delta, "migrate",
              "migrate.handoff.replayed_merge");
   }
-  rec->mode = hs.mode;
+  rec.mode = hs.mode;
   mig.phase = kMigrateHandoff;
   mig.resends_left = kMigrateResends;
   cancel(mig.resend_timer);
@@ -1335,25 +1329,20 @@ void DirectoryManager::handle_view_move_ack(const net::Message& m) {
     stats_.inc("migrate.ack.stale");
     return;
   }
-  auto* rec = find(ack.view);
-  if (rec == nullptr) {  // unreachable (eviction aborts), but be safe
-    abort_migration(ack.view, "view departed");
-    return;
-  }
+  ViewRecord& rec = *find(ack.view);  // a departed view's move was aborted
   // The atomic rebind: from this statement on, the view IS its
   // destination. The view id (and with it the monitor's ownership
   // bookkeeping) is unchanged; only the serving address moves.
-  rec->cache_addr = it->second.dest;
-  rec->incarnation = 1;  // the destination starts a fresh life sequence
-  rec->active = true;
-  rec->last_sync = version_;
-  rec->last_sync_at = fabric_.now();
-  rec->last_seen_at = fabric_.now();
-  wal_append(register_record(*rec));
+  rec.cache_addr = it->second.dest;
+  rec.incarnation = 1;  // the destination starts a fresh life sequence
+  rec.active = true;
+  rec.last_sync = version_;
+  rec.last_seen_at = fabric_.now();
+  wal_append(register_record(rec));
   stats_.inc("migrate.done");
   FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kMigrateDone,
                     obs::Role::kDirectory, obs::agent_key(self_), 0,
-                    rec->name.c_str(), ack.view, ack.epoch);
+                    rec.name.c_str(), ack.view, ack.epoch);
   settle_migration(it, /*aborted=*/false);
 }
 
@@ -1591,9 +1580,7 @@ void DirectoryManager::handle_rebuild_reply(const net::Message& m) {
   rec->active = rep.active;
   rec->exclusive = rep.exclusive;
   rec->last_sync = version_;
-  rec->last_sync_at = fabric_.now();
   wal_append(register_record(*rec));  // fresh checkpoint entry
-  ++reannounced_;
   stats_.inc("recovery.reannounced");
   process_echoes(rep.echoes);
   rebuild_awaiting_.erase(rep.view);
@@ -1623,7 +1610,8 @@ void DirectoryManager::finish_rebuild() {
   stats_.inc("recovery.completed");
   FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), obs::EventKind::kRecoveryEnd,
                     obs::Role::kDirectory, obs::agent_key(self_), 0,
-                    "rebuilt", generation_, reannounced_);
+                    "rebuilt", generation_,
+                    stats_.get("recovery.reannounced"));
   start_next_acquire();
 }
 

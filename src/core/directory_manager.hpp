@@ -87,12 +87,6 @@ class DirectoryManager : public net::Endpoint {
     /// Compact the WAL after this many appends since the last
     /// compaction (0 disables compaction).
     std::size_t compact_threshold = 4096;
-    /// Fault-injection knob (monitor mutation tests ONLY): treat every
-    /// pair of views as non-conflicting when arbitrating strong-mode
-    /// acquires, so grants go out without invalidating the previous
-    /// holder — the exact bug the monitor's I1 (STRONG exclusivity)
-    /// check catches.
-    bool chaos_ignore_conflicts = false;
     // ---- admission control (PROTOCOL.md "Flow control & overload") ----
     /// Global cap on concurrently open demand-fetch rounds. A pull that
     /// would open a round past the cap is answered with msg::Busy
@@ -203,7 +197,6 @@ class DirectoryManager : public net::Endpoint {
     bool active = false;     // holds a valid working copy
     bool exclusive = false;  // strong-mode ownership
     Version last_sync = 0;
-    sim::Time last_sync_at = 0;
     sim::Time last_seen_at = 0;  // liveness: last message from this view
     /// Life number of the serving cache manager; a journal-replaying
     /// resume must register with a strictly greater incarnation.
@@ -597,7 +590,6 @@ class DirectoryManager : public net::Endpoint {
   net::TimerId rebuild_timer_ = net::kInvalidTimerId;
   net::TimerId rebuild_resend_timer_ = net::kInvalidTimerId;
   std::size_t rebuild_resends_left_ = 0;
-  std::uint64_t reannounced_ = 0;
   std::size_t wal_appends_since_compact_ = 0;
   /// Bounded (address, request id) window of merged push/kill/handoff
   /// requests, replayed from the WAL so a post-restart re-issue of an

@@ -29,6 +29,9 @@ bool is(const char* label, const char* name) {
 /// is O(pending), so amortize it instead of paying it per event.
 constexpr std::uint64_t kAgeSweepPeriod = 1024;
 
+/// Warn when a cache manager's unacked-heartbeat streak reaches this.
+constexpr std::uint64_t kHeartbeatWarnStreak = 3;
+
 constexpr std::size_t idx(Invariant inv) noexcept {
   return static_cast<std::size_t>(inv);
 }
@@ -305,9 +308,8 @@ void InvariantMonitor::on_cm_event(const TraceEvent& e) {
 
     case EventKind::kHeartbeatMiss: {
       const std::uint64_t streak = e.a;
-      if (cfg_.heartbeat_warn_streak != 0 &&
-          streak >= cfg_.heartbeat_warn_streak &&
-          st.hb_streak < cfg_.heartbeat_warn_streak) {
+      if (streak >= kHeartbeatWarnStreak &&
+          st.hb_streak < kHeartbeatWarnStreak) {
         std::ostringstream d;
         d << "view " << st.view << ": " << streak
           << " consecutive unacked heartbeats";
@@ -339,18 +341,16 @@ void InvariantMonitor::on_dm_event(const TraceEvent& e) {
             pit != pending_.end() ? agent(pit->second.agent).view : 0;
         if (requester != 0) {
           ++checks_[idx(Invariant::kExclusivity)];
-          if (cfg_.assume_conflicting) {
-            for (const auto& [view, holder] : holders_) {
-              if (view == requester || holder.invalidated_since_grant) {
-                continue;
-              }
-              std::ostringstream d;
-              d << "grant to view " << requester << " while view " << view
-                << " (granted at " << holder.granted_at
-                << " us) still holds a copy the directory never asked to"
-                << " invalidate";
-              violation(Invariant::kExclusivity, e, e.span, d.str());
+          for (const auto& [view, holder] : holders_) {
+            if (view == requester || holder.invalidated_since_grant) {
+              continue;
             }
+            std::ostringstream d;
+            d << "grant to view " << requester << " while view " << view
+              << " (granted at " << holder.granted_at
+              << " us) still holds a copy the directory never asked to"
+              << " invalidate";
+            violation(Invariant::kExclusivity, e, e.span, d.str());
           }
           // The grant settles the round: previous holders either acked,
           // were evicted, or timed out (presumed crashed).

@@ -11,7 +11,10 @@
 //
 //   I1 exclusivity      After a strong-mode AcquireGrant, no other
 //                       conflicting view may still hold a copy the
-//                       directory never asked to invalidate.
+//                       directory never asked to invalidate. The trace
+//                       carries no property sets, so every pair of
+//                       views counts as conflicting (true of every
+//                       bundled bench and the airline example).
 //   I2 exactly-once     Every dirty extraction (FetchReply,
 //                       InvalidateAck, push/kill image) merges into
 //                       the primary at most once, across the live,
@@ -85,19 +88,10 @@ class InvariantMonitor : public TraceSink {
  public:
   /// Knobs; the zero-argument constructor uses the defaults below.
   struct Config {
-    /// Treat every pair of views as conflicting for I1. Sound for all
-    /// bundled benches and the airline example (every view shares the
-    /// seat data); set false to disable I1 when disjoint strong views
-    /// legitimately coexist (the trace carries no property sets, so
-    /// the monitor cannot derive dynConfl itself).
-    bool assume_conflicting = true;
     /// Warn when an op stays pending longer than this (liveness
     /// watchdog); 0 disables. Measured in fabric time against the
     /// newest event seen.
     sim::Duration max_op_age = 0;
-    /// Warn when a cache manager's unacked-heartbeat streak reaches
-    /// this; 0 disables.
-    std::uint64_t heartbeat_warn_streak = 3;
     /// Optional buffer to emit kInvariantViolation / kMonitorWarning
     /// events into (so findings appear in the exported trace). Not
     /// owned. The monitor ignores those kinds on input, so attaching

@@ -4,8 +4,12 @@
 // endUseImage, a newer command while one is deferred, the replay window,
 // reconnect, and a migration that waits for a deferred command. Then
 // the recovery paths no other suite reaches: journal compaction with a
-// push in flight, a destination's uninstall, and a sealed source that
-// abandons its handoff.
+// push in flight, queued or sealed as a handoff, a destination's
+// uninstall, a sealed source that abandons its handoff, and a rebuild
+// probe that re-issues only what was in flight. Last, the migration
+// paths: a move request for a view the manager does not host, a sealed
+// source re-quiescing, a resent or refused install, an abort before
+// quiescing, and a stray settlement.
 //
 // The directory is a scripted endpoint: it answers the cache manager's
 // own requests and otherwise sends only the commands a case asks for,
@@ -108,14 +112,18 @@ class ScriptedDirectory final : public net::Endpoint {
   }
 
   /// Open a migration of the view (its destination is never named).
-  void move(std::uint64_t epoch) {
-    send(msg::kViewMoveReq, msg::ViewMoveReq{kView, epoch, gen_});
+  void move(std::uint64_t epoch) { move_to(cm_, kView, epoch); }
+
+  /// Ask the manager at `to` to quiesce view `view` for migration `epoch`.
+  void move_to(const net::Address& to, ViewId view, std::uint64_t epoch) {
+    send_to(to, msg::kViewMoveReq, msg::ViewMoveReq{view, epoch, gen_});
   }
 
-  /// Install the view over cells [0, 9] at `to` for migration `epoch`.
-  void install(const net::Address& to, std::uint64_t epoch) {
+  /// Install view `view` over cells [0, 9] at `to` for migration `epoch`.
+  void install(const net::Address& to, std::uint64_t epoch,
+               ViewId view = kView) {
     msg::ViewMoveInstall inst;
-    inst.view = kView;
+    inst.view = view;
     inst.epoch = epoch;
     inst.view_name = "kv.View";
     inst.properties = cells(0, 9);
@@ -149,6 +157,11 @@ class ScriptedDirectory final : public net::Endpoint {
   /// Message types received, in arrival order.
   [[nodiscard]] const std::vector<std::string>& received() const {
     return received_;
+  }
+  /// How many messages of `type` arrived.
+  [[nodiscard]] std::size_t received(const std::string& type) const {
+    return static_cast<std::size_t>(
+        std::count(received_.begin(), received_.end(), type));
   }
 
   /// Whether pushes are acked and merged; an unacked push is lost.
@@ -555,6 +568,29 @@ TEST_F(CmRecoveryPathsTest, CompactionKeepsTheIntentOfAQueuedPush) {
   EXPECT_EQ(dir_.db(), sales);
 }
 
+TEST_F(CmRecoveryPathsTest, CompactionKeepsTheIntentOfASealedHandoff) {
+  MemoryDurabilityStore journal;
+  CacheManager::Config cfg;
+  cfg.journal = &journal;
+  auto m = member(cfg);
+  std::int64_t sales = 0;
+  ASSERT_NO_FATAL_FAILURE(fill(m, journal, 254, sales));
+
+  // Sealing appends the buffered write set, then the handoff's intent as
+  // the 256th append: the journal compacts while the source is sealed.
+  const msg::HandoffState hs = seal(m, /*epoch=*/7);
+  ASSERT_EQ(m.cm->stats().get("journal.compacted"), 1u);
+
+  // The sealed source crashes; its restart re-pushes the handoff once,
+  // under the handoff's request id.
+  const std::size_t before = dir_.pushes().size();
+  auto restarted = restart(m, journal);
+  EXPECT_EQ(restarted.cm->stats().get("journal.replayed.intent"), 1u);
+  ASSERT_EQ(dir_.pushes().size(), before + 1);
+  EXPECT_EQ(dir_.pushes().back().req, hs.req);
+  EXPECT_EQ(dir_.db(), sales + 5);
+}
+
 TEST_F(CmRecoveryPathsTest, AbortedMoveUninstallsAnInstalledDestination) {
   CacheManager::Config cfg;
   cfg.await_migration = true;
@@ -607,6 +643,146 @@ TEST_F(CmRecoveryPathsTest, SealedSourceAbandonsWhenHandoffRetriesRunOut) {
   EXPECT_EQ(m.cm->stats().get("migrate.handoff.abandoned"), 1u);
   EXPECT_FALSE(m.cm->sealed());
   expect_repushes(hs);
+}
+
+TEST_F(CmRecoveryPathsTest, RebuildProbeReissuesOnlyAnOpInFlightBeforeIt) {
+  auto m = member();
+  const msg::HandoffState hs = seal(m, /*epoch=*/7);
+
+  // The abandoned handoff goes out once, as the push it becomes.
+  dir_.set_generation(2);
+  dir_.probe();
+  settle();
+  ASSERT_EQ(dir_.pushes().size(), 1u);
+  EXPECT_EQ(dir_.pushes()[0].req, hs.req);
+  EXPECT_EQ(m.cm->stats().get("op.reissued.rebuild"), 0u);
+  EXPECT_EQ(dir_.db(), 5);
+
+  // A push already in flight is re-issued at once under the new
+  // generation, with its request id.
+  dir_.ack_pushes = false;
+  sell(m);
+  ASSERT_EQ(dir_.pushes().size(), 2u);
+  dir_.set_generation(3);
+  dir_.probe();
+  settle();
+  ASSERT_EQ(dir_.pushes().size(), 3u);
+  EXPECT_EQ(dir_.pushes()[2].req, dir_.pushes()[1].req);
+  EXPECT_EQ(dir_.pushes()[2].gen, 3u);
+  EXPECT_EQ(m.cm->stats().get("op.reissued.rebuild"), 1u);
+}
+
+// ---- migration paths -------------------------------------------------------
+
+using CmMigrationPathsTest = CmRecoveryPathsTest;
+
+TEST_F(CmMigrationPathsTest, MoveRequestForAViewNotHostedHereIsIgnored) {
+  auto m = member();
+  CacheManager::Config idle_cfg;
+  idle_cfg.await_migration = true;
+  auto idle = h_.make_member(0, 9, idle_cfg);
+  dir_.move_to(m.cm->address(), kView + 1, /*epoch=*/7);
+  dir_.move_to(idle.cm->address(), kView, /*epoch=*/8);
+  settle();
+  for (const auto* cm : {m.cm.get(), idle.cm.get()}) {
+    EXPECT_EQ(cm->stats().get("migrate.req.ignored"), 1u);
+    EXPECT_EQ(cm->stats().get("migrate.quiesce"), 0u);
+    EXPECT_FALSE(cm->sealed());
+  }
+  EXPECT_TRUE(dir_.handoffs().empty());
+}
+
+TEST_F(CmMigrationPathsTest, SealedSourceRequiescesUnderANewEpoch) {
+  auto m = member();
+  const msg::HandoffState first = seal(m, /*epoch=*/7);
+  dir_.move(7);  // the same attempt's request, resent
+  settle();
+  dir_.move(9);  // a fresh attempt for the same view
+  settle();
+  EXPECT_EQ(m.cm->stats().get("msg.duplicate.dropped"), 1u);
+  EXPECT_EQ(m.cm->stats().get("migrate.requiesced"), 1u);
+  ASSERT_EQ(dir_.handoffs().size(), 3u);
+  EXPECT_EQ(dir_.handoffs()[1].epoch, 7u);
+  // The same sealed extraction travels under the new epoch.
+  const msg::HandoffState& again = dir_.handoffs()[2];
+  EXPECT_EQ(again.epoch, 9u);
+  EXPECT_EQ(again.req, first.req);
+  EXPECT_TRUE(again.dirty);
+  EXPECT_EQ(again.delta, first.delta);
+  EXPECT_EQ(m.view->extracts(), 1u);
+
+  // The old attempt's outcome no longer settles it; the new one does.
+  dir_.done(m.cm->address(), 7, /*aborted=*/false);
+  settle();
+  EXPECT_TRUE(m.cm->sealed());
+  dir_.done(m.cm->address(), 9, /*aborted=*/false);
+  settle();
+  EXPECT_TRUE(m.cm->moved());
+  EXPECT_FALSE(m.cm->sealed());
+}
+
+TEST_F(CmMigrationPathsTest, ResentInstallReplaysTheAckAndAdoptsOnce) {
+  CacheManager::Config cfg;
+  cfg.await_migration = true;
+  auto dest = h_.make_member(0, 9, cfg);
+  dir_.install(dest.cm->address(), /*epoch=*/5);
+  settle();
+  dir_.install(dest.cm->address(), /*epoch=*/5);  // the first ack was lost
+  settle();
+  EXPECT_EQ(dir_.received(msg::kViewMoveAck), 2u);
+  EXPECT_EQ(dest.cm->stats().get("msg.duplicate.replayed"), 1u);
+  EXPECT_EQ(dest.cm->stats().get("migrate.installed"), 1u);
+  EXPECT_EQ(dest.view->merges(), 1u);
+  EXPECT_EQ(dest.cm->id(), kView);
+}
+
+TEST_F(CmMigrationPathsTest, DestinationHostingAnotherViewRefusesTheInstall) {
+  auto m = member();
+  const std::size_t merges = m.view->merges();
+  dir_.install(m.cm->address(), /*epoch=*/5, kView + 1);
+  settle();
+  EXPECT_EQ(m.cm->stats().get("migrate.install.refused"), 1u);
+  EXPECT_EQ(m.cm->stats().get("migrate.installed"), 0u);
+  EXPECT_EQ(dir_.received(msg::kViewMoveAck), 0u);
+  EXPECT_EQ(m.cm->id(), kView);
+  EXPECT_EQ(m.view->merges(), merges);
+}
+
+TEST_F(CmMigrationPathsTest, AbortBeforeQuiescingStandsTheMoveDown) {
+  auto m = member();
+  m.cm->start_use_image();
+  settle();
+  dir_.move(7);
+  settle();
+  dir_.move(7);  // resent while the use section still runs
+  settle();
+  ASSERT_FALSE(m.cm->sealed());
+  EXPECT_EQ(m.cm->stats().get("migrate.quiesce"), 1u);
+  EXPECT_EQ(m.cm->stats().get("msg.duplicate.dropped"), 1u);
+  dir_.done(m.cm->address(), 7, /*aborted=*/true);
+  settle();
+  EXPECT_EQ(m.cm->stats().get("migrate.aborted.src"), 1u);
+
+  // Leaving the use section no longer seals: the request was withdrawn.
+  m.cm->end_use_image(/*modified=*/true);
+  settle();
+  EXPECT_FALSE(m.cm->sealed());
+  EXPECT_TRUE(dir_.handoffs().empty());
+  m.cm->push_image();
+  settle();
+  EXPECT_EQ(dir_.pushes().size(), 1u);
+}
+
+TEST_F(CmMigrationPathsTest, StrayMoveDoneIsDropped) {
+  auto m = member();
+  dir_.done(m.cm->address(), 3, /*aborted=*/false);  // never requested
+  settle();
+  EXPECT_EQ(m.cm->stats().get("msg.duplicate.dropped"), 1u);
+  EXPECT_TRUE(m.cm->registered());
+  EXPECT_FALSE(m.cm->moved());
+  m.cm->push_image();
+  settle();
+  EXPECT_EQ(dir_.pushes().size(), 1u);
 }
 
 }  // namespace

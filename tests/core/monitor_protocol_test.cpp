@@ -1,14 +1,13 @@
 // The conformance monitor against the REAL protocol: a clean run
 // produces zero violations with every invariant actually exercised
 // (non-zero check counts), and mutations prove the invariants fire —
-// live protocol sabotage where a chaos knob exists
-// (DirectoryManager::Config::chaos_ignore_conflicts for I1), trace
-// mutation elsewhere (the protocol itself refuses to violate I2-I4, so
-// the negative harness corrupts the recorded stream the way a buggy
-// implementation would have). Also pins the wire-type strings the
-// monitor mirrors from core/messages.hpp.
+// the protocol itself refuses to violate I1-I4, so the negative harness
+// corrupts the recorded stream the way a buggy implementation would
+// have. Also pins the wire-type strings the monitor mirrors from
+// core/messages.hpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -79,7 +78,7 @@ class CounterView : public ViewAdapter {
 
 /// Two strong-mode views over one primary, fully traced and monitored.
 struct MonitoredProtocol : ::testing::Test {
-  void build(bool ignore_conflicts) {
+  void build() {
     std::vector<net::NodeId> hosts;
     auto topo = net::Topology::lan(3, net::LinkSpec{}, &hosts);
     fabric = std::make_unique<net::SimFabric>(sim, std::move(topo));
@@ -89,7 +88,6 @@ struct MonitoredProtocol : ::testing::Test {
     dir_addr = net::Address{hosts[2], 1};
     DirectoryManager::Config dcfg;
     dcfg.trace = recorder.make_buffer("dm");
-    dcfg.chaos_ignore_conflicts = ignore_conflicts;
     directory =
         std::make_unique<DirectoryManager>(*fabric, dir_addr, primary, dcfg);
 
@@ -128,7 +126,7 @@ struct MonitoredProtocol : ::testing::Test {
 
 TEST_F(MonitoredProtocol, CleanStrongRunPassesWithRealCoverage) {
   if (!obs::kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
-  build(/*ignore_conflicts=*/false);
+  build();
   sim.run();  // registration
   for (int round = 0; round < 3; ++round) {
     work(0);
@@ -151,20 +149,7 @@ TEST_F(MonitoredProtocol, CleanStrongRunPassesWithRealCoverage) {
   EXPECT_EQ(primary.n(), 6);
 }
 
-TEST_F(MonitoredProtocol, I1FiresWhenTheDirectoryIgnoresConflicts) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
-  // Sabotaged directory: grants without invalidating conflicting
-  // holders — the canonical exclusivity bug.
-  build(/*ignore_conflicts=*/true);
-  sim.run();
-  work(0);
-  work(1);  // granted while View1 still holds its copy
-  monitor.finalize();
-  EXPECT_GE(monitor.violation_count(Invariant::kExclusivity), 1u)
-      << monitor.health_report();
-}
-
-// ---- trace-mutation negative harness (I2-I4) ---------------------------
+// ---- trace-mutation negative harness (I1-I4) ---------------------------
 //
 // Record a clean run, then corrupt the stream the way a buggy protocol
 // would have, and feed it to a fresh (offline) monitor — the same
@@ -172,7 +157,7 @@ TEST_F(MonitoredProtocol, I1FiresWhenTheDirectoryIgnoresConflicts) {
 
 struct MutatedTrace : MonitoredProtocol {
   std::vector<obs::TraceEvent> record_clean_run() {
-    build(/*ignore_conflicts=*/false);
+    build();
     sim.run();
     // Strong-mode updates travel as dirty invalidate-acks; the final
     // kills matter because the I3 scan fires at a LATER completed
@@ -188,6 +173,42 @@ struct MutatedTrace : MonitoredProtocol {
     return recorder.snapshot();
   }
 };
+
+TEST_F(MutatedTrace, I1FiresWhenAHolderIsNeverInvalidated) {
+  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
+  auto events = record_clean_run();
+  // A directory that grants without invalidating a conflicting holder,
+  // the canonical exclusivity bug: before the second grant (to View2),
+  // erase the invalidation sent to the first holder (View1) and
+  // View1's ack.
+  const auto is = [](const obs::TraceEvent& e, const char* label) {
+    return std::strcmp(e.label, label) == 0;
+  };
+  const auto is_grant = [&](const obs::TraceEvent& e) {
+    return e.role == obs::Role::kDirectory &&
+           e.kind == obs::EventKind::kMsgSent && is(e, msg::kAcquireGrant);
+  };
+  auto second_grant = std::find_if(events.begin(), events.end(), is_grant);
+  ASSERT_NE(second_grant, events.end());
+  second_grant = std::find_if(std::next(second_grant), events.end(), is_grant);
+  ASSERT_NE(second_grant, events.end());
+  const ViewId holder = cms[0]->id();
+  const std::uint64_t holder_agent = obs::agent_key(cms[0]->address());
+  const auto erased = std::remove_if(
+      events.begin(), second_grant, [&](const obs::TraceEvent& e) {
+        return (e.role == obs::Role::kDirectory &&
+                is(e, msg::kInvalidateReq) && e.b == holder) ||
+               (e.role == obs::Role::kCacheManager &&
+                e.agent == holder_agent && is(e, msg::kInvalidateAck));
+      });
+  ASSERT_EQ(second_grant - erased, 2);
+  events.erase(erased, second_grant);
+
+  InvariantMonitor offline;
+  offline.run(events);
+  EXPECT_GE(offline.violation_count(Invariant::kExclusivity), 1u)
+      << offline.health_report();
+}
 
 TEST_F(MutatedTrace, I2FiresOnReplayedMerge) {
   if (!obs::kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";

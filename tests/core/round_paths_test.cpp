@@ -2,8 +2,9 @@
 // (PROTOCOL.md, "Delta echoes and the settled-round archive"), run once
 // per round kind: a live dirty reply, a duplicate reply, a late reply
 // merged from the settled-round archive, push-borne echoes for live,
-// settled, forgotten and pre-crash rounds, a WAL compaction while a
-// round is open, command resends, and the death of a target or of the
+// settled, forgotten and pre-crash rounds, an echo of a live round's
+// merged reply, a WAL compaction while a round is open and one after a
+// round settled, command resends, and the death of a target or of the
 // requester mid-round.
 //
 // Requester and targets are scripted endpoints that speak only when
@@ -313,6 +314,23 @@ TEST_P(RoundPathsTest, EchoMergesForALiveRound) {
   EXPECT_EQ(total(), 5);
 }
 
+TEST_P(RoundPathsTest, EchoOfALiveRoundsMergedReplyIsADuplicate) {
+  start(2);
+  const std::uint64_t round = open_round();
+  target(0).answer(kind(), round, 5);
+  settle();
+  ASSERT_EQ(completions(), 0u);  // target 1 is still outstanding
+  target(0).echo(kind(), round, 5);  // the next push repeats the extraction
+  settle();
+  EXPECT_EQ(dm("echo.duplicate"), 1u);
+  EXPECT_EQ(dm("echo.merged"), 0u);
+  EXPECT_EQ(total(), 5);
+  target(1).answer(kind(), round, 0);
+  settle();
+  EXPECT_EQ(completions(), 1u);
+  EXPECT_EQ(total(), 5);
+}
+
 TEST_P(RoundPathsTest, EchoMergesForASettledRound) {
   start(1);
   const std::uint64_t round = open_round();
@@ -449,6 +467,37 @@ TEST_P(RoundPathsTest, CompactionKeepsOpenRoundMerges) {
 
   // The merged extraction's echo: the checkpoint still knows it merged.
   target(0).echo(kind(), round, 5);
+  settle();
+  EXPECT_EQ(dm("echo.duplicate"), 1u);
+  EXPECT_EQ(dm("recovery.revived_round"), 0u);
+  EXPECT_EQ(total(), 5);
+}
+
+TEST_P(RoundPathsTest, CompactionKeepsSettledRoundMerges) {
+  MemoryDurabilityStore store;
+  DirectoryManager::Config dcfg;
+  dcfg.durability = &store;
+  // Two registrations, the first round's kRoundOpen and kRoundMerge are
+  // four appends; the second round's kRoundOpen, the fifth, compacts
+  // the log while the first round sits in the settled-round archive.
+  dcfg.compact_threshold = 5;
+  start(1, dcfg);
+  const std::uint64_t first = open_round();
+  target().answer(kind(), first, 5);
+  settle();
+  ASSERT_EQ(completions(), 1u);
+  ASSERT_EQ(store.compactions(), 0u);
+  if (kind() == Kind::kInvalidate) {
+    target().init();  // re-activate, so the next acquire invalidates it
+    settle();
+  }
+  open_round();
+  ASSERT_EQ(store.compactions(), 1u);
+  ASSERT_EQ(total(), 5);
+  restart_directory(store);
+
+  // The settled round's echo: the checkpoint still knows it merged.
+  target().echo(kind(), first, 5);
   settle();
   EXPECT_EQ(dm("echo.duplicate"), 1u);
   EXPECT_EQ(dm("recovery.revived_round"), 0u);

@@ -248,9 +248,7 @@ TEST(InvariantMonitorTest, ZeroClocksAreSkippedNotViolations) {
 }
 
 TEST(InvariantMonitorTest, HeartbeatStreakWarnsOnceAtThreshold) {
-  InvariantMonitor::Config cfg;
-  cfg.heartbeat_warn_streak = 3;
-  InvariantMonitor mon(cfg);
+  InvariantMonitor mon;
   std::vector<TraceEvent> events;
   for (std::uint64_t streak = 1; streak <= 5; ++streak) {
     events.push_back(cm(10 * streak, kA, EventKind::kHeartbeatMiss, 0,
@@ -258,7 +256,8 @@ TEST(InvariantMonitorTest, HeartbeatStreakWarnsOnceAtThreshold) {
   }
   mon.run(events);
   EXPECT_TRUE(mon.violations().empty());
-  EXPECT_EQ(mon.warnings().size(), 1u);  // crossing the threshold, once
+  ASSERT_EQ(mon.warnings().size(), 1u);  // crossing the threshold, once
+  EXPECT_EQ(mon.warnings()[0].at, 30);   // at the third unacked beat
 }
 
 TEST(InvariantMonitorTest, StaleOpWarnsViaFinalize) {
