@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -72,15 +73,65 @@ std::string out_path(const char* name) {
     }                                                           \
   } while (0)
 
+/// Every mode runs its scenarios with this seed.
+constexpr std::uint64_t kSeed = 0xc0a5;
+
+using Counters = std::map<std::string, std::uint64_t>;
+
+/// Agent `i`'s cache manager is not wedged: nothing queued, nothing in
+/// flight.
+void check_idle(FleccTestbed& tb, std::size_t i) {
+  SOAK_CHECK(tb.agent(i).cache().queued_ops() == 0,
+             "agent %zu has %zu wedged queued ops", i,
+             tb.agent(i).cache().queued_ops());
+  SOAK_CHECK(!tb.agent(i).cache().op_in_flight(),
+             "agent %zu has a wedged in-flight op", i);
+}
+
+/// Every component's counters, summed by name: the directory's under
+/// "dm.", those of every agent and of the first `spares` spare hosts
+/// under "cm.", and the fabric counters `net_keys` names under "net."
+/// (one the fabric never counted reads 0).
+Counters aggregate(FleccTestbed& tb,
+                   std::initializer_list<const char*> net_keys,
+                   std::size_t spares = 0) {
+  Counters agg;
+  for (const auto& [k, v] : tb.directory().stats().all()) agg["dm." + k] += v;
+  const auto add_cm = [&agg](airline::TravelAgent& a) {
+    for (const auto& [k, v] : a.cache().stats().all()) agg["cm." + k] += v;
+  };
+  for (std::size_t i = 0; i < tb.agent_count(); ++i) add_cm(tb.agent(i));
+  for (std::size_t k = 0; k < spares; ++k) {
+    if (tb.has_spare(k)) add_cm(tb.spare(k));
+  }
+  for (const char* key : net_keys) {
+    agg[std::string("net.") + key] = tb.fabric().counters().get(key);
+  }
+  return agg;
+}
+
+/// A scenario's printable result: every counter, then its summary rows
+/// and its simulated end time.
+std::string render(
+    FleccTestbed& tb, const Counters& agg,
+    std::initializer_list<std::pair<const char*, std::int64_t>> summary) {
+  std::string out = "counter,value\n";
+  for (const auto& [k, v] : agg) out += k + "," + std::to_string(v) + "\n";
+  for (const auto& [k, v] : summary) {
+    out += std::string("summary.") + k + "," + std::to_string(v) + "\n";
+  }
+  out += "summary.sim_end_us," + std::to_string(tb.simulator().now()) + "\n";
+  return out;
+}
+
 /// One full soak; returns the printable result (counters + summary) so
 /// the driver can compare two same-seed runs bit for bit. With
 /// `crash_dm` the directory itself is crashed and restarted mid-run
 /// from its checkpoint (`empty_checkpoint` drops the WAL first, leaving
 /// only the generation superblock — the pure CM-assisted rebuild).
-std::string run_soak(std::uint64_t seed, obs::TraceRecorder* trace = nullptr,
-                     bool crash_dm = false, bool empty_checkpoint = false,
-                     bool batch = false, std::size_t wbuf = 0,
-                     obs::TelemetryHub* hub = nullptr) {
+std::string run_soak(std::uint64_t seed, obs::TraceRecorder* trace,
+                     bool crash_dm, bool empty_checkpoint, bool batch,
+                     std::size_t wbuf, obs::TelemetryHub* hub) {
   TestbedOptions opts;
   opts.trace = trace;
   // Telemetry rides the FIRST run only (like the trace recorder), so
@@ -175,11 +226,7 @@ std::string run_soak(std::uint64_t seed, obs::TraceRecorder* trace = nullptr,
     SOAK_CHECK(tb.agent(i).ops_completed() == kOpsPerAgent,
                "agent %zu completed %zu/%zu ops", i,
                tb.agent(i).ops_completed(), kOpsPerAgent);
-    SOAK_CHECK(tb.agent(i).cache().queued_ops() == 0,
-               "agent %zu has %zu wedged queued ops", i,
-               tb.agent(i).cache().queued_ops());
-    SOAK_CHECK(!tb.agent(i).cache().op_in_flight(),
-               "agent %zu has a wedged in-flight op", i);
+    check_idle(tb, i);
   }
   SOAK_CHECK(loops_completed == kAgents - 2,
              "%zu/%zu survivor loops completed", loops_completed,
@@ -212,20 +259,11 @@ std::string run_soak(std::uint64_t seed, obs::TraceRecorder* trace = nullptr,
   // recovery epoch for exactly this case.
 
   // ---- aggregate counters ----------------------------------------------
-  std::map<std::string, std::uint64_t> agg;
-  for (const auto& [k, v] : tb.directory().stats().all()) agg["dm." + k] += v;
-  for (std::size_t i = 0; i < tb.agent_count(); ++i) {
-    for (const auto& [k, v] : tb.agent(i).cache().stats().all()) {
-      agg["cm." + k] += v;
-    }
-  }
-  for (const char* key :
-       {"msg.dropped.loss", "msg.dropped.partition", "msg.dropped.unbound",
-        "msg.sent", "batch.frames", "batch.subs", "batch.coalesced",
-        "batch.flush.window", "batch.flush.capacity", "batch.flush.single",
-        "batch.sub.unbound"}) {
-    agg[std::string("net.") + key] = tb.fabric().counters().get(key);
-  }
+  Counters agg = aggregate(
+      tb, {"msg.dropped.loss", "msg.dropped.partition", "msg.dropped.unbound",
+           "msg.sent", "batch.frames", "batch.subs", "batch.coalesced",
+           "batch.flush.window", "batch.flush.capacity", "batch.flush.single",
+           "batch.sub.unbound"});
   if (batch) {
     SOAK_CHECK(agg["net.batch.frames"] >= 1,
                "batching enabled but no train ever coalesced");
@@ -251,17 +289,10 @@ std::string run_soak(std::uint64_t seed, obs::TraceRecorder* trace = nullptr,
                "crashed views were never evicted");
   }
 
-  std::string out = "counter,value\n";
-  for (const auto& [k, v] : agg) {
-    out += k + "," + std::to_string(v) + "\n";
-  }
-  out += "summary.survivors_confirmed," +
-         std::to_string(survivors_confirmed) + "\n";
-  out += "summary.crashed_confirmed," + std::to_string(crashed_confirmed) +
-         "\n";
-  out += "summary.db_total," + std::to_string(db_total) + "\n";
-  out += "summary.sim_end_us," + std::to_string(tb.simulator().now()) + "\n";
-  return out;
+  return render(tb, agg,
+                {{"survivors_confirmed", survivors_confirmed},
+                 {"crashed_confirmed", crashed_confirmed},
+                 {"db_total", db_total}});
 }
 
 // ---- overload storm (--overload) -------------------------------------------
@@ -293,8 +324,7 @@ struct OverloadResult {
 /// restarts from its checkpoint — overload plus crash recovery in one
 /// run.
 std::string run_overload(std::uint64_t seed, obs::TraceRecorder* trace,
-                         bool flow_on, OverloadResult* result = nullptr,
-                         bool crash_dm = false,
+                         bool flow_on, OverloadResult& result, bool crash_dm,
                          obs::TelemetryHub* hub = nullptr) {
   TestbedOptions opts;
   opts.trace = trace;
@@ -364,11 +394,7 @@ std::string run_overload(std::uint64_t seed, obs::TraceRecorder* trace,
     SOAK_CHECK(tb.agent(i).ops_completed() == kStormOps,
                "agent %zu completed %zu/%zu ops", i,
                tb.agent(i).ops_completed(), kStormOps);
-    SOAK_CHECK(tb.agent(i).cache().queued_ops() == 0,
-               "agent %zu has %zu wedged queued ops", i,
-               tb.agent(i).cache().queued_ops());
-    SOAK_CHECK(!tb.agent(i).cache().op_in_flight(),
-               "agent %zu has a wedged in-flight op", i);
+    check_idle(tb, i);
     // Degradation is transient: once the storm drains the breaker
     // closes and the manager climbs back to STRONG.
     SOAK_CHECK(!tb.agent(i).cache().degraded(),
@@ -387,17 +413,10 @@ std::string run_overload(std::uint64_t seed, obs::TraceRecorder* trace,
              static_cast<long long>(confirmed));
 
   // ---- aggregate counters ----------------------------------------------
-  std::map<std::string, std::uint64_t> agg;
-  for (const auto& [k, v] : tb.directory().stats().all()) agg["dm." + k] += v;
-  for (std::size_t i = 0; i < tb.agent_count(); ++i) {
-    for (const auto& [k, v] : tb.agent(i).cache().stats().all()) {
-      agg["cm." + k] += v;
-    }
-  }
+  Counters agg = aggregate(tb, {"msg.sent"});
   for (const auto& [k, v] : tb.fabric().counters().all()) {
     if (k.rfind("flow.", 0) == 0) agg["net." + k] += v;
   }
-  agg["net.msg.sent"] = tb.fabric().counters().get("msg.sent");
   if (crash_dm) {
     SOAK_CHECK(agg["dm.recovery.restart"] >= 1,
                "the directory never restarted from its checkpoint");
@@ -405,27 +424,19 @@ std::string run_overload(std::uint64_t seed, obs::TraceRecorder* trace,
                "directory recovery never completed under overload");
   }
 
-  if (result != nullptr) {
-    // find(), not operator[]: inserting zero rows here would make the
-    // result-collecting run print differently from its determinism twin.
-    const auto get = [&agg](const char* k) -> std::uint64_t {
-      const auto it = agg.find(k);
-      return it == agg.end() ? 0 : it->second;
-    };
-    result->queue_peak = get("net.flow.queue.peak");
-    result->fabric_shed = get("net.flow.shed");
-    result->dm_shed = get("dm.shed.acquire") + get("dm.shed.pull");
-    result->breaker_opened = get("cm.breaker.open");
-    result->degraded = get("cm.breaker.degrade");
-  }
+  // find(), not operator[]: inserting zero rows here would change the
+  // printed counters.
+  const auto get = [&agg](const char* k) -> std::uint64_t {
+    const auto it = agg.find(k);
+    return it == agg.end() ? 0 : it->second;
+  };
+  result.queue_peak = get("net.flow.queue.peak");
+  result.fabric_shed = get("net.flow.shed");
+  result.dm_shed = get("dm.shed.acquire") + get("dm.shed.pull");
+  result.breaker_opened = get("cm.breaker.open");
+  result.degraded = get("cm.breaker.degrade");
 
-  std::string out = "counter,value\n";
-  for (const auto& [k, v] : agg) {
-    out += k + "," + std::to_string(v) + "\n";
-  }
-  out += "summary.db_total," + std::to_string(db_total) + "\n";
-  out += "summary.sim_end_us," + std::to_string(tb.simulator().now()) + "\n";
-  return out;
+  return render(tb, agg, {{"db_total", db_total}});
 }
 
 // ---- live migration soak (--migrate) ---------------------------------------
@@ -475,7 +486,7 @@ struct MigrateChaos {
 /// confirmed sales — zero lost updates, zero double merges.
 std::string run_migrate(std::uint64_t seed, obs::TraceRecorder* trace,
                         const MigrateVariant& variant,
-                        obs::TelemetryHub* hub = nullptr) {
+                        obs::TelemetryHub* hub) {
   MigrateChaos chaos;
   chaos.target = variant.target;
   chaos.phase = variant.phase;
@@ -592,11 +603,7 @@ std::string run_migrate(std::uint64_t seed, obs::TraceRecorder* trace,
              loops_completed, kMigAgents);
   for (std::size_t i = 0; i < tb.agent_count(); ++i) {
     SOAK_CHECK(!tb.crashed(i), "agent %zu left crashed", i);
-    SOAK_CHECK(tb.agent(i).cache().queued_ops() == 0,
-               "agent %zu has %zu wedged queued ops", i,
-               tb.agent(i).cache().queued_ops());
-    SOAK_CHECK(!tb.agent(i).cache().op_in_flight(),
-               "agent %zu has a wedged in-flight op", i);
+    check_idle(tb, i);
   }
 
   // Surrender the remaining deltas so the database is auditable. Moved
@@ -632,23 +639,8 @@ std::string run_migrate(std::uint64_t seed, obs::TraceRecorder* trace,
   SOAK_CHECK(db_total > 0, "the workload confirmed nothing");
 
   // ---- aggregate counters ----------------------------------------------
-  std::map<std::string, std::uint64_t> agg;
-  for (const auto& [k, v] : tb.directory().stats().all()) agg["dm." + k] += v;
-  for (std::size_t i = 0; i < tb.agent_count(); ++i) {
-    for (const auto& [k, v] : tb.agent(i).cache().stats().all()) {
-      agg["cm." + k] += v;
-    }
-  }
-  for (std::size_t k = 0; k < kMigSpares; ++k) {
-    if (!tb.has_spare(k)) continue;
-    for (const auto& [key, v] : tb.spare(k).cache().stats().all()) {
-      agg["cm." + key] += v;
-    }
-  }
-  for (const char* key : {"msg.dropped.loss", "msg.dropped.unbound",
-                          "msg.sent"}) {
-    agg[std::string("net.") + key] = tb.fabric().counters().get(key);
-  }
+  Counters agg = aggregate(
+      tb, {"msg.dropped.loss", "msg.dropped.unbound", "msg.sent"}, kMigSpares);
 
   SOAK_CHECK(agg["cm.wbuf.absorbed"] >= 1,
              "write buffer enabled but no push was ever absorbed");
@@ -688,16 +680,79 @@ std::string run_migrate(std::uint64_t seed, obs::TraceRecorder* trace,
       break;
   }
 
-  std::string out = "counter,value\n";
-  for (const auto& [k, v] : agg) {
-    out += k + "," + std::to_string(v) + "\n";
+  return render(tb, agg,
+                {{"live_confirmed", live_confirmed},
+                 {"retired_confirmed", tb.retired_confirmed()},
+                 {"db_total", db_total}});
+}
+
+/// The first run's observers, from the command line.
+struct Observers {
+  const char* trace_path = nullptr;  ///< --trace
+  bool monitor = false;              ///< --monitor
+  obs::TelemetryHub* hub = nullptr;  ///< --serve, --telemetry-interval, --pace
+};
+
+/// What a twin leaves of its monitor's verdict besides the checks.
+enum class Export {
+  kNone,    ///< nothing
+  kProm,    ///< the monitor's metrics in out/flecc_metrics.prom
+  kReport,  ///< those, the health report and a line naming the file
+};
+
+/// One scenario: runs with the given trace recorder and telemetry hub
+/// (either may be null) and returns its printable result.
+using Scenario =
+    std::function<std::string(obs::TraceRecorder*, obs::TelemetryHub*)>;
+
+/// Runs `scenario` twice with one seed and returns the first result,
+/// which must equal the second bit for bit. The observers ride the
+/// first run only, so the comparison also proves that tracing, the
+/// online monitor and telemetry never perturb the protocol. With the
+/// monitor, the verdict: no invariant violation, and every recovery and
+/// migration epoch resolved. `recorder` keeps the first run's trace for
+/// the caller to write; `more` adds a mode's counters to the export.
+std::string twin(const std::string& name, const Scenario& scenario,
+                 const Observers& o, Export exp, obs::TraceRecorder& recorder,
+                 const std::function<void(obs::MetricsRegistry&)>& more = {}) {
+  obs::monitor::InvariantMonitor checker;
+  if (o.monitor) recorder.attach_sink(&checker);
+  const bool tracing = o.trace_path != nullptr || o.monitor;
+  const std::string first = scenario(tracing ? &recorder : nullptr, o.hub);
+  recorder.attach_sink(nullptr);
+  SOAK_CHECK(first == scenario(nullptr, nullptr),
+             "%s: two same-seed runs diverged", name.c_str());
+  if (!o.monitor) return first;
+  checker.finalize();
+  if (exp == Export::kReport) {
+    std::fputs(checker.health_report().c_str(), stdout);
   }
-  out += "summary.live_confirmed," + std::to_string(live_confirmed) + "\n";
-  out += "summary.retired_confirmed," +
-         std::to_string(tb.retired_confirmed()) + "\n";
-  out += "summary.db_total," + std::to_string(db_total) + "\n";
-  out += "summary.sim_end_us," + std::to_string(tb.simulator().now()) + "\n";
-  return out;
+  if (exp != Export::kNone) {
+    obs::MetricsRegistry reg;
+    checker.export_metrics(reg);
+    if (more) more(reg);
+    const std::string prom = out_path("flecc_metrics.prom");
+    if (reg.write_prometheus(prom.c_str()) && exp == Export::kReport) {
+      std::printf("# monitor metrics -> %s\n", prom.c_str());
+    }
+  }
+  SOAK_CHECK(checker.violations().empty(), "%s: %zu invariant violation(s)",
+             name.c_str(), checker.violations().size());
+  SOAK_CHECK(checker.unresolved_recovery_epochs() == 0,
+             "%s: a recovery epoch never resolved", name.c_str());
+  SOAK_CHECK(checker.unresolved_migration_epochs() == 0,
+             "%s: a migration epoch never settled", name.c_str());
+  return first;
+}
+
+/// Writes `recorder`'s trace to `path` as JSONL; returns its event count.
+std::size_t write_trace(const obs::TraceRecorder& recorder, const char* path) {
+  const auto events = recorder.snapshot();
+  if (!obs::write_jsonl(events, path)) {
+    std::fprintf(stderr, "cannot write %s\n", path);
+    std::exit(1);
+  }
+  return events.size();
 }
 
 }  // namespace
@@ -787,12 +842,161 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Every mode runs twice with the same seed and compares output bit
-  // for bit; the hub (like the trace recorder) rides the first run
-  // only, so the comparison also proves telemetry never perturbs the
-  // protocol. These checks run after the mode finishes.
-  const auto check_telemetry = [&] {
-    if (hub == nullptr) return;
+  // Every mode runs its scenarios through twin(): twice with the same
+  // seed, output compared bit for bit, observers on the first run only.
+  const Observers observers{trace_path, monitor, hub.get()};
+  std::string result;  // printed and written to out/chaos_soak.csv
+  std::string note;    // printed after it
+  const char* verdict = nullptr;
+
+  if (migrate) {
+    std::printf("# Migration soak — %zu journaled agents, 5%% loss, two live "
+                "view moves onto spare hosts, crash matrix over every "
+                "migration phase\n",
+                kMigAgents);
+    static const MigrateVariant kVariants[] = {
+        {"warm", kTargetNone, -1},
+        {"src-quiesce", kTargetSource, core::DirectoryManager::kMigrateQuiesce},
+        {"src-handoff", kTargetSource, core::DirectoryManager::kMigrateHandoff},
+        {"src-done", kTargetSource, core::DirectoryManager::kMigrateDone},
+        {"dest-quiesce", kTargetDest, core::DirectoryManager::kMigrateQuiesce},
+        {"dest-handoff", kTargetDest, core::DirectoryManager::kMigrateHandoff},
+        {"dest-done", kTargetDest, core::DirectoryManager::kMigrateDone},
+    };
+    for (const auto& v : kVariants) {
+      obs::TraceRecorder recorder;
+      const std::string first = twin(
+          std::string("variant '") + v.name + "'",
+          [&v](obs::TraceRecorder* t, obs::TelemetryHub* h) {
+            return run_migrate(kSeed, t, v, h);
+          },
+          observers, Export::kProm, recorder);
+      if (trace_path != nullptr) write_trace(recorder, trace_path);
+      std::printf("# migrate variant %-13s converged; twin bit-identical\n",
+                  v.name);
+      result += std::string("# variant ") + v.name + "\n" + first;
+    }
+    verdict = "# all migration variants converged; every twin was "
+              "bit-identical";
+  } else if (overload) {
+    std::printf("# Overload storm — %zu strong-mode agents on one hot "
+                "flight group, slow directory, queue bound %zu%s\n",
+                kStormAgents, kStormQueueBound,
+                crash_dm ? ", directory crash-restart mid-storm" : "");
+    obs::TraceRecorder recorder;
+    OverloadResult flow_res;
+    result = twin(
+        "overload storm",
+        [&](obs::TraceRecorder* t, obs::TelemetryHub* h) {
+          return run_overload(kSeed, t, /*flow_on=*/true, flow_res, crash_dm,
+                              h);
+        },
+        observers, Export::kReport, recorder,
+        // Surface the overload ladder in the same Prometheus export the
+        // monitor writes: flow.*/shed.*/breaker.* families.
+        [&flow_res](obs::MetricsRegistry& reg) {
+          reg.inc("net.flow.queue.peak", flow_res.queue_peak);
+          reg.inc("net.flow.shed", flow_res.fabric_shed);
+          reg.inc("dm.shed", flow_res.dm_shed);
+          reg.inc("cm.breaker.open", flow_res.breaker_opened);
+          reg.inc("cm.breaker.degrade", flow_res.degraded);
+        });
+    OverloadResult base_res;
+    run_overload(kSeed, nullptr, /*flow_on=*/false, base_res, crash_dm);
+
+    // The bound held where the baseline blew through it, and every
+    // layer of the ladder actually engaged.
+    SOAK_CHECK(flow_res.queue_peak <= kStormQueueBound,
+               "bounded run peak %llu exceeds bound %zu",
+               static_cast<unsigned long long>(flow_res.queue_peak),
+               kStormQueueBound);
+    SOAK_CHECK(base_res.queue_peak > kStormQueueBound,
+               "baseline peak %llu never exceeded the bound %zu — the "
+               "storm is not a storm",
+               static_cast<unsigned long long>(base_res.queue_peak),
+               kStormQueueBound);
+    SOAK_CHECK(flow_res.fabric_shed + flow_res.dm_shed >= 1,
+               "flow control on but nothing was ever shed");
+    SOAK_CHECK(flow_res.breaker_opened >= 1,
+               "sustained pressure never opened a breaker");
+    SOAK_CHECK(flow_res.degraded >= 1,
+               "no STRONG manager ever degraded to buffered WEAK");
+
+    if (trace_path != nullptr) {
+      std::printf("# trace: %zu events -> %s\n",
+                  write_trace(recorder, trace_path), trace_path);
+    }
+    char peak[160];
+    std::snprintf(peak, sizeof(peak),
+                  "# peak bulk queue depth: bounded %llu <= %zu, unbounded "
+                  "baseline %llu\n",
+                  static_cast<unsigned long long>(flow_res.queue_peak),
+                  kStormQueueBound,
+                  static_cast<unsigned long long>(base_res.queue_peak));
+    note = peak;
+    verdict = "# overload storm converged; two same-seed runs were "
+              "bit-identical";
+  } else {
+    std::printf("# Chaos soak — %zu agents, 10%% loss, partition of agents "
+                "[%zu,%zu], crashes {%zu,%zu}%s%s%s\n",
+                kAgents, kPartitionLo, kPartitionHi, kCrashed[0], kCrashed[1],
+                crash_dm ? ", directory crash-restart" : "",
+                batch ? ", send batching + piggybacked heartbeats" : "",
+                wbuf > 0 ? ", CM write buffer" : "");
+    obs::TraceRecorder recorder;
+    result = twin(
+        "soak",
+        [&](obs::TraceRecorder* t, obs::TelemetryHub* h) {
+          return run_soak(kSeed, t, crash_dm, false, batch, wbuf, h);
+        },
+        observers, Export::kReport, recorder);
+
+    if (crash_dm) {
+      // Second scenario: the checkpoint is wiped before the restart, so
+      // only the generation superblock survives and the state comes back
+      // purely via CM re-registration (heartbeats fenced with
+      // known=false). Same determinism bar as the warm variant; it is
+      // neither exported nor watched by telemetry.
+      std::printf("# crash-dm: warm-checkpoint variant converged; running "
+                  "empty-checkpoint variant\n");
+      obs::TraceRecorder empty_rec;
+      twin(
+          "empty-checkpoint variant",
+          [&](obs::TraceRecorder* t, obs::TelemetryHub* h) {
+            return run_soak(kSeed, t, /*crash_dm=*/true,
+                            /*empty_checkpoint=*/true, batch, wbuf, h);
+          },
+          Observers{nullptr, monitor, nullptr}, Export::kNone, empty_rec);
+      std::printf("# crash-dm: empty-checkpoint variant converged\n");
+    }
+
+    if (trace_path != nullptr) {
+      const std::size_t events = write_trace(recorder, trace_path);
+      std::printf("# trace: %zu events (%llu recorded, %llu lost to ring "
+                  "wraparound) -> %s\n",
+                  events,
+                  static_cast<unsigned long long>(recorder.total_emitted()),
+                  static_cast<unsigned long long>(recorder.total_dropped()),
+                  trace_path);
+      if (!obs::kTraceEnabled) {
+        std::printf("# (built with FLECC_TRACE=OFF: the trace is empty)\n");
+      }
+    }
+    verdict = "# all convergence checks passed; two same-seed runs were "
+              "bit-identical";
+  }
+
+  std::printf("%s%s", result.c_str(), note.c_str());
+  const std::string csv = out_path("chaos_soak.csv");
+  if (std::FILE* f = std::fopen(csv.c_str(), "w")) {
+    std::fputs(result.c_str(), f);
+    std::fclose(f);
+    std::printf("\n# data also written to %s\n", csv.c_str());
+  }
+
+  // The hub rode the first run of every scenario that has one; these
+  // checks run after the mode finishes.
+  if (hub != nullptr) {
     SOAK_CHECK(hub->registry().windows_closed() >= 1,
                "telemetry enabled but no window ever closed");
     SOAK_CHECK(hub->alerts().raised_total() >= 1,
@@ -813,245 +1017,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(hub->registry().series_count()),
                 static_cast<unsigned long long>(hub->alerts().raised_total()),
                 static_cast<unsigned long long>(hub->alerts().cleared_total()));
-  };
-
-  if (migrate) {
-    std::printf("# Migration soak — %zu journaled agents, 5%% loss, two live "
-                "view moves onto spare hosts, crash matrix over every "
-                "migration phase\n",
-                kMigAgents);
-    const std::uint64_t seed = 0xc0a5;
-    static const MigrateVariant kVariants[] = {
-        {"warm", kTargetNone, -1},
-        {"src-quiesce", kTargetSource, core::DirectoryManager::kMigrateQuiesce},
-        {"src-handoff", kTargetSource, core::DirectoryManager::kMigrateHandoff},
-        {"src-done", kTargetSource, core::DirectoryManager::kMigrateDone},
-        {"dest-quiesce", kTargetDest, core::DirectoryManager::kMigrateQuiesce},
-        {"dest-handoff", kTargetDest, core::DirectoryManager::kMigrateHandoff},
-        {"dest-done", kTargetDest, core::DirectoryManager::kMigrateDone},
-    };
-    std::string all;
-    for (const auto& v : kVariants) {
-      obs::TraceRecorder recorder;
-      obs::monitor::InvariantMonitor checker;
-      if (monitor) recorder.attach_sink(&checker);
-      const bool tracing = trace_path != nullptr || monitor;
-      const std::string first =
-          run_migrate(seed, tracing ? &recorder : nullptr, v, hub.get());
-      const std::string second = run_migrate(seed, nullptr, v);
-      SOAK_CHECK(first == second,
-                 "variant '%s': two same-seed runs diverged", v.name);
-      if (monitor) {
-        checker.finalize();
-        SOAK_CHECK(checker.violations().empty(),
-                   "variant '%s': %zu invariant violation(s)", v.name,
-                   checker.violations().size());
-        SOAK_CHECK(checker.unresolved_migration_epochs() == 0,
-                   "variant '%s': a migration epoch never settled", v.name);
-        SOAK_CHECK(checker.unresolved_recovery_epochs() == 0,
-                   "variant '%s': a recovery epoch never resolved", v.name);
-        obs::MetricsRegistry reg;
-        checker.export_metrics(reg);
-        reg.write_prometheus(out_path("flecc_metrics.prom").c_str());
-      }
-      if (trace_path != nullptr) {
-        obs::write_jsonl(recorder.snapshot(), trace_path);
-      }
-      std::printf("# migrate variant %-13s converged; twin bit-identical\n",
-                  v.name);
-      all += std::string("# variant ") + v.name + "\n" + first;
-    }
-    std::printf("%s", all.c_str());
-    const std::string csv = out_path("chaos_soak.csv");
-    if (std::FILE* f = std::fopen(csv.c_str(), "w")) {
-      std::fputs(all.c_str(), f);
-      std::fclose(f);
-      std::printf("\n# data also written to %s\n", csv.c_str());
-    }
-    check_telemetry();
-    std::printf("# all migration variants converged; every twin was "
-                "bit-identical\n");
-    return 0;
   }
-
-  if (overload) {
-    std::printf("# Overload storm — %zu strong-mode agents on one hot "
-                "flight group, slow directory, queue bound %zu%s\n",
-                kStormAgents, kStormQueueBound,
-                crash_dm ? ", directory crash-restart mid-storm" : "");
-    const std::uint64_t seed = 0xc0a5;
-    obs::TraceRecorder recorder;
-    obs::monitor::InvariantMonitor checker;
-    if (monitor) recorder.attach_sink(&checker);
-    const bool tracing = trace_path != nullptr || monitor;
-    OverloadResult flow_res;
-    const std::string first =
-        run_overload(seed, tracing ? &recorder : nullptr, /*flow_on=*/true,
-                     &flow_res, crash_dm, hub.get());
-    const std::string second =
-        run_overload(seed, nullptr, true, nullptr, crash_dm);
-    SOAK_CHECK(first == second,
-               "two same-seed overload runs diverged: not deterministic");
-    OverloadResult base_res;
-    run_overload(seed, nullptr, /*flow_on=*/false, &base_res, crash_dm);
-
-    // The bound held where the baseline blew through it, and every
-    // layer of the ladder actually engaged.
-    SOAK_CHECK(flow_res.queue_peak <= kStormQueueBound,
-               "bounded run peak %llu exceeds bound %zu",
-               static_cast<unsigned long long>(flow_res.queue_peak),
-               kStormQueueBound);
-    SOAK_CHECK(base_res.queue_peak > kStormQueueBound,
-               "baseline peak %llu never exceeded the bound %zu — the "
-               "storm is not a storm",
-               static_cast<unsigned long long>(base_res.queue_peak),
-               kStormQueueBound);
-    SOAK_CHECK(flow_res.fabric_shed + flow_res.dm_shed >= 1,
-               "flow control on but nothing was ever shed");
-    SOAK_CHECK(flow_res.breaker_opened >= 1,
-               "sustained pressure never opened a breaker");
-    SOAK_CHECK(flow_res.degraded >= 1,
-               "no STRONG manager ever degraded to buffered WEAK");
-
-    if (monitor) {
-      checker.finalize();
-      std::fputs(checker.health_report().c_str(), stdout);
-      obs::MetricsRegistry reg;
-      checker.export_metrics(reg);
-      // Surface the overload ladder in the same Prometheus export the
-      // monitor writes: flow.*/shed.*/breaker.* families.
-      reg.inc("net.flow.queue.peak", flow_res.queue_peak);
-      reg.inc("net.flow.shed", flow_res.fabric_shed);
-      reg.inc("dm.shed", flow_res.dm_shed);
-      reg.inc("cm.breaker.open", flow_res.breaker_opened);
-      reg.inc("cm.breaker.degrade", flow_res.degraded);
-      const std::string prom = out_path("flecc_metrics.prom");
-      if (reg.write_prometheus(prom.c_str())) {
-        std::printf("# monitor metrics -> %s\n", prom.c_str());
-      }
-      SOAK_CHECK(checker.violations().empty(),
-                 "online monitor reported %zu invariant violation(s)",
-                 checker.violations().size());
-    }
-    if (trace_path != nullptr) {
-      const auto events = recorder.snapshot();
-      if (!obs::write_jsonl(events, trace_path)) {
-        std::fprintf(stderr, "cannot write %s\n", trace_path);
-        return 1;
-      }
-      std::printf("# trace: %zu events -> %s\n", events.size(), trace_path);
-    }
-    std::printf("%s", first.c_str());
-    std::printf("# peak bulk queue depth: bounded %llu <= %zu, unbounded "
-                "baseline %llu\n",
-                static_cast<unsigned long long>(flow_res.queue_peak),
-                kStormQueueBound,
-                static_cast<unsigned long long>(base_res.queue_peak));
-    const std::string csv = out_path("chaos_soak.csv");
-    if (std::FILE* f = std::fopen(csv.c_str(), "w")) {
-      std::fputs(first.c_str(), f);
-      std::fclose(f);
-      std::printf("\n# data also written to %s\n", csv.c_str());
-    }
-    check_telemetry();
-    std::printf("# overload storm converged; two same-seed runs were "
-                "bit-identical\n");
-    return 0;
-  }
-
-  std::printf("# Chaos soak — %zu agents, 10%% loss, partition of agents "
-              "[%zu,%zu], crashes {%zu,%zu}%s%s%s\n",
-              kAgents, kPartitionLo, kPartitionHi, kCrashed[0], kCrashed[1],
-              crash_dm ? ", directory crash-restart" : "",
-              batch ? ", send batching + piggybacked heartbeats" : "",
-              wbuf > 0 ? ", CM write buffer" : "");
-
-  const std::uint64_t seed = 0xc0a5;
-  obs::TraceRecorder recorder;
-  const bool tracing = trace_path != nullptr || monitor;
-  // The online conformance monitor consumes events inline as they are
-  // emitted; attach it before the run so no buffer exists without the
-  // sink (see TraceRecorder::attach_sink for the ordering contract).
-  obs::monitor::InvariantMonitor checker;
-  if (monitor) recorder.attach_sink(&checker);
-  // The recorder rides along on the first run only; the second stays
-  // bare so the bit-identical comparison proves tracing (and the
-  // monitor) never perturbs the protocol.
-  const std::string first = run_soak(seed, tracing ? &recorder : nullptr,
-                                     crash_dm, false, batch, wbuf, hub.get());
-  const std::string second =
-      run_soak(seed, nullptr, crash_dm, false, batch, wbuf);
-  SOAK_CHECK(first == second,
-             "two same-seed runs diverged: the soak is not deterministic");
-
-  if (monitor) {
-    checker.finalize();
-    std::fputs(checker.health_report().c_str(), stdout);
-    obs::MetricsRegistry reg;
-    checker.export_metrics(reg);
-    const std::string prom = out_path("flecc_metrics.prom");
-    if (reg.write_prometheus(prom.c_str())) {
-      std::printf("# monitor metrics -> %s\n", prom.c_str());
-    }
-    SOAK_CHECK(checker.violations().empty(),
-               "online monitor reported %zu invariant violation(s)",
-               checker.violations().size());
-    SOAK_CHECK(checker.unresolved_recovery_epochs() == 0,
-               "a directory recovery epoch never resolved");
-  }
-
-  if (crash_dm) {
-    // Second scenario: the checkpoint is wiped before the restart, so
-    // only the generation superblock survives and the state comes back
-    // purely via CM re-registration (heartbeats fenced with
-    // known=false). Same determinism bar as the warm variant.
-    std::printf("# crash-dm: warm-checkpoint variant converged; running "
-                "empty-checkpoint variant\n");
-    obs::TraceRecorder empty_rec;
-    obs::monitor::InvariantMonitor empty_checker;
-    if (monitor) empty_rec.attach_sink(&empty_checker);
-    const std::string e1 = run_soak(seed, monitor ? &empty_rec : nullptr,
-                                    /*crash_dm=*/true,
-                                    /*empty_checkpoint=*/true, batch, wbuf);
-    const std::string e2 = run_soak(seed, nullptr, true, true, batch, wbuf);
-    SOAK_CHECK(e1 == e2, "empty-checkpoint runs diverged");
-    if (monitor) {
-      empty_checker.finalize();
-      SOAK_CHECK(empty_checker.violations().empty(),
-                 "empty-checkpoint variant: %zu invariant violation(s)",
-                 empty_checker.violations().size());
-      SOAK_CHECK(empty_checker.unresolved_recovery_epochs() == 0,
-                 "empty-checkpoint variant: recovery epoch never resolved");
-    }
-    std::printf("# crash-dm: empty-checkpoint variant converged\n");
-  }
-
-  if (trace_path != nullptr) {
-    const auto events = recorder.snapshot();
-    if (!obs::write_jsonl(events, trace_path)) {
-      std::fprintf(stderr, "cannot write %s\n", trace_path);
-      return 1;
-    }
-    std::printf("# trace: %zu events (%llu recorded, %llu lost to ring "
-                "wraparound) -> %s\n",
-                events.size(),
-                static_cast<unsigned long long>(recorder.total_emitted()),
-                static_cast<unsigned long long>(recorder.total_dropped()),
-                trace_path);
-    if (!obs::kTraceEnabled) {
-      std::printf("# (built with FLECC_TRACE=OFF: the trace is empty)\n");
-    }
-  }
-
-  std::printf("%s", first.c_str());
-  const std::string csv = out_path("chaos_soak.csv");
-  if (std::FILE* f = std::fopen(csv.c_str(), "w")) {
-    std::fputs(first.c_str(), f);
-    std::fclose(f);
-    std::printf("\n# data also written to %s\n", csv.c_str());
-  }
-  check_telemetry();
-  std::printf("# all convergence checks passed; two same-seed runs were "
-              "bit-identical\n");
+  std::printf("%s\n", verdict);
   return 0;
 }

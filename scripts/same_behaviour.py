@@ -8,9 +8,13 @@ under DIR (default: a new temporary directory), then compares:
 
   fingerprint   protocol_fingerprint_test passes on the working tree and
                 its recorded constants are REF's (not re-recorded)
-  chaos_soak    `--trace` JSONL and out/chaos_soak.csv, byte for byte, in
-                the six modes of the verify recipe
-  fig4          fig4_efficiency output
+  chaos_soak    `--monitor --trace` JSONL, out/chaos_soak.csv, stdout and
+                out/flecc_metrics.prom, byte for byte, in the six modes of
+                the verify recipe
+  trace tools   on each side's trace of every soak mode: flecc_trace's
+                report, `--spans` and `--metrics` CSV, and flecc_check's
+                report, exit code, `--metrics` CSV and `--prom` export
+  fig4          fig4_efficiency output, plain and with `--monitor`
   figures       fig5_adaptability, fig6_flexibility and the six ablations'
                 output (ablation_static_vs_dynamic without its ns/query
                 timing columns)
@@ -54,8 +58,21 @@ FIGURES = ["fig5_adaptability", "fig6_flexibility", "ablation_granularity",
            "ablation_static_vs_dynamic"]
 E2E_WORKLOADS = ["fig4_fanout", "fleet_2k", "push_train", "strong_durable"]
 E2E_SEEDS = [1, 2]
-TARGETS = ["protocol_fingerprint_test", "chaos_soak", "fig4_efficiency",
-           "quickstart", *FIGURES]
+TARGETS = ["protocol_fingerprint_test", "chaos_soak", "flecc_trace",
+           "flecc_check", "fig4_efficiency", "quickstart", *FIGURES]
+# Each tool run on a soak trace: (name, tool, arguments after the trace,
+# files it writes). The report, spans, metrics and prom runs' stdout and
+# files are compared, and so is every exit code.
+TRACE_TOOLS = [
+    ("flecc_trace", "flecc_trace", [], []),
+    ("flecc_trace --spans", "flecc_trace", ["--spans"], []),
+    ("flecc_trace --metrics", "flecc_trace", ["--metrics", "trace.csv"],
+     ["trace.csv"]),
+    ("flecc_check", "flecc_check", [], []),
+    ("flecc_check --metrics --prom", "flecc_check",
+     ["--metrics", "check.csv", "--prom", "check.prom"],
+     ["check.csv", "check.prom"]),
+]
 
 differences = 0
 
@@ -109,6 +126,13 @@ def output_of(binary: Path, cwd: Path, args: list[str] | None = None) -> str:
                text=True).stdout
 
 
+def exit_and_output(binary: Path, cwd: Path, args: list[str]) -> str:
+    """A tool whose exit code is part of its answer (flecc_check)."""
+    done = subprocess.run([str(binary), *args], cwd=cwd, capture_output=True,
+                          text=True)
+    return f"exit {done.returncode}\n{done.stdout}"
+
+
 def fingerprint_constants(source: str) -> list[str]:
     """The recorded hashes: every `0x...ull` literal, in file order."""
     return re.findall(r"\b0x[0-9a-fA-F]+ull\b", source)
@@ -134,23 +158,46 @@ def check_fingerprint(ref: str, work: Path) -> None:
 def check_soak(builds: dict[str, Path], scratch: Path) -> None:
     for mode, flags in SOAK_MODES.items():
         dirs = {}
+        stdout = {}
         for side, build in builds.items():
             cwd = scratch / "soak" / side / mode
             shutil.rmtree(cwd, ignore_errors=True)
-            output_of(build / "bench/chaos_soak", cwd,
-                      ["--trace", "trace.jsonl", *flags])
+            stdout[side] = output_of(build / "bench/chaos_soak", cwd,
+                                     ["--monitor", "--trace", "trace.jsonl",
+                                      *flags])
             dirs[side] = cwd
-        diffs = [name for name in ["trace.jsonl", "out/chaos_soak.csv"]
+        diffs = [name for name in ["trace.jsonl", "out/chaos_soak.csv",
+                                   "out/flecc_metrics.prom"]
                  if not filecmp.cmp(dirs["base"] / name, dirs["work"] / name,
                                     shallow=False)]
+        if stdout["base"] != stdout["work"]:
+            diffs.append("stdout")
         report(not diffs, f"chaos_soak {mode}",
-               "trace and csv identical" if not diffs
+               "trace, csv, stdout and prom identical" if not diffs
                else " and ".join(diffs) + " differ")
+        check_trace_tools(mode, builds, dirs)
+
+
+def check_trace_tools(mode: str, builds: dict[str, Path],
+                      dirs: dict[str, Path]) -> None:
+    """flecc_trace and flecc_check on each side's own trace of `mode`."""
+    differ = []
+    for name, tool, args, files in TRACE_TOOLS:
+        out = {side: exit_and_output(build / "tools" / tool, dirs[side],
+                                     ["trace.jsonl", *args])
+               for side, build in builds.items()}
+        if out["base"] != out["work"] or not all(
+                filecmp.cmp(dirs["base"] / f, dirs["work"] / f,
+                            shallow=False) for f in files):
+            differ.append(name)
+    report(not differ, f"trace tools {mode}",
+           "flecc_trace and flecc_check outputs identical" if not differ
+           else " and ".join(differ) + " differ")
 
 
 def check_output(name: str, path: str, builds: dict[str, Path],
-                 scratch: Path) -> None:
-    out = {side: output_of(build / path, scratch / name / side)
+                 scratch: Path, args: list[str] | None = None) -> None:
+    out = {side: output_of(build / path, scratch / name / side, args)
            for side, build in builds.items()}
     same = out["base"] == out["work"]
     report(same, name, "output identical" if same else "output differs")
@@ -232,6 +279,8 @@ def main() -> int:
     check_fingerprint(sha, builds["work"])
     check_soak(builds, scratch)
     check_output("fig4", "bench/fig4_efficiency", builds, scratch)
+    check_output("fig4 --monitor", "bench/fig4_efficiency", builds, scratch,
+                 ["--monitor"])
     check_figures(builds, scratch)
     check_output("quickstart", "examples/quickstart", builds, scratch)
     check_e2e({side: path / "flecc_e2e" for side, path in e2e.items()},

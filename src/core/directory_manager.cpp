@@ -423,15 +423,12 @@ void DirectoryManager::liveness_sweep() {
                       static_cast<std::uint64_t>(now -
                                                  it->second.last_seen_at));
     drop_view(it);
+    // Settling the dead view's rounds and migration restarts the FIFO
+    // acquire queue, so a dead STRONG holder's token is released in this
+    // sweep (PROTOCOL.md, "Arbitration invariant"). Traffic from the
+    // dead incarnation is fenced at re-registration.
     complete_fetch_or_acquire_for_dead_view(id);
-    if (held_token) {
-      // A dead STRONG holder's token is released to the FIFO acquire
-      // queue in the same sweep, not left for the next request (or a
-      // round timeout) to discover. Traffic from the dead incarnation
-      // is fenced at re-registration (stale incarnation/generation).
-      stats_.inc("view.evicted.strong_reclaim");
-      start_next_acquire();
-    }
+    if (held_token) stats_.inc("view.evicted.strong_reclaim");
   }
   arm_liveness_timer();
 }

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "obs/monitor/invariant_monitor.hpp"
+
 namespace flecc::obs {
 
 const char* drop_reason_name(std::uint64_t code) {
@@ -18,147 +20,14 @@ const char* drop_reason_name(std::uint64_t code) {
   }
 }
 
-TraceSummary summarize(const std::vector<TraceEvent>& events) {
-  TraceSummary s;
-  s.total_events = events.size();
-  // span → (label, started-at) for latency pairing.
-  std::unordered_map<std::uint64_t, std::pair<std::string, sim::Time>> open;
-  // generation → recovery_begin time, for rebuild-duration pairing.
-  std::unordered_map<std::uint64_t, sim::Time> open_recoveries;
-  // Latest recovery_begin seen: ops open across it were interrupted by
-  // the restart (re-issued under the new generation), not truncated.
-  sim::Time last_recovery_at = 0;
-  bool any_recovery = false;
-  // migration epoch → migrate_begin time, for settle-duration pairing.
-  std::unordered_map<std::uint64_t, sim::Time> open_migrations;
-
-  bool first = true;
-  for (const auto& e : events) {
-    if (first || e.at < s.first_at) s.first_at = e.at;
-    if (first || e.at > s.last_at) s.last_at = e.at;
-    first = false;
-
-    switch (e.kind) {
-      case EventKind::kOpEnqueued:
-        ++s.ops_enqueued;
-        break;
-      case EventKind::kOpStarted:
-        ++s.ops_started;
-        if (e.span != 0) open[e.span] = {e.label, e.at};
-        break;
-      case EventKind::kOpCompleted: {
-        ++s.ops_completed;
-        auto it = open.find(e.span);
-        if (it != open.end()) {
-          s.op_latency_us[it->second.first].add(
-              static_cast<double>(e.at - it->second.second));
-          open.erase(it);
-        }
-        break;
-      }
-      case EventKind::kMsgSent:
-        ++s.msgs_sent;
-        break;
-      case EventKind::kMsgReceived:
-        ++s.msgs_received;
-        break;
-      case EventKind::kMsgDropped:
-        ++s.drops;
-        ++s.drops_by_reason[drop_reason_name(e.a)];
-        break;
-      case EventKind::kMsgRetransmitted:
-        ++s.retransmits;
-        break;
-      case EventKind::kDedupHit:
-        ++s.dedup_hits;
-        break;
-      case EventKind::kHeartbeatMiss:
-        ++s.heartbeat_misses;
-        break;
-      case EventKind::kViewEvicted:
-        ++s.evictions;
-        break;
-      case EventKind::kTriggerFired:
-        ++s.trigger_fires[e.label];
-        break;
-      case EventKind::kMergeApplied:
-        ++s.merges;
-        break;
-      case EventKind::kModeSwitch:
-        ++s.mode_switches;
-        break;
-      case EventKind::kInvariantViolation:
-        ++s.invariant_violations;
-        break;
-      case EventKind::kMonitorWarning:
-        ++s.monitor_warnings;
-        break;
-      case EventKind::kMsgFenced:
-        ++s.fenced_messages;
-        break;
-      case EventKind::kRecoveryBegin:
-        ++s.recovery_epochs;
-        s.wal_replayed += e.b;
-        open_recoveries[e.a] = e.at;
-        last_recovery_at = std::max(last_recovery_at, e.at);
-        any_recovery = true;
-        break;
-      case EventKind::kRecoveryEnd: {
-        s.reannouncements += e.b;
-        auto it = open_recoveries.find(e.a);
-        if (it != open_recoveries.end()) {
-          s.rebuild_duration_us.add(static_cast<double>(e.at - it->second));
-          open_recoveries.erase(it);
-        }
-        break;
-      }
-      case EventKind::kLoadShed:
-        ++s.load_sheds;
-        break;
-      case EventKind::kBreakerTransition:
-        ++s.breaker_transitions;
-        break;
-      case EventKind::kRetryExhausted:
-        ++s.retries_exhausted;
-        break;
-      case EventKind::kMigrateBegin:
-        ++s.migration_epochs;
-        open_migrations[e.b] = e.at;
-        break;
-      case EventKind::kMigrateAborted:
-        ++s.migrations_aborted;
-        [[fallthrough]];
-      case EventKind::kMigrateDone: {
-        auto it = open_migrations.find(e.b);
-        if (it != open_migrations.end()) {
-          s.migration_duration_us.add(static_cast<double>(e.at - it->second));
-          open_migrations.erase(it);
-        }
-        break;
-      }
-      case EventKind::kJournalReplay:
-        ++s.journal_replays;
-        s.journal_replayed += e.b;
-        break;
-      case EventKind::kAlertRaised:
-        ++s.alerts_raised;
-        break;
-      case EventKind::kAlertCleared:
-        ++s.alerts_cleared;
-        break;
-    }
-  }
-  s.recovery_unresolved = open_recoveries.size();
-  s.migration_unresolved = open_migrations.size();
-  for (const auto& [span, info] : open) {
-    (void)span;
-    if (any_recovery && info.second <= last_recovery_at) {
-      ++s.ops_unfinished_recovery;
-    } else {
-      ++s.ops_unfinished;
-    }
-  }
-  return s;
+TraceSummary summarize(std::vector<TraceEvent> events) {
+  std::stable_sort(events.begin(), events.end(),
+                   [](const TraceEvent& x, const TraceEvent& y) {
+                     return x.at < y.at;
+                   });
+  monitor::InvariantMonitor mon;
+  mon.run(events);
+  return mon.summary();
 }
 
 void export_metrics(const TraceSummary& s, MetricsRegistry& reg) {

@@ -1,7 +1,8 @@
-// Offline trace analysis: turns a (time-sorted) obs::TraceEvent stream
-// into per-op latency distributions, retransmit/duplicate/drop tallies,
-// and a textual message-sequence view for one span. Used by
-// tools/flecc_trace and by the benches' --trace summaries.
+// Offline trace analysis: turns an obs::TraceEvent stream into per-op
+// latency distributions, retransmit/duplicate/drop tallies, and a
+// textual message-sequence view for one span. Used by tools/flecc_trace
+// and by the benches' --trace summaries. The summary is the one the
+// invariant monitor (obs/monitor) fills in its checking pass.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +15,8 @@
 
 namespace flecc::obs {
 
-/// Aggregate view of one trace (see summarize()).
+/// Aggregate view of one trace: what monitor::InvariantMonitor counts
+/// and pairs in its pass over the events (see summarize()).
 struct TraceSummary {
   /// op_started → op_completed latency in microseconds, keyed by op
   /// label ("pull", "push", "acquire", ...).
@@ -88,8 +90,9 @@ struct TraceSummary {
 /// Name for a DropReason code (TraceEvent::a of kMsgDropped).
 [[nodiscard]] const char* drop_reason_name(std::uint64_t code);
 
-/// One pass over the events (any order; latency pairing is by span).
-[[nodiscard]] TraceSummary summarize(const std::vector<TraceEvent>& events);
+/// The summary an InvariantMonitor fills while it checks the events,
+/// replayed in time order (any input order; ties keep their order).
+[[nodiscard]] TraceSummary summarize(std::vector<TraceEvent> events);
 
 /// Fold a summary into a MetricsRegistry ("trace." counters plus
 /// "op.<label>.latency_us" distributions).

@@ -32,6 +32,13 @@ constexpr std::uint64_t kAgeSweepPeriod = 1024;
 /// Warn when a cache manager's unacked-heartbeat streak reaches this.
 constexpr std::uint64_t kHeartbeatWarnStreak = 3;
 
+/// The monitor's own findings: not protocol facts, but a replayed trace
+/// may carry them and the summary counts them.
+bool is_finding(EventKind kind) noexcept {
+  return kind == EventKind::kInvariantViolation ||
+         kind == EventKind::kMonitorWarning;
+}
+
 constexpr std::size_t idx(Invariant inv) noexcept {
   return static_cast<std::size_t>(inv);
 }
@@ -67,20 +74,22 @@ void InvariantMonitor::on_event(const TraceEvent& e) {
   // into a buffer this monitor is attached to) are not protocol facts.
   // Checked before the lock so a same-thread feedback emit cannot
   // deadlock either.
-  if (e.kind == EventKind::kInvariantViolation ||
-      e.kind == EventKind::kMonitorWarning) {
-    return;
-  }
+  if (is_finding(e.kind)) return;
   std::lock_guard<std::mutex> lock(mu_);
   process(e);
 }
 
 void InvariantMonitor::run(const std::vector<TraceEvent>& events) {
-  for (const auto& e : events) on_event(e);
+  for (const auto& e : events) {
+    std::lock_guard<std::mutex> lock(mu_);
+    process(e);
+  }
   finalize();
 }
 
 void InvariantMonitor::process(const TraceEvent& e) {
+  tally(e);
+  if (is_finding(e.kind)) return;
   ++events_seen_;
   if (e.at > last_at_) last_at_ = e.at;
 
@@ -105,9 +114,6 @@ void InvariantMonitor::process(const TraceEvent& e) {
   // emitted by both endpoints, and the recovery_begin/end pair frames
   // an epoch all shadow state must respect.
   switch (e.kind) {
-    case EventKind::kMsgFenced:
-      ++fenced_messages_;
-      break;
     case EventKind::kRecoveryBegin:
       begin_recovery(e);
       break;
@@ -143,6 +149,40 @@ void InvariantMonitor::process(const TraceEvent& e) {
         emit_finding(EventKind::kMonitorWarning, f);
       }
     }
+  }
+}
+
+void InvariantMonitor::tally(const TraceEvent& e) {
+  TraceSummary& s = summary_;
+  if (s.total_events == 0 || e.at < s.first_at) s.first_at = e.at;
+  if (s.total_events == 0 || e.at > s.last_at) s.last_at = e.at;
+  ++s.total_events;
+  switch (e.kind) {
+    case EventKind::kOpEnqueued: ++s.ops_enqueued; break;
+    case EventKind::kOpStarted: ++s.ops_started; break;
+    case EventKind::kOpCompleted: ++s.ops_completed; break;
+    case EventKind::kMsgSent: ++s.msgs_sent; break;
+    case EventKind::kMsgReceived: ++s.msgs_received; break;
+    case EventKind::kMsgDropped:
+      ++s.drops;
+      ++s.drops_by_reason[drop_reason_name(e.a)];
+      break;
+    case EventKind::kMsgRetransmitted: ++s.retransmits; break;
+    case EventKind::kDedupHit: ++s.dedup_hits; break;
+    case EventKind::kHeartbeatMiss: ++s.heartbeat_misses; break;
+    case EventKind::kViewEvicted: ++s.evictions; break;
+    case EventKind::kTriggerFired: ++s.trigger_fires[e.label]; break;
+    case EventKind::kMergeApplied: ++s.merges; break;
+    case EventKind::kModeSwitch: ++s.mode_switches; break;
+    case EventKind::kInvariantViolation: ++s.invariant_violations; break;
+    case EventKind::kMonitorWarning: ++s.monitor_warnings; break;
+    case EventKind::kMsgFenced: ++s.fenced_messages; break;
+    case EventKind::kLoadShed: ++s.load_sheds; break;
+    case EventKind::kBreakerTransition: ++s.breaker_transitions; break;
+    case EventKind::kRetryExhausted: ++s.retries_exhausted; break;
+    case EventKind::kAlertRaised: ++s.alerts_raised; break;
+    case EventKind::kAlertCleared: ++s.alerts_cleared; break;
+    default: break;  // epochs and replays: counted where they are paired
   }
 }
 
@@ -201,7 +241,7 @@ void InvariantMonitor::on_cm_event(const TraceEvent& e) {
       auto it = pending_.find(e.span);
       const bool known = it != pending_.end();
       if (known) {
-        op_latency_us_[it->second.label].add(
+        summary_.op_latency_us[it->second.label].add(
             static_cast<double>(e.at - it->second.started_at));
         // Causality: the completion observes the directory's reply, so
         // its stamp must be past the directory's first span event.
@@ -297,8 +337,8 @@ void InvariantMonitor::on_cm_event(const TraceEvent& e) {
       // reuse the pre-crash (address, req) spans, so the extraction
       // ledger and the directory's merged-ops dedup line up — nothing
       // to reset here, just account for it.
-      ++journal_replays_;
-      journal_replayed_intents_ += e.b;
+      ++summary_.journal_replays;
+      summary_.journal_replayed += e.b;
       if (e.a != 0) {
         st.view = e.a;
         view_agent_[e.a] = e.agent;
@@ -465,9 +505,13 @@ void InvariantMonitor::record_extraction(std::uint8_t ns, std::uint64_t round,
 }
 
 void InvariantMonitor::begin_recovery(const TraceEvent& e) {
+  // a = generation, b = checkpoint entries replayed.
   ++epoch_;
-  ++recovery_epochs_seen_;
+  ++summary_.recovery_epochs;
+  summary_.wal_replayed += e.b;
+  last_recovery_at_ = std::max(last_recovery_at_, e.at);
   open_recoveries_[e.a] = e.at;
+  summary_.recovery_unresolved = open_recoveries_.size();
   // The restarted directory holds no grant state; exclusivity is
   // re-established by the rebuild round, so pre-crash holders cannot
   // support an I1 verdict against post-restart grants.
@@ -487,16 +531,20 @@ void InvariantMonitor::begin_recovery(const TraceEvent& e) {
 }
 
 void InvariantMonitor::end_recovery(const TraceEvent& e) {
+  // a = generation, b = views re-announced.
+  summary_.reannouncements += e.b;
   auto it = open_recoveries_.find(e.a);
   if (it == open_recoveries_.end()) return;
-  rebuild_duration_us_.add(static_cast<double>(e.at - it->second));
+  summary_.rebuild_duration_us.add(static_cast<double>(e.at - it->second));
   open_recoveries_.erase(it);
+  summary_.recovery_unresolved = open_recoveries_.size();
 }
 
 void InvariantMonitor::begin_migration(const TraceEvent& e) {
   // a = view, b = migration epoch.
-  ++migration_epochs_seen_;
+  ++summary_.migration_epochs;
   open_migrations_[e.b] = OpenMigration{e.a, e.at};
+  summary_.migration_unresolved = open_migrations_.size();
 }
 
 void InvariantMonitor::end_migration(const TraceEvent& e, bool aborted) {
@@ -519,12 +567,14 @@ void InvariantMonitor::end_migration(const TraceEvent& e, bool aborted) {
   }
   auto it = open_migrations_.find(epoch);
   if (it != open_migrations_.end()) {
-    migration_duration_us_.add(static_cast<double>(e.at - it->second.began));
+    summary_.migration_duration_us.add(
+        static_cast<double>(e.at - it->second.began));
     open_migrations_.erase(it);
+    summary_.migration_unresolved = open_migrations_.size();
   }
   closed_migrations_[epoch] = aborted;
   if (aborted) {
-    ++migrations_aborted_;
+    ++summary_.migrations_aborted;
   } else {
     ++checks_[idx(Invariant::kExclusivity)];
     // Ownership moved: the source surrendered its copy with the
@@ -612,11 +662,16 @@ void InvariantMonitor::finalize() {
     emit_finding(EventKind::kMonitorWarning, f);
   }
 
-  if (cfg_.max_op_age > 0) {
-    for (auto& [span, op] : pending_) {
-      if (op.age_warned || last_at_ - op.started_at <= cfg_.max_op_age) {
-        continue;
-      }
+  for (auto& [span, op] : pending_) {
+    // Ops open across a directory restart were re-issued under the new
+    // generation (a fresh span): casualties of the restart, not lost.
+    if (summary_.recovery_epochs != 0 && op.started_at <= last_recovery_at_) {
+      ++summary_.ops_unfinished_recovery;
+    } else {
+      ++summary_.ops_unfinished;
+    }
+    if (cfg_.max_op_age > 0 && !op.age_warned &&
+        last_at_ - op.started_at > cfg_.max_op_age) {
       op.age_warned = true;
       std::ostringstream d;
       d << "op '" << op.label << "' still pending after "
@@ -630,12 +685,12 @@ void InvariantMonitor::finalize() {
 
 std::uint64_t InvariantMonitor::unresolved_recovery_epochs() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return open_recoveries_.size();
+  return summary_.recovery_unresolved;
 }
 
 std::uint64_t InvariantMonitor::unresolved_migration_epochs() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return open_migrations_.size();
+  return summary_.migration_unresolved;
 }
 
 std::uint64_t InvariantMonitor::violation_count(Invariant inv) const {
@@ -666,16 +721,17 @@ std::string InvariantMonitor::health_report() const {
     out << row;
   }
   out << "  warnings: " << warnings_.size() << "\n";
-  if (recovery_epochs_seen_ != 0 || fenced_messages_ != 0) {
-    out << "  recovery: epochs=" << recovery_epochs_seen_
-        << " unresolved=" << open_recoveries_.size()
-        << " fenced=" << fenced_messages_ << "\n";
+  const TraceSummary& s = summary_;
+  if (s.recovery_epochs != 0 || s.fenced_messages != 0) {
+    out << "  recovery: epochs=" << s.recovery_epochs
+        << " unresolved=" << s.recovery_unresolved
+        << " fenced=" << s.fenced_messages << "\n";
   }
-  if (migration_epochs_seen_ != 0 || journal_replays_ != 0) {
-    out << "  migration: epochs=" << migration_epochs_seen_
-        << " aborted=" << migrations_aborted_
-        << " unresolved=" << open_migrations_.size()
-        << " journal_replays=" << journal_replays_ << "\n";
+  if (s.migration_epochs != 0 || s.journal_replays != 0) {
+    out << "  migration: epochs=" << s.migration_epochs
+        << " aborted=" << s.migrations_aborted
+        << " unresolved=" << s.migration_unresolved
+        << " journal_replays=" << s.journal_replays << "\n";
   }
   const std::size_t kShow = 5;
   for (std::size_t i = 0; i < violations_.size() && i < kShow; ++i) {
@@ -716,21 +772,22 @@ void InvariantMonitor::export_metrics(MetricsRegistry& reg) const {
   }
   reg.inc("monitor.violations", violations_.size());
   reg.inc("monitor.warnings", warnings_.size());
-  reg.inc("monitor.recovery.epochs", recovery_epochs_seen_);
-  reg.inc("monitor.recovery.unresolved", open_recoveries_.size());
-  reg.inc("monitor.recovery.fenced", fenced_messages_);
-  for (const double v : rebuild_duration_us_.samples()) {
+  const TraceSummary& s = summary_;
+  reg.inc("monitor.recovery.epochs", s.recovery_epochs);
+  reg.inc("monitor.recovery.unresolved", s.recovery_unresolved);
+  reg.inc("monitor.recovery.fenced", s.fenced_messages);
+  for (const double v : s.rebuild_duration_us.samples()) {
     reg.observe("monitor.recovery.rebuild_us", v);
   }
-  reg.inc("monitor.migration.epochs", migration_epochs_seen_);
-  reg.inc("monitor.migration.aborted", migrations_aborted_);
-  reg.inc("monitor.migration.unresolved", open_migrations_.size());
-  reg.inc("monitor.journal.replays", journal_replays_);
-  reg.inc("monitor.journal.replayed_intents", journal_replayed_intents_);
-  for (const double v : migration_duration_us_.samples()) {
+  reg.inc("monitor.migration.epochs", s.migration_epochs);
+  reg.inc("monitor.migration.aborted", s.migrations_aborted);
+  reg.inc("monitor.migration.unresolved", s.migration_unresolved);
+  reg.inc("monitor.journal.replays", s.journal_replays);
+  reg.inc("monitor.journal.replayed_intents", s.journal_replayed);
+  for (const double v : s.migration_duration_us.samples()) {
     reg.observe("monitor.migration.duration_us", v);
   }
-  for (const auto& [label, lat] : op_latency_us_) {
+  for (const auto& [label, lat] : s.op_latency_us) {
     for (const double v : lat.samples()) {
       reg.observe("monitor.op.latency_us." + label, v);
     }

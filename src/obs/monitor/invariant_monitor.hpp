@@ -41,6 +41,11 @@
 // monitor can feed its own findings into a traced buffer without
 // feedback.
 //
+// The pass that checks the trace also summarizes it: summary() holds
+// the per-kind tallies, the op latencies and the recovery and migration
+// epochs, and obs::summarize() (tools/flecc_trace) is a monitor run
+// over the trace, so the two tools read one set of numbers.
+//
 // The monitor is deliberately compiled in both FLECC_TRACE configs
 // (it is analysis-side code, like trace_io); under FLECC_TRACE=OFF it
 // simply never receives events.
@@ -55,6 +60,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/analysis.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -106,7 +112,8 @@ class InvariantMonitor : public TraceSink {
   void on_event(const TraceEvent& e) override;
 
   /// Offline entry point: feed a whole (time-sorted) trace, then
-  /// finalize. Equivalent to on_event per element + finalize().
+  /// finalize. Equivalent to on_event per element + finalize(), except
+  /// that the findings the trace carries count in summary().
   void run(const std::vector<TraceEvent>& events);
 
   /// End-of-run checks: unmerged extractions, still-pending ops.
@@ -125,6 +132,12 @@ class InvariantMonitor : public TraceSink {
   [[nodiscard]] std::uint64_t check_count(Invariant inv) const;
   [[nodiscard]] std::uint64_t events_seen() const noexcept {
     return events_seen_;
+  }
+
+  /// Everything the pass counted and paired (see obs::TraceSummary);
+  /// the unfinished-op counts are filled in by finalize().
+  [[nodiscard]] const TraceSummary& summary() const noexcept {
+    return summary_;
   }
 
   /// Number of directory recovery epochs that began (recovery_begin)
@@ -203,6 +216,7 @@ class InvariantMonitor : public TraceSink {
   };
 
   void process(const TraceEvent& e);
+  void tally(const TraceEvent& e);
   void on_cm_event(const TraceEvent& e);
   void on_dm_event(const TraceEvent& e);
   void begin_recovery(const TraceEvent& e);
@@ -232,14 +246,16 @@ class InvariantMonitor : public TraceSink {
   std::map<ExtractKey, Extraction> extractions_;
   std::unordered_map<std::uint64_t, PendingOp> pending_;
 
+  TraceSummary summary_;
+
   // ---- crash-recovery epochs (directory restarts) --------------------
   std::uint64_t epoch_ = 0;  ///< bumps at each recovery_begin
-  std::uint64_t recovery_epochs_seen_ = 0;
-  std::uint64_t fenced_messages_ = 0;  ///< msg_fenced events (either role)
+  /// Latest recovery_begin: ops still open that started by then were
+  /// interrupted by the restart, not truncated.
+  sim::Time last_recovery_at_ = 0;
   /// Open recoveries: generation → recovery_begin time; drained by
   /// recovery_end, leftovers are unresolved at end of trace.
   std::map<std::uint64_t, sim::Time> open_recoveries_;
-  sim::SampleSet rebuild_duration_us_;
 
   // ---- migration epochs (live view handoffs) -------------------------
   /// One inflight ViewMove: the migrating view and when it began.
@@ -254,13 +270,7 @@ class InvariantMonitor : public TraceSink {
   /// epoch: a migrate_done for an epoch already settled (done OR
   /// aborted) is an exclusivity violation.
   std::map<std::uint64_t, bool> closed_migrations_;
-  std::uint64_t migration_epochs_seen_ = 0;
-  std::uint64_t migrations_aborted_ = 0;
-  std::uint64_t journal_replays_ = 0;  ///< CM journal_replay events
-  std::uint64_t journal_replayed_intents_ = 0;
-  sim::SampleSet migration_duration_us_;
 
-  std::map<std::string, sim::SampleSet> op_latency_us_;
   std::uint64_t checks_[5] = {};
   std::uint64_t fails_[5] = {};
   std::vector<Finding> violations_;

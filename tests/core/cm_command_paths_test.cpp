@@ -6,10 +6,13 @@
 // the recovery paths no other suite reaches: journal compaction with a
 // push in flight, queued or sealed as a handoff, a destination's
 // uninstall, a sealed source that abandons its handoff, and a rebuild
-// probe that re-issues only what was in flight. Last, the migration
+// probe that re-issues only what was in flight. Then the migration
 // paths: a move request for a view the manager does not host, a sealed
 // source re-quiescing, a resent or refused install, an abort before
-// quiescing, and a stray settlement.
+// quiescing, and a stray settlement. Last, the guards that only loss or
+// a restarted directory reach: the echo window's overflow, the
+// generation fence, the exclusivity a served invalidation surrenders,
+// and the push trigger's clock.
 //
 // The directory is a scripted endpoint: it answers the cache manager's
 // own requests and otherwise sends only the commands a case asks for,
@@ -52,10 +55,11 @@ struct Reply {
 };
 
 /// A directory played by the test. It takes the harness directory's
-/// address, accepts the registration, answers init, pull and push
-/// requests at once, records every reply to a command and every
-/// handoff, and stamps everything it sends with its current generation.
-/// An acked push merges into its database once per request id.
+/// address, accepts the registration, answers init, pull, acquire and
+/// push requests at once, records every reply to a command, every
+/// handoff and every rebuild re-announcement, and stamps everything it
+/// sends with its current generation. An acked push merges into its
+/// database once per request id.
 class ScriptedDirectory final : public net::Endpoint {
  public:
   explicit ScriptedDirectory(Harness& h) : h_(h) {
@@ -79,6 +83,9 @@ class ScriptedDirectory final : public net::Endpoint {
     } else if (m.type == msg::kPullReq) {
       const auto& req = net::payload_as<msg::PullReq>(m);
       send(msg::kPullReply, msg::PullReply{{}, 0, req.req, gen_});
+    } else if (m.type == msg::kAcquireReq) {
+      const auto& req = net::payload_as<msg::AcquireReq>(m);
+      send(msg::kAcquireGrant, msg::AcquireGrant{{}, req.req, gen_});
     } else if (m.type == msg::kPushUpdate) {
       const auto& push = net::payload_as<msg::PushUpdate>(m);
       pushes_.push_back(push);
@@ -89,6 +96,8 @@ class ScriptedDirectory final : public net::Endpoint {
       send(msg::kPushAck, msg::PushAck{pushes_.size(), push.req, gen_});
     } else if (m.type == msg::kHandoffState) {
       handoffs_.push_back(net::payload_as<msg::HandoffState>(m));
+    } else if (m.type == msg::kRebuildReply) {
+      rebuilds_.push_back(net::payload_as<msg::RebuildReply>(m));
     } else if (m.type == msg::kFetchReply) {
       const auto& r = net::payload_as<msg::FetchReply>(m);
       replies_.push_back(Reply{Kind::kFetch, r.token, r.dirty,
@@ -152,6 +161,9 @@ class ScriptedDirectory final : public net::Endpoint {
   [[nodiscard]] const std::vector<msg::HandoffState>& handoffs() const {
     return handoffs_;
   }
+  [[nodiscard]] const std::vector<msg::RebuildReply>& rebuilds() const {
+    return rebuilds_;
+  }
   /// The sum of the merged increments of kCell.
   [[nodiscard]] std::int64_t db() const { return db_; }
   /// Message types received, in arrival order.
@@ -184,6 +196,7 @@ class ScriptedDirectory final : public net::Endpoint {
   std::vector<Reply> replies_;
   std::vector<msg::PushUpdate> pushes_;
   std::vector<msg::HandoffState> handoffs_;
+  std::vector<msg::RebuildReply> rebuilds_;
   std::set<std::uint64_t> merged_;
   std::int64_t db_ = 0;
   std::vector<std::string> received_;
@@ -435,12 +448,17 @@ class CmRecoveryPathsTest : public ::testing::Test {
     return m;
   }
 
-  /// One sale: add 1 to kCell inside a use section, then push it.
-  void sell(Harness::Member& m) {
+  /// Leave `m` with an unpushed increment of kCell.
+  void write(Harness::Member& m, std::int64_t delta) {
     m.cm->start_use_image();
     settle();
-    m.view->increment(kCell, 1);
+    m.view->increment(kCell, delta);
     m.cm->end_use_image(/*modified=*/true);
+  }
+
+  /// One sale: add 1 to kCell inside a use section, then push it.
+  void sell(Harness::Member& m) {
+    write(m, 1);
     m.cm->push_image();
     settle();
   }
@@ -783,6 +801,87 @@ TEST_F(CmMigrationPathsTest, StrayMoveDoneIsDropped) {
   m.cm->push_image();
   settle();
   EXPECT_EQ(dir_.pushes().size(), 1u);
+}
+
+// ---- guards only loss or a restart reaches ----------------------------------
+
+using CmLossGuardsTest = CmRecoveryPathsTest;
+
+TEST_F(CmLossGuardsTest, EchoWindowOverflowDropsTheOldestEcho) {
+  auto m = member();
+  // 33 dirty fetches served and no push acked in between: the window
+  // keeps the newest 32 echoes.
+  for (std::uint64_t round = 1; round <= 33; ++round) {
+    write(m, 1);
+    dir_.command(Kind::kFetch, round);
+    settle();
+  }
+  EXPECT_EQ(m.cm->stats().get("echo.queued"), 33u);
+  EXPECT_EQ(m.cm->stats().get("echo.dropped"), 1u);
+
+  m.cm->push_image();
+  settle();
+  ASSERT_EQ(dir_.pushes().size(), 1u);
+  const auto& echoes = dir_.pushes()[0].echoes;
+  ASSERT_EQ(echoes.size(), 32u);
+  for (std::size_t i = 0; i < echoes.size(); ++i) {
+    EXPECT_EQ(echoes[i].round, i + 2);
+  }
+}
+
+TEST_F(CmLossGuardsTest, CommandFromACrashedIncarnationIsFenced) {
+  auto m = member();
+  dir_.set_generation(2);  // the manager learns of a restart
+  m.cm->pull_image();
+  settle();
+  write(m, 5);
+
+  dir_.set_generation(1);  // a command the old incarnation sent
+  dir_.command(Kind::kFetch, 7);
+  settle();
+  EXPECT_EQ(m.cm->stats().get("recovery.fenced"), 1u);
+  EXPECT_EQ(m.view->extracts(), 0u);
+  EXPECT_TRUE(dir_.replies().empty());
+  EXPECT_TRUE(m.cm->dirty());
+}
+
+TEST_F(CmLossGuardsTest, ServedInvalidationIsReannouncedAsNotExclusive) {
+  CacheManager::Config cfg;
+  cfg.mode = Mode::kStrong;
+  auto m = member(cfg);
+  m.cm->start_use_image();  // acquires
+  settle();
+  ASSERT_TRUE(m.cm->exclusive());
+  m.cm->end_use_image(/*modified=*/false);
+  dir_.command(Kind::kInvalidate, 9);
+  settle();
+  ASSERT_EQ(dir_.replies().size(), 1u);
+
+  // A restarted directory rebuilds from the re-announcement: the view
+  // it invalidated is neither active nor exclusive.
+  dir_.set_generation(2);
+  dir_.probe();
+  settle();
+  ASSERT_EQ(dir_.rebuilds().size(), 1u);
+  EXPECT_FALSE(dir_.rebuilds()[0].active);
+  EXPECT_FALSE(dir_.rebuilds()[0].exclusive);
+}
+
+TEST_F(CmLossGuardsTest, PushTriggerCountsFromThePreviousPushAck) {
+  CacheManager::Config cfg;
+  cfg.push_trigger = "(t > 1500)";
+  auto m = member(cfg);
+  write(m, 1);
+  h_.run_until(sim::seconds(2));  // 1.5 s after start: the trigger pushes
+  ASSERT_EQ(dir_.pushes().size(), 1u);
+  ASSERT_FALSE(m.cm->dirty());
+
+  write(m, 1);
+  h_.run_until(h_.sim_.now() + sim::seconds(1));
+  EXPECT_EQ(dir_.pushes().size(), 1u);  // not 1.5 s since the ack yet
+  h_.run_until(h_.sim_.now() + sim::seconds(1));
+  EXPECT_EQ(dir_.pushes().size(), 2u);
+  EXPECT_EQ(dir_.db(), 2);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 // settled, forgotten and pre-crash rounds, an echo of a live round's
 // merged reply, a WAL compaction while a round is open and one after a
 // round settled, command resends, and the death of a target or of the
-// requester mid-round.
+// requester mid-round. Then two answers outside any round: the ack of a
+// framed kill for a view already gone, replayed from the dedup window,
+// and a push that makes its view an active holder again.
 //
 // Requester and targets are scripted endpoints that speak only when
 // told to, so every reply, echo and duplicate lands exactly where the
@@ -146,11 +148,21 @@ class ScriptedView final : public net::Endpoint {
     send(msg::kPushUpdate, push, msg::wire_size(push));
   }
 
-  /// An unframed, clean KillReq: the view deregisters.
-  void kill() {
-    msg::KillReq req;
-    req.view = id_;
-    send(msg::kKillReq, req, msg::wire_size(req));
+  /// A clean KillReq, unframed unless `req` is given: the view
+  /// deregisters.
+  void kill(std::uint64_t req = 0) {
+    msg::KillReq k;
+    k.view = id_;
+    k.req = req;
+    send(msg::kKillReq, k, msg::wire_size(k));
+  }
+
+  /// A clean push: the view works on a copy again.
+  void push() {
+    msg::PushUpdate p;
+    p.view = id_;
+    p.req = next_req_++;
+    send(msg::kPushUpdate, p, msg::wire_size(p));
   }
 
   [[nodiscard]] ViewId id() const noexcept { return id_; }
@@ -548,6 +560,62 @@ INSTANTIATE_TEST_SUITE_P(Kinds, RoundPathsTest,
                            return info.param == Kind::kFetch ? "Fetch"
                                                              : "Invalidate";
                          });
+
+// ---- answers outside rounds -------------------------------------------------
+
+/// A directory, a requester and one active conflicting view.
+class DirectoryAnswersTest : public ::testing::Test {
+ protected:
+  DirectoryAnswersTest() : h_(2), requester_(h_), view_(h_) {
+    settle();
+    view_.init();
+    settle();
+  }
+
+  void settle() { h_.run_until(h_.sim_.now() + sim::msec(5)); }
+  [[nodiscard]] std::uint64_t dm(const std::string& counter) const {
+    return h_.directory_->stats().get(counter);
+  }
+
+  Harness h_;
+  ScriptedView requester_;
+  ScriptedView view_;
+};
+
+TEST_F(DirectoryAnswersTest, KillOfAGoneViewIsAckedAndItsResendReplayed) {
+  view_.kill();  // unframed: the view deregisters
+  settle();
+  const std::size_t acks = view_.received(msg::kKillAck);
+  constexpr std::uint64_t kReq = 100;
+  view_.kill(kReq);  // a framed kill for the view already gone
+  settle();
+  EXPECT_EQ(view_.received(msg::kKillAck), acks + 1);
+  EXPECT_EQ(dm("op.kill"), 2u);
+
+  view_.kill(kReq);  // its retransmission
+  settle();
+  EXPECT_EQ(view_.received(msg::kKillAck), acks + 2);
+  EXPECT_EQ(dm("msg.duplicate.replayed"), 1u);
+  EXPECT_EQ(dm("op.kill"), 2u);  // answered from the window, not run again
+}
+
+TEST_F(DirectoryAnswersTest, PushMakesTheViewActiveForTheNextAcquire) {
+  requester_.request(Kind::kInvalidate);
+  settle();
+  ASSERT_EQ(view_.commands().size(), 1u);
+  view_.answer(Kind::kInvalidate, view_.commands().back(), 0);
+  settle();
+  ASSERT_FALSE(h_.directory_->is_active(view_.id()));
+
+  view_.push();
+  settle();
+  EXPECT_TRUE(h_.directory_->is_active(view_.id()));
+
+  // The next conflicting acquire must invalidate the view again.
+  requester_.request(Kind::kInvalidate);
+  settle();
+  EXPECT_EQ(view_.commands().size(), 2u);
+}
 
 }  // namespace
 }  // namespace flecc::core
