@@ -696,8 +696,8 @@ struct Observers {
 /// What a twin leaves of its monitor's verdict besides the checks.
 enum class Export {
   kNone,    ///< nothing
-  kProm,    ///< the monitor's metrics in out/flecc_metrics.prom
-  kReport,  ///< those, the health report and a line naming the file
+  kProm,    ///< the monitor's metrics, added to the caller's registry
+  kReport,  ///< those and the health report
 };
 
 /// One scenario: runs with the given trace recorder and telemetry hub
@@ -711,10 +711,11 @@ using Scenario =
 /// online monitor and telemetry never perturb the protocol. With the
 /// monitor, the verdict: no invariant violation, and every recovery and
 /// migration epoch resolved. `recorder` keeps the first run's trace for
-/// the caller to write; `more` adds a mode's counters to the export.
+/// the caller to write; `metrics` collects what `exp` exports, for
+/// write_prom().
 std::string twin(const std::string& name, const Scenario& scenario,
                  const Observers& o, Export exp, obs::TraceRecorder& recorder,
-                 const std::function<void(obs::MetricsRegistry&)>& more = {}) {
+                 obs::MetricsRegistry& metrics) {
   obs::monitor::InvariantMonitor checker;
   if (o.monitor) recorder.attach_sink(&checker);
   const bool tracing = o.trace_path != nullptr || o.monitor;
@@ -727,15 +728,7 @@ std::string twin(const std::string& name, const Scenario& scenario,
   if (exp == Export::kReport) {
     std::fputs(checker.health_report().c_str(), stdout);
   }
-  if (exp != Export::kNone) {
-    obs::MetricsRegistry reg;
-    checker.export_metrics(reg);
-    if (more) more(reg);
-    const std::string prom = out_path("flecc_metrics.prom");
-    if (reg.write_prometheus(prom.c_str()) && exp == Export::kReport) {
-      std::printf("# monitor metrics -> %s\n", prom.c_str());
-    }
-  }
+  if (exp != Export::kNone) checker.export_metrics(metrics);
   SOAK_CHECK(checker.violations().empty(), "%s: %zu invariant violation(s)",
              name.c_str(), checker.violations().size());
   SOAK_CHECK(checker.unresolved_recovery_epochs() == 0,
@@ -743,6 +736,25 @@ std::string twin(const std::string& name, const Scenario& scenario,
   SOAK_CHECK(checker.unresolved_migration_epochs() == 0,
              "%s: a migration epoch never settled", name.c_str());
   return first;
+}
+
+/// With the monitor, writes the metrics of a mode's twins to
+/// out/flecc_metrics.prom, naming the file if `announce`.
+void write_prom(const Observers& o, const obs::MetricsRegistry& metrics,
+                bool announce) {
+  if (!o.monitor) return;
+  const std::string prom = out_path("flecc_metrics.prom");
+  if (metrics.write_prometheus(prom.c_str()) && announce) {
+    std::printf("# monitor metrics -> %s\n", prom.c_str());
+  }
+}
+
+/// `path` with `.variant` before its extension: trace.jsonl becomes
+/// trace.warm.jsonl.
+std::string variant_path(const char* path, const char* variant) {
+  std::filesystem::path p(path);
+  p.replace_extension(variant + p.extension().string());
+  return p.string();
 }
 
 /// Writes `recorder`'s trace to `path` as JSONL; returns its event count.
@@ -845,6 +857,7 @@ int main(int argc, char** argv) {
   // Every mode runs its scenarios through twin(): twice with the same
   // seed, output compared bit for bit, observers on the first run only.
   const Observers observers{trace_path, monitor, hub.get()};
+  obs::MetricsRegistry metrics;  // out/flecc_metrics.prom
   std::string result;  // printed and written to out/chaos_soak.csv
   std::string note;    // printed after it
   const char* verdict = nullptr;
@@ -870,12 +883,15 @@ int main(int argc, char** argv) {
           [&v](obs::TraceRecorder* t, obs::TelemetryHub* h) {
             return run_migrate(kSeed, t, v, h);
           },
-          observers, Export::kProm, recorder);
-      if (trace_path != nullptr) write_trace(recorder, trace_path);
+          observers, Export::kProm, recorder, metrics);
+      if (trace_path != nullptr) {
+        write_trace(recorder, variant_path(trace_path, v.name).c_str());
+      }
       std::printf("# migrate variant %-13s converged; twin bit-identical\n",
                   v.name);
       result += std::string("# variant ") + v.name + "\n" + first;
     }
+    write_prom(observers, metrics, false);
     verdict = "# all migration variants converged; every twin was "
               "bit-identical";
   } else if (overload) {
@@ -891,16 +907,15 @@ int main(int argc, char** argv) {
           return run_overload(kSeed, t, /*flow_on=*/true, flow_res, crash_dm,
                               h);
         },
-        observers, Export::kReport, recorder,
-        // Surface the overload ladder in the same Prometheus export the
-        // monitor writes: flow.*/shed.*/breaker.* families.
-        [&flow_res](obs::MetricsRegistry& reg) {
-          reg.inc("net.flow.queue.peak", flow_res.queue_peak);
-          reg.inc("net.flow.shed", flow_res.fabric_shed);
-          reg.inc("dm.shed", flow_res.dm_shed);
-          reg.inc("cm.breaker.open", flow_res.breaker_opened);
-          reg.inc("cm.breaker.degrade", flow_res.degraded);
-        });
+        observers, Export::kReport, recorder, metrics);
+    // Surface the overload ladder in the same Prometheus export the
+    // monitor writes: flow.*/shed.*/breaker.* families.
+    metrics.inc("net.flow.queue.peak", flow_res.queue_peak);
+    metrics.inc("net.flow.shed", flow_res.fabric_shed);
+    metrics.inc("dm.shed", flow_res.dm_shed);
+    metrics.inc("cm.breaker.open", flow_res.breaker_opened);
+    metrics.inc("cm.breaker.degrade", flow_res.degraded);
+    write_prom(observers, metrics, true);
     OverloadResult base_res;
     run_overload(kSeed, nullptr, /*flow_on=*/false, base_res, crash_dm);
 
@@ -949,7 +964,8 @@ int main(int argc, char** argv) {
         [&](obs::TraceRecorder* t, obs::TelemetryHub* h) {
           return run_soak(kSeed, t, crash_dm, false, batch, wbuf, h);
         },
-        observers, Export::kReport, recorder);
+        observers, Export::kReport, recorder, metrics);
+    write_prom(observers, metrics, true);
 
     if (crash_dm) {
       // Second scenario: the checkpoint is wiped before the restart, so
@@ -966,7 +982,8 @@ int main(int argc, char** argv) {
             return run_soak(kSeed, t, /*crash_dm=*/true,
                             /*empty_checkpoint=*/true, batch, wbuf, h);
           },
-          Observers{nullptr, monitor, nullptr}, Export::kNone, empty_rec);
+          Observers{nullptr, monitor, nullptr}, Export::kNone, empty_rec,
+          metrics);
       std::printf("# crash-dm: empty-checkpoint variant converged\n");
     }
 

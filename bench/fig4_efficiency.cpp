@@ -79,6 +79,9 @@ std::uint64_t run_lifecycle(Protocol protocol, std::size_t group_size,
     tb.client(i).disconnect({});
   }
   tb.run();
+  // A lifecycle lasts a few simulated milliseconds, less than one
+  // telemetry interval, so close the run's window here.
+  if (hub != nullptr) hub->tick(tb.simulator().now());
   return tb.fabric().sent_count();
 }
 

@@ -8,10 +8,11 @@ under DIR (default: a new temporary directory), then compares:
 
   fingerprint   protocol_fingerprint_test passes on the working tree and
                 its recorded constants are REF's (not re-recorded)
-  chaos_soak    `--monitor --trace` JSONL, out/chaos_soak.csv, stdout and
+  chaos_soak    `--monitor --trace` JSONL (one per variant under
+                `--migrate`), out/chaos_soak.csv, stdout and
                 out/flecc_metrics.prom, byte for byte, in the six modes of
                 the verify recipe
-  trace tools   on each side's trace of every soak mode: flecc_trace's
+  trace tools   on each side's traces of every soak mode: flecc_trace's
                 report, `--spans` and `--metrics` CSV, and flecc_check's
                 report, exit code, `--metrics` CSV and `--prom` export
   fig4          fig4_efficiency output, plain and with `--monitor`
@@ -52,6 +53,9 @@ SOAK_MODES = {
     "overload+crash-dm": ["--overload", "--crash-dm"],
     "batch+wbuf4": ["--batch", "--wbuf", "4"],
 }
+# `--migrate --trace trace.jsonl` writes trace.<variant>.jsonl per variant.
+MIGRATE_VARIANTS = ["warm", "src-quiesce", "src-handoff", "src-done",
+                    "dest-quiesce", "dest-handoff", "dest-done"]
 FIGURES = ["fig5_adaptability", "fig6_flexibility", "ablation_granularity",
            "ablation_rw_semantics", "ablation_hierarchical",
            "ablation_centralized", "ablation_notify",
@@ -155,6 +159,17 @@ def check_fingerprint(ref: str, work: Path) -> None:
            + (", test passes" if passes else ", test FAILS"))
 
 
+def traces(mode: str) -> list[str]:
+    """The traces `chaos_soak --trace trace.jsonl` writes in `mode`."""
+    if mode == "migrate":
+        return [f"trace.{v}.jsonl" for v in MIGRATE_VARIANTS]
+    return ["trace.jsonl"]
+
+
+def same_file(a: Path, b: Path) -> bool:
+    return a.exists() and b.exists() and filecmp.cmp(a, b, shallow=False)
+
+
 def check_soak(builds: dict[str, Path], scratch: Path) -> None:
     for mode, flags in SOAK_MODES.items():
         dirs = {}
@@ -166,10 +181,9 @@ def check_soak(builds: dict[str, Path], scratch: Path) -> None:
                                      ["--monitor", "--trace", "trace.jsonl",
                                       *flags])
             dirs[side] = cwd
-        diffs = [name for name in ["trace.jsonl", "out/chaos_soak.csv",
+        diffs = [name for name in [*traces(mode), "out/chaos_soak.csv",
                                    "out/flecc_metrics.prom"]
-                 if not filecmp.cmp(dirs["base"] / name, dirs["work"] / name,
-                                    shallow=False)]
+                 if not same_file(dirs["base"] / name, dirs["work"] / name)]
         if stdout["base"] != stdout["work"]:
             diffs.append("stdout")
         report(not diffs, f"chaos_soak {mode}",
@@ -180,16 +194,23 @@ def check_soak(builds: dict[str, Path], scratch: Path) -> None:
 
 def check_trace_tools(mode: str, builds: dict[str, Path],
                       dirs: dict[str, Path]) -> None:
-    """flecc_trace and flecc_check on each side's own trace of `mode`."""
+    """flecc_trace and flecc_check on each side's own traces of `mode`
+    (those both sides wrote; check_soak reports a missing one)."""
+    both = [t for t in traces(mode)
+            if all((d / t).exists() for d in dirs.values())]
+    if not both:
+        report(False, f"trace tools {mode}", "no trace on both sides")
+        return
     differ = []
-    for name, tool, args, files in TRACE_TOOLS:
-        out = {side: exit_and_output(build / "tools" / tool, dirs[side],
-                                     ["trace.jsonl", *args])
-               for side, build in builds.items()}
-        if out["base"] != out["work"] or not all(
-                filecmp.cmp(dirs["base"] / f, dirs["work"] / f,
-                            shallow=False) for f in files):
-            differ.append(name)
+    for trace in both:
+        for name, tool, args, files in TRACE_TOOLS:
+            out = {side: exit_and_output(build / "tools" / tool, dirs[side],
+                                         [trace, *args])
+                   for side, build in builds.items()}
+            if out["base"] != out["work"] or not all(
+                    same_file(dirs["base"] / f, dirs["work"] / f)
+                    for f in files):
+                differ.append(f"{name} on {trace}")
     report(not differ, f"trace tools {mode}",
            "flecc_trace and flecc_check outputs identical" if not differ
            else " and ".join(differ) + " differ")

@@ -1088,17 +1088,16 @@ void CacheManager::replay_journal() {
   // never re-extracted — the restarted view starts empty.
   queue_.push_back(Op{OpKind::kInit, Mode::kWeak, {}});
   for (auto& [req, image] : intents) {
-    Op op{OpKind::kPush, Mode::kWeak, {}};
+    Op& op = queue_.emplace_back(OpKind::kPush, Mode::kWeak, Done{});
     op.ex.req = req;
     op.image = std::move(image);
-    queue_.push_back(std::move(op));
     stats_.inc("journal.replayed.intent");
   }
   if (have_pending) {
-    Op op{OpKind::kPush, Mode::kWeak, {}};
-    op.ex.req = alloc_req();
+    const std::uint64_t req = alloc_req();
+    Op& op = queue_.emplace_back(OpKind::kPush, Mode::kWeak, Done{});
+    op.ex.req = req;
     op.image = std::move(pending);
-    queue_.push_back(std::move(op));
     stats_.inc("journal.replayed.wbuf");
   }
 }

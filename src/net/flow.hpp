@@ -1,11 +1,11 @@
 // Fabric-level flow control: bounded queues with hysteresis and Busy
 // synthesis.
 //
-// Every fabric (SimFabric, ThreadFabric, BatchFabric) historically let
-// its pending set grow without limit, so a hot-object storm turned into
-// unbounded memory growth instead of a bounded, observable brown-out.
-// A FlowControl config bounds the per-destination queue and, instead of
-// silently dropping excess *bulk* traffic, answers the sender with a
+// Without a bound, a fabric's pending set grows without limit, so a
+// hot-object storm turns into unbounded memory growth instead of a
+// bounded, observable brown-out. SimFabric, the one fabric that accepts
+// a FlowControl config, bounds each per-destination queue and, instead
+// of silently dropping excess *bulk* traffic, answers the sender with a
 // protocol-level Busy carrying a retry_after hint.
 //
 // The net layer stays protocol-agnostic: it does not know what a

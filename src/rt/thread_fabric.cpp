@@ -11,15 +11,12 @@ using Clock = std::chrono::steady_clock;
 ThreadFabric::Mailbox::Mailbox(net::Endpoint& ep,
                                std::atomic<std::int64_t>& inflight,
                                std::condition_variable& idle_cv,
-                               std::mutex& idle_mu, std::size_t capacity,
-                               std::size_t low,
+                               std::mutex& idle_mu,
                                std::atomic<std::size_t>& peak)
     : ep_(ep),
       inflight_(inflight),
       idle_cv_(idle_cv),
       idle_mu_(idle_mu),
-      capacity_(capacity),
-      low_(low),
       peak_(peak) {
   thread_ = std::thread([this] { loop(); });
 }
@@ -35,21 +32,15 @@ void ThreadFabric::Mailbox::post(std::function<void()> task) {
   cv_.notify_one();
 }
 
-bool ThreadFabric::Mailbox::post_message(
-    std::shared_ptr<const net::Message> msg, bool control,
-    obs::CausalClock* clock) {
+void ThreadFabric::Mailbox::post_message(
+    std::shared_ptr<const net::Message> msg, obs::CausalClock* clock) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return true;  // swallowed, like post() on teardown
-    const std::size_t depth = queue_.size();
-    if (capacity_ != 0) {
-      if (shedding_ && depth <= low_) shedding_ = false;
-      if (!shedding_ && depth >= capacity_) shedding_ = true;
-      if (shedding_ && !control) return false;
-    }
+    if (stopping_) return;  // swallowed, like post() on teardown
+    const std::size_t depth = queue_.size() + 1;
     std::size_t cur = peak_.load(std::memory_order_relaxed);
-    while (depth + 1 > cur && !peak_.compare_exchange_weak(
-                                  cur, depth + 1, std::memory_order_relaxed)) {
+    while (depth > cur && !peak_.compare_exchange_weak(
+                              cur, depth, std::memory_order_relaxed)) {
     }
     // The receiver clock is observed on the mailbox thread right before
     // the handler runs, so handler trace emissions always see a clock
@@ -60,7 +51,6 @@ bool ThreadFabric::Mailbox::post_message(
     });
   }
   cv_.notify_one();
-  return true;
 }
 
 void ThreadFabric::Mailbox::stop() {
@@ -128,8 +118,7 @@ void ThreadFabric::bind(const net::Address& addr, net::Endpoint& ep) {
   std::lock_guard<std::mutex> lock(endpoints_mu_);
   auto [it, inserted] = endpoints_.emplace(
       addr, std::make_shared<Mailbox>(ep, inflight_, idle_cv_, idle_mu_,
-                                      cfg_.flow.queue_capacity,
-                                      cfg_.flow.low(), peak_depth_));
+                                      peak_depth_));
   (void)it;
   if (!inserted) {
     throw std::logic_error("ThreadFabric::bind: address already bound: " +
@@ -183,23 +172,6 @@ obs::CausalClock* ThreadFabric::clock_of(const net::Address& addr) {
   return it == clocks_.end() ? nullptr : it->second;
 }
 
-void ThreadFabric::trace_drop(const net::Address& from, const net::Address& to,
-                              const std::string& type, std::uint64_t reason) {
-#if FLECC_TRACE_ENABLED
-  if (cfg_.trace == nullptr) return;
-  std::lock_guard<std::mutex> lock(counters_mu_);
-  cfg_.trace->emit(obs::make_event(now(), obs::EventKind::kMsgDropped,
-                                   obs::Role::kFabric, obs::agent_key(from),
-                                   0, type.c_str(), reason,
-                                   obs::agent_key(to)));
-#else
-  (void)from;
-  (void)to;
-  (void)type;
-  (void)reason;
-#endif
-}
-
 void ThreadFabric::note_idle_if_done() {
   if (inflight_.fetch_sub(1) == 1) {
     std::lock_guard<std::mutex> lock(idle_mu_);
@@ -232,7 +204,6 @@ void ThreadFabric::send(net::Address from, net::Address to, std::string type,
     }
     if (drop) {
       count("msg.dropped.loss");
-      trace_drop(from, to, type, obs::kDropLoss);
       return;
     }
   }
@@ -246,81 +217,31 @@ void ThreadFabric::send(net::Address from, net::Address to, std::string type,
   message->bytes = bytes;
   if (obs::CausalClock* c = clock_of(from)) message->clock = c->tick();
 
-  sim::Duration delay = cfg_.message_delay;
-  if (cfg_.topology.has_value()) {
-    // Topology's route cache is not thread-safe; serialize lookups.
-    std::lock_guard<std::mutex> lock(topo_mu_);
-    const auto route = cfg_.topology->route(from.node, to.node);
-    if (!route.has_value()) {
-      count("msg.dropped.no_route");
-      trace_drop(from, to, message->type, obs::kDropNoRoute);
-      return;
-    }
-    delay += net::Topology::transfer_delay(*route, bytes);
-  }
-
-  inflight_.fetch_add(1);
-  auto do_post = [this, message] {
-    auto mb = lookup(message->to);
-    if (!mb) {
-      count("msg.dropped.unbound");
-      trace_drop(message->from, message->to, message->type,
-                 obs::kDropUnbound);
-      note_idle_if_done();
-      return;
-    }
-    const bool control = cfg_.flow.control(message->type);
-    if (!mb->post_message(message, control, clock_of(message->to))) {
-      // Mailbox full: shed the bulk message and answer its sender with
-      // a synthesized Busy (a regular control-lane send) instead of
-      // letting the queue grow without limit.
-      count("flow.shed");
-      count_cat("flow.shed.", message->type);
-      trace_drop(message->from, message->to, message->type,
-                 obs::kDropOverload);
-      note_idle_if_done();
-      if (cfg_.flow.make_busy) {
-        net::BusyReply busy =
-            cfg_.flow.make_busy(*message, cfg_.flow.retry_after);
-        if (!busy.type.empty()) {
-          send(message->to, message->from, std::move(busy.type),
-               std::move(busy.payload), busy.bytes);
-        }
-      }
-      return;
-    }
-    count_cat("msg.delivered.", message->type);
-    count("msg.delivered");
-  };
-
-  if (delay <= 0) {
-    do_post();
+  auto mb = lookup(to);
+  if (!mb) {
+    count("msg.dropped.unbound");
     return;
   }
-  TimedTask tt;
-  tt.due = Clock::now() + std::chrono::microseconds(delay);
-  tt.id = 0;  // messages are not cancellable
-  tt.owner = to;
-  tt.fn = std::move(do_post);
-  enqueue_timed(std::move(tt));
+  count_cat("msg.delivered.", message->type);
+  count("msg.delivered");
+  inflight_.fetch_add(1);
+  mb->post_message(std::move(message), clock_of(to));
 }
 
 net::TimerId ThreadFabric::schedule(const net::Address& owner,
                                     sim::Duration delay,
                                     std::function<void()> fn) {
-  TimedTask tt;
-  tt.due = Clock::now() + std::chrono::microseconds(delay);
-  tt.owner = owner;
+  const auto due = Clock::now() + std::chrono::microseconds(delay);
+  net::TimerId id;
   {
     std::lock_guard<std::mutex> lock(sched_mu_);
-    tt.id = next_timer_id_++;
+    id = next_timer_id_++;
+    timed_.emplace(due, TimedTask{id, [this, owner, fn = std::move(fn)] {
+                                    inflight_.fetch_add(1);
+                                    post_to(owner, fn);
+                                  }});
   }
-  const net::TimerId id = tt.id;
-  tt.fn = [this, owner, fn = std::move(fn)] {
-    inflight_.fetch_add(1);
-    post_to(owner, fn);
-  };
-  enqueue_timed(std::move(tt));
+  sched_cv_.notify_one();
   return id;
 }
 
@@ -334,15 +255,6 @@ bool ThreadFabric::cancel_timer(net::TimerId id) {
     }
   }
   return false;
-}
-
-void ThreadFabric::enqueue_timed(TimedTask task) {
-  {
-    std::lock_guard<std::mutex> lock(sched_mu_);
-    const auto due = task.due;
-    timed_.emplace(due, std::move(task));
-  }
-  sched_cv_.notify_one();
 }
 
 void ThreadFabric::scheduler_loop() {

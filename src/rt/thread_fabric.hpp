@@ -2,15 +2,16 @@
 //
 // Every bound endpoint gets a mailbox drained by its own worker thread,
 // so an endpoint's handlers are serialized (the Fabric contract) while
-// different endpoints run genuinely concurrently. A dedicated scheduler
-// thread applies message delays and timer deadlines.
+// different endpoints run genuinely concurrently. A send posts straight
+// to the receiver's mailbox; a dedicated scheduler thread fires timers
+// at their deadlines.
 //
 // The protocol classes (DirectoryManager, CacheManager, baselines) are
 // written against net::Fabric only, so the exact same code that runs
-// deterministically under SimFabric runs multi-threaded here. Latency
-// modeling is intentionally simple (one fixed per-message delay);
+// deterministically under SimFabric runs multi-threaded here.
 // ThreadFabric exists to exercise true concurrency, not to model
-// networks — use SimFabric for figure reproduction.
+// networks: latency, topology and flow control live in SimFabric, which
+// is also the fabric for figure reproduction.
 #pragma once
 
 #include <atomic>
@@ -21,13 +22,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <unordered_map>
 
 #include "net/fabric.hpp"
-#include "net/flow.hpp"
-#include "net/topology.hpp"
 #include "obs/trace.hpp"
 #include "sim/rng.hpp"
 
@@ -36,12 +34,6 @@ namespace flecc::rt {
 class ThreadFabric : public net::Fabric {
  public:
   struct Config {
-    /// Fixed one-way delivery delay applied to every message.
-    sim::Duration message_delay = sim::usec(0);
-    /// Optional topology: when set, each message additionally pays its
-    /// route's propagation + transmission delay (as under SimFabric's
-    /// uncontended model), and unroutable messages are dropped.
-    std::optional<net::Topology> topology;
     /// Probability that any message is silently dropped (fault
     /// injection; exercises the reliability layer under real threads).
     double loss_probability = 0.0;
@@ -50,17 +42,6 @@ class ThreadFabric : public net::Fabric {
     /// order — hence the run — nondeterministic; use SimFabric for
     /// bit-reproducible loss experiments.
     std::uint64_t loss_seed = 1;
-    /// Protocol-event sink (obs layer, not owned; nullptr disables).
-    /// The fabric contributes msg_dropped events; emission is
-    /// serialized internally (sends happen on many threads).
-    obs::TraceBuffer* trace = nullptr;
-    /// Bounded mailboxes + Busy synthesis (net/flow.hpp). When
-    /// enabled, a mailbox at `queue_capacity` refuses bulk-lane
-    /// messages — the sender gets a synthesized Busy instead of the
-    /// queue growing without limit — while control-lane messages
-    /// (classified by flow.is_control) always get through. Default:
-    /// off, mailboxes stay unbounded.
-    net::FlowControl flow{};
   };
 
   explicit ThreadFabric(Config cfg);
@@ -99,8 +80,9 @@ class ThreadFabric : public net::Fabric {
   /// mailbox is empty. Pending *future* timers do not count.
   void drain();
 
-  /// Deepest any mailbox has ever been (all lanes). Also published as
-  /// the flow.queue.peak counter; read after drain() for a stable value.
+  /// Deepest any mailbox has ever been, counting queued messages. Also
+  /// published as the flow.queue.peak counter; read after drain() for a
+  /// stable value.
   [[nodiscard]] std::size_t peak_mailbox_depth() const noexcept {
     return peak_depth_.load(std::memory_order_relaxed);
   }
@@ -118,22 +100,17 @@ class ThreadFabric : public net::Fabric {
  private:
   class Mailbox {
    public:
-    /// `capacity`/`low` bound the bulk lane (0 = unbounded); `peak`
-    /// is the fabric-wide high-water gauge this mailbox raises.
+    /// `peak` is the fabric-wide high-water gauge this mailbox raises.
     Mailbox(net::Endpoint& ep, std::atomic<std::int64_t>& inflight,
             std::condition_variable& idle_cv, std::mutex& idle_mu,
-            std::size_t capacity, std::size_t low,
             std::atomic<std::size_t>& peak);
     ~Mailbox();
     void post(std::function<void()> task);
-    /// Enqueue a delivery. Control-lane messages always enter; bulk
-    /// messages are refused (false) while the hysteresis latch is shut:
-    /// set when the queue reaches `capacity`, cleared once it drains
-    /// to `low`. The caller synthesizes the Busy on refusal. `clock`
-    /// (nullable) is the receiver's causal clock, observed on the
-    /// mailbox thread just before the handler.
-    [[nodiscard]] bool post_message(std::shared_ptr<const net::Message> msg,
-                                    bool control, obs::CausalClock* clock);
+    /// Enqueue a delivery and raise the peak. `clock` (nullable) is the
+    /// receiver's causal clock, observed on the mailbox thread just
+    /// before the handler.
+    void post_message(std::shared_ptr<const net::Message> msg,
+                      obs::CausalClock* clock);
     void stop();
 
    private:
@@ -147,17 +124,12 @@ class ThreadFabric : public net::Fabric {
     std::condition_variable cv_;
     std::deque<std::function<void()>> queue_;
     bool stopping_ = false;
-    const std::size_t capacity_;
-    const std::size_t low_;
-    bool shedding_ = false;
     std::atomic<std::size_t>& peak_;
     std::thread thread_;
   };
 
   struct TimedTask {
-    std::chrono::steady_clock::time_point due;
     net::TimerId id;
-    net::Address owner;
     std::function<void()> fn;
   };
 
@@ -167,18 +139,12 @@ class ThreadFabric : public net::Fabric {
   /// mutex-guarded (sends run on many threads); the clock itself is
   /// atomic, so tick/observe need no further locking.
   obs::CausalClock* clock_of(const net::Address& addr);
-  void enqueue_timed(TimedTask task);
   std::shared_ptr<Mailbox> lookup(const net::Address& addr);
   void count(std::string_view name, std::uint64_t by = 1);
   void count_cat(std::string_view prefix, std::string_view suffix);
-  /// Emit a msg_dropped trace event; serialized under counters_mu_
-  /// because the obs ring is single-writer and sends run on any thread.
-  void trace_drop(const net::Address& from, const net::Address& to,
-                  const std::string& type, std::uint64_t reason);
   void note_idle_if_done();
 
   Config cfg_;
-  std::mutex topo_mu_;  // guards cfg_.topology's route cache
   std::mutex loss_mu_;  // guards loss_rng_
   std::mutex clocks_mu_;  // guards clocks_ (not the clocks themselves)
   std::unordered_map<net::Address, obs::CausalClock*, net::AddressHash>

@@ -22,35 +22,23 @@ struct Node;
 using NodePtr = std::unique_ptr<Node>;
 
 struct Node {
-  enum class Kind { kNumber, kVariable, kUnary, kBinary, kCall } kind;
+  enum class Kind { kNumber, kVariable, kUnary, kBinary } kind;
 
   // kNumber
   double number = 0.0;
-  // kVariable name, or kCall function name
+  // kVariable
   std::string name;
   // kUnary / kBinary
   UnaryOp uop = UnaryOp::kNeg;
   BinaryOp bop = BinaryOp::kAdd;
   NodePtr lhs;  // also the sole child of a unary node
   NodePtr rhs;
-  // kCall
-  std::vector<NodePtr> args;
 
   static NodePtr make_number(double v);
   static NodePtr make_variable(std::string name);
   static NodePtr make_unary(UnaryOp op, NodePtr child);
   static NodePtr make_binary(BinaryOp op, NodePtr lhs, NodePtr rhs);
-  static NodePtr make_call(std::string name, std::vector<NodePtr> args);
 };
-
-/// Builtin functions usable in trigger expressions:
-///   min(a, b...), max(a, b...), abs(x), floor(x), ceil(x), clamp(x, lo, hi).
-/// Returns false if `name` is not a builtin.
-bool is_builtin_function(const std::string& name) noexcept;
-
-/// Validate a builtin call's arity: empty string if valid, otherwise a
-/// human-readable complaint (used as the ParseError message).
-std::string check_builtin_arity(const std::string& name, std::size_t argc);
 
 /// Collect the distinct variable names referenced by the tree (sorted).
 std::vector<std::string> collect_variables(const Node& root);

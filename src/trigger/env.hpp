@@ -7,7 +7,6 @@
 // never interprets the variables, it just reads numbers by name.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -63,20 +62,6 @@ class LayeredEnv : public Env {
  private:
   const Env& front_;
   const Env& back_;
-};
-
-/// Convenience: an Env backed by a lambda.
-class FnEnv : public Env {
- public:
-  using Fn = std::function<std::optional<double>(const std::string&)>;
-  explicit FnEnv(Fn fn) : fn_(std::move(fn)) {}
-  [[nodiscard]] std::optional<double> lookup(
-      const std::string& name) const override {
-    return fn_(name);
-  }
-
- private:
-  Fn fn_;
 };
 
 }  // namespace flecc::trigger

@@ -11,7 +11,6 @@ const char* to_string(TokenKind kind) noexcept {
     case TokenKind::kIdentifier: return "identifier";
     case TokenKind::kLParen: return "'('";
     case TokenKind::kRParen: return "')'";
-    case TokenKind::kComma: return "','";
     case TokenKind::kPlus: return "'+'";
     case TokenKind::kMinus: return "'-'";
     case TokenKind::kStar: return "'*'";
@@ -118,7 +117,6 @@ std::vector<Token> tokenize(std::string_view src) {
     switch (c) {
       case '(': push(TokenKind::kLParen, start); ++i; break;
       case ')': push(TokenKind::kRParen, start); ++i; break;
-      case ',': push(TokenKind::kComma, start); ++i; break;
       case '+': push(TokenKind::kPlus, start); ++i; break;
       case '-': push(TokenKind::kMinus, start); ++i; break;
       case '*': push(TokenKind::kStar, start); ++i; break;

@@ -1,6 +1,5 @@
 #include "trigger/parser.hpp"
 
-#include <algorithm>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -65,35 +64,6 @@ NodePtr Node::make_binary(BinaryOp op, NodePtr lhs, NodePtr rhs) {
   n->lhs = std::move(lhs);
   n->rhs = std::move(rhs);
   return n;
-}
-
-NodePtr Node::make_call(std::string name, std::vector<NodePtr> args) {
-  auto n = std::make_unique<Node>();
-  n->kind = Kind::kCall;
-  n->name = std::move(name);
-  n->args = std::move(args);
-  return n;
-}
-
-bool is_builtin_function(const std::string& name) noexcept {
-  return name == "min" || name == "max" || name == "abs" ||
-         name == "floor" || name == "ceil" || name == "clamp";
-}
-
-std::string check_builtin_arity(const std::string& name, std::size_t argc) {
-  if (name == "min" || name == "max") {
-    if (argc < 2) return name + " needs at least 2 arguments";
-    return {};
-  }
-  if (name == "abs" || name == "floor" || name == "ceil") {
-    if (argc != 1) return name + " needs exactly 1 argument";
-    return {};
-  }
-  if (name == "clamp") {
-    if (argc != 3) return "clamp needs exactly 3 arguments (x, lo, hi)";
-    return {};
-  }
-  return "unknown function '" + name + "'";
 }
 
 namespace {
@@ -219,37 +189,8 @@ class Parser {
       case TokenKind::kFalse:
         take();
         return Node::make_number(0.0);
-      case TokenKind::kIdentifier: {
-        std::string name = tok.text;
-        const std::size_t name_pos = tok.pos;
-        take();
-        if (peek().kind != TokenKind::kLParen) {
-          return Node::make_variable(std::move(name));
-        }
-        // Function call: identifier '(' expr (',' expr)* ')'. Only
-        // builtins exist; anything else is an error at parse time.
-        if (!is_builtin_function(name)) {
-          throw ParseError("unknown function '" + name + "'", name_pos);
-        }
-        take();  // '('
-        std::vector<NodePtr> args;
-        if (peek().kind != TokenKind::kRParen) {
-          args.push_back(parse_or());
-          while (accept(TokenKind::kComma)) {
-            args.push_back(parse_or());
-          }
-        }
-        if (!accept(TokenKind::kRParen)) {
-          throw ParseError("expected ')' after arguments of '" + name + "'",
-                           peek().pos);
-        }
-        if (const std::string complaint =
-                check_builtin_arity(name, args.size());
-            !complaint.empty()) {
-          throw ParseError(complaint, name_pos);
-        }
-        return Node::make_call(std::move(name), std::move(args));
-      }
+      case TokenKind::kIdentifier:
+        return Node::make_variable(take().text);
       case TokenKind::kLParen: {
         take();
         NodePtr inner = parse_or();
@@ -280,9 +221,6 @@ void collect(const Node& n, std::set<std::string>& out) {
       collect(*n.lhs, out);
       collect(*n.rhs, out);
       break;
-    case Node::Kind::kCall:
-      for (const auto& a : n.args) collect(*a, out);
-      break;
     case Node::Kind::kNumber:
       break;
   }
@@ -308,17 +246,6 @@ void render(const Node& n, std::ostringstream& os) {
       render(*n.rhs, os);
       os << ")";
       break;
-    case Node::Kind::kCall: {
-      os << n.name << "(";
-      bool first = true;
-      for (const auto& a : n.args) {
-        if (!first) os << ", ";
-        first = false;
-        render(*a, os);
-      }
-      os << ")";
-      break;
-    }
   }
 }
 

@@ -13,7 +13,6 @@ enum class TokenKind {
   kIdentifier,  // variable name (including the builtin `t`)
   kLParen,
   kRParen,
-  kComma,
   kPlus,
   kMinus,
   kStar,

@@ -1,6 +1,5 @@
 #include "trigger/trigger.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -26,28 +25,6 @@ double eval(const Node& n, const Env& env) {
         case UnaryOp::kNot: return x == 0.0 ? 1.0 : 0.0;
       }
       break;
-    }
-    case Node::Kind::kCall: {
-      std::vector<double> args;
-      args.reserve(n.args.size());
-      for (const auto& a : n.args) args.push_back(eval(*a, env));
-      if (n.name == "min") {
-        double m = args[0];
-        for (const double x : args) m = std::min(m, x);
-        return m;
-      }
-      if (n.name == "max") {
-        double m = args[0];
-        for (const double x : args) m = std::max(m, x);
-        return m;
-      }
-      if (n.name == "abs") return std::fabs(args[0]);
-      if (n.name == "floor") return std::floor(args[0]);
-      if (n.name == "ceil") return std::ceil(args[0]);
-      if (n.name == "clamp") {
-        return std::min(std::max(args[0], args[1]), args[2]);
-      }
-      throw EvalError("unknown function '" + n.name + "'");
     }
     case Node::Kind::kBinary: {
       // Short-circuit logical operators.
@@ -108,13 +85,6 @@ bool Trigger::evaluate(double t, const Env& env) const {
 
 bool Trigger::evaluate(const Env& env) const {
   return eval(*root_, env) != 0.0;
-}
-
-bool Trigger::references_time() const noexcept {
-  for (const auto& v : variables_) {
-    if (v == "t") return true;
-  }
-  return false;
 }
 
 }  // namespace flecc::trigger

@@ -47,9 +47,6 @@ class Trigger {
     return variables_;
   }
 
-  /// True if the expression references the builtin time variable `t`.
-  [[nodiscard]] bool references_time() const noexcept;
-
  private:
   std::string source_;
   NodePtr root_;

@@ -106,53 +106,10 @@ TEST(ThreadFabricTest, NowIsMonotonic) {
   EXPECT_GT(fabric.now(), t0);
 }
 
-TEST(ThreadFabricTest, TopologyDelaysAndDropsApply) {
-  ThreadFabric::Config cfg;
-  net::Topology topo;
-  const auto a = topo.add_node();
-  const auto b = topo.add_node();
-  const auto isolated = topo.add_node();
-  (void)isolated;
-  net::LinkSpec link;
-  link.latency = sim::msec(15);
-  topo.add_link(a, b, link);
-  cfg.topology = std::move(topo);
-  ThreadFabric fabric(cfg);
-
-  CountingEndpoint ep, lonely;
-  fabric.bind(net::Address{b, 1}, ep);
-  fabric.bind(net::Address{2, 1}, lonely);
-
-  const auto t0 = fabric.now();
-  fabric.send(net::Address{a, 1}, net::Address{b, 1}, "t.routed", 0, 8);
-  fabric.send(net::Address{a, 1}, net::Address{2, 1}, "t.unroutable", 0, 8);
-  fabric.drain();
-  EXPECT_EQ(ep.count.load(), 1);
-  EXPECT_GE(fabric.now() - t0, sim::msec(10));
-  EXPECT_EQ(lonely.count.load(), 0);
-  EXPECT_EQ(fabric.counters().get("msg.dropped.no_route"), 1u);
-}
-
-TEST(ThreadFabricTest, MessageDelayApplied) {
-  ThreadFabric::Config cfg;
-  cfg.message_delay = sim::msec(20);
-  ThreadFabric fabric(cfg);
-  CountingEndpoint ep;
-  fabric.bind(net::Address{0, 1}, ep);
-  const auto t0 = fabric.now();
-  fabric.send(net::Address{0, 2}, net::Address{0, 1}, "t.slow", 0, 8);
-  fabric.drain();
-  EXPECT_GE(fabric.now() - t0, sim::msec(15));
-  EXPECT_EQ(ep.count.load(), 1);
-}
-
-// ---- bounded mailboxes (net/flow.hpp wiring) ------------------------------
-
 /// Holds its mailbox thread hostage on the first "t.block" message until
 /// released, so the test can fill the queue behind it deterministically.
 struct BlockingEndpoint : net::Endpoint {
-  std::atomic<int> bulk{0};
-  std::atomic<int> ctrl{0};
+  std::atomic<int> count{0};
   std::atomic<bool> entered{false};
   std::mutex mu;
   std::condition_variable cv;
@@ -165,11 +122,7 @@ struct BlockingEndpoint : net::Endpoint {
       cv.wait(lock, [this] { return release; });
       return;
     }
-    if (m.type == "t.bulk") {
-      ++bulk;
-    } else {
-      ++ctrl;
-    }
+    ++count;
   }
 
   void unblock() {
@@ -181,74 +134,24 @@ struct BlockingEndpoint : net::Endpoint {
   }
 };
 
-ThreadFabric::Config bounded_config(std::size_t capacity) {
-  ThreadFabric::Config cfg;
-  cfg.flow.queue_capacity = capacity;
-  cfg.flow.is_control = [](std::string_view type) {
-    return type != "t.bulk";
-  };
-  cfg.flow.make_busy = [](const net::Message& shed, sim::Duration) {
-    return net::BusyReply{"t.busy", shed.id, 8};
-  };
-  return cfg;
-}
-
-TEST(ThreadFabricFlowTest, FullMailboxNacksInsteadOfGrowing) {
-  ThreadFabric fabric(bounded_config(4));
+TEST(ThreadFabricTest, PeakCountsSendsQueuedBehindABlockedHandler) {
+  ThreadFabric fabric;
   BlockingEndpoint ep;
-  CountingEndpoint sender;
   fabric.bind(net::Address{0, 1}, ep);
-  fabric.bind(net::Address{0, 2}, sender);  // where Busy replies land
 
   fabric.send(net::Address{0, 2}, net::Address{0, 1}, "t.block", 0, 8);
   while (!ep.entered.load()) std::this_thread::yield();
 
-  // The worker is wedged: ten bulk sends meet a capacity-4 queue, so
-  // four enqueue and six are refused with a synthesized "t.busy" each.
+  // The worker is wedged, so all ten sends queue behind it.
   for (int i = 0; i < 10; ++i) {
-    fabric.send(net::Address{0, 2}, net::Address{0, 1}, "t.bulk", i, 8);
+    fabric.send(net::Address{0, 2}, net::Address{0, 1}, "t.queued", i, 8);
   }
   ep.unblock();
   fabric.drain();
 
-  EXPECT_EQ(ep.bulk.load(), 4);
-  EXPECT_EQ(sender.count.load(), 6);  // one Busy per shed message
-  EXPECT_EQ(fabric.counters().get("flow.shed"), 6u);
-  EXPECT_EQ(fabric.counters().get("flow.shed.t.bulk"), 6u);
-  // The bulk queue never grew past its bound (delivered == capacity
-  // proves it); the published peak covers every mailbox, including the
-  // sender's control-lane Busy replies, so it is bounded, not exact.
-  EXPECT_GE(fabric.peak_mailbox_depth(), 4u);
-  EXPECT_LE(fabric.peak_mailbox_depth(), 10u);
-  EXPECT_EQ(fabric.counters().get("flow.queue.peak"),
-            fabric.peak_mailbox_depth());
-}
-
-TEST(ThreadFabricFlowTest, ControlLaneBypassesShedBulkTraffic) {
-  ThreadFabric fabric(bounded_config(4));
-  BlockingEndpoint ep;
-  CountingEndpoint sender;
-  fabric.bind(net::Address{0, 1}, ep);
-  fabric.bind(net::Address{0, 2}, sender);
-
-  fabric.send(net::Address{0, 2}, net::Address{0, 1}, "t.block", 0, 8);
-  while (!ep.entered.load()) std::this_thread::yield();
-
-  for (int i = 0; i < 10; ++i) {
-    fabric.send(net::Address{0, 2}, net::Address{0, 1}, "t.bulk", i, 8);
-  }
-  // The bulk lane is latched shut now — control traffic (acks,
-  // heartbeats, grants in the real protocol) must still get through.
-  for (int i = 0; i < 5; ++i) {
-    fabric.send(net::Address{0, 2}, net::Address{0, 1}, "t.ctrl", i, 8);
-  }
-  ep.unblock();
-  fabric.drain();
-
-  EXPECT_EQ(ep.ctrl.load(), 5);  // every control message delivered
-  EXPECT_EQ(ep.bulk.load(), 4);
-  EXPECT_EQ(fabric.counters().get("flow.shed"), 6u);
-  EXPECT_EQ(fabric.counters().get("flow.shed.t.ctrl"), 0u);
+  EXPECT_EQ(ep.count.load(), 10);
+  EXPECT_EQ(fabric.peak_mailbox_depth(), 10u);
+  EXPECT_EQ(fabric.counters().get("flow.queue.peak"), 10u);
 }
 
 // ---- the actual protocol over threads ------------------------------------

@@ -93,9 +93,6 @@ TEST(TriggerTest, MixedTimeAndVariables) {
 TEST(TriggerTest, VariablesListed) {
   const Trigger t("(t > 10) && x + y > 0");
   EXPECT_EQ(t.variables(), (std::vector<std::string>{"t", "x", "y"}));
-  EXPECT_TRUE(t.references_time());
-  const Trigger u("x > 0");
-  EXPECT_FALSE(u.references_time());
 }
 
 TEST(TriggerTest, CopySemantics) {
@@ -117,15 +114,6 @@ TEST(LayeredEnvTest, FrontShadowsBack) {
   EXPECT_DOUBLE_EQ(*env.lookup("x"), 1.0);
   EXPECT_DOUBLE_EQ(*env.lookup("y"), 3.0);
   EXPECT_FALSE(env.lookup("z").has_value());
-}
-
-TEST(FnEnvTest, DelegatesToLambda) {
-  FnEnv env([](const std::string& name) -> std::optional<double> {
-    if (name == "answer") return 42.0;
-    return std::nullopt;
-  });
-  EXPECT_DOUBLE_EQ(*env.lookup("answer"), 42.0);
-  EXPECT_FALSE(env.lookup("question").has_value());
 }
 
 // ---- table-driven evaluation sweep --------------------------------------

@@ -87,6 +87,18 @@ TEST(ParserTest, ErrorOnMissingOperand) {
   EXPECT_THROW(parse("()"), ParseError);
 }
 
+// The grammar has no function calls: every call is rejected at parse.
+TEST(FunctionsTest, UnknownFunctionRejectedAtParse) {
+  EXPECT_THROW(parse("teleport(1)"), ParseError);
+  EXPECT_THROW(parse("min(1, 2)"), ParseError);
+}
+
+TEST(FunctionsTest, MalformedCallsRejected) {
+  EXPECT_THROW(parse("min(1, 2"), ParseError);
+  EXPECT_THROW(parse("min(1,, 2)"), ParseError);
+  EXPECT_THROW(parse("min 1, 2)"), ParseError);
+}
+
 TEST(ParserTest, ErrorPositionsAreUseful) {
   try {
     parse("1 + )");
