@@ -96,47 +96,57 @@ void BatchFabric::send(Address from, Address to, std::string type,
 }
 
 void BatchFabric::flush(PendKey key, FlushReason reason) {
-  std::vector<Message> subs;
+  // Take the train and its timer out under the lock. A lone message is
+  // moved out; a longer train is swapped into a recycled frame, and the
+  // record keeps the frame's old buffer (emptied at delivery, or cleared
+  // here if that frame was dropped on the way).
+  Message single;
+  PoolPtr<BatchFrame> frame;
+  std::size_t n = 0;
   TimerId timer = kInvalidTimerId;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = pending_.find(key);
     if (it == pending_.end()) return;
-    subs.swap(it->second.subs);
-    timer = it->second.timer;
-    pending_.erase(it);
+    Pending& p = it->second;
+    timer = std::exchange(p.timer, kInvalidTimerId);
+    n = p.subs.size();
+    if (n == 1) {
+      single = std::move(p.subs.front());
+    } else if (n > 1) {
+      frame = frames_.acquire();
+      frame->subs.swap(p.subs);
+    }
+    p.subs.clear();
   }
   if (timer != kInvalidTimerId && reason != FlushReason::kWindow) {
     inner_.cancel_timer(timer);
   }
-  if (subs.empty()) return;
+  if (n == 0) return;
 
   sim::CounterSet& ctr = inner_.counters();
-  if (subs.size() == 1) {
+  if (n == 1) {
     // No train to coalesce: skip the framing entirely. The inner fabric
     // counts this send (and re-stamps the clock — monotonic, harmless).
     ctr.inc("batch.flush.single");
-    Message& m = subs.front();
-    inner_.send(m.from, m.to, std::move(m.type), std::move(m.payload),
-                m.bytes);
+    inner_.send(single.from, single.to, std::move(single.type),
+                std::move(single.payload), single.bytes);
     return;
   }
 
   ctr.inc(reason == FlushReason::kWindow ? "batch.flush.window"
                                          : "batch.flush.capacity");
   ctr.inc("batch.frames");
-  ctr.inc("batch.subs", subs.size());
-  ctr.inc("batch.coalesced", subs.size() - 1);
+  ctr.inc("batch.subs", n);
+  ctr.inc("batch.coalesced", n - 1);
   std::size_t frame_bytes = kBatchHeaderBytes;
-  for (const Message& s : subs) {
+  for (const Message& s : frame->subs) {
     frame_bytes += s.bytes;
     // Per-type accounting stays per sub-message; only the inner
     // fabric's bare hop counters (msg.sent, bytes.sent) see the frame.
     ctr.inc_cat("msg.sent.", s.type);
   }
   ensure_terminal(key.to_node);
-  BatchFrame frame;
-  frame.subs = std::move(subs);
   inner_.send(Address{key.from_node, kBatchPort},
               Address{key.to_node, kBatchPort}, kBatchFrame,
               std::any(std::move(frame)), frame_bytes);
@@ -147,13 +157,18 @@ void BatchFabric::flush_all() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     keys.reserve(pending_.size());
-    for (const auto& [key, p] : pending_) keys.push_back(key);
+    for (const auto& [key, p] : pending_) {
+      if (!p.subs.empty()) keys.push_back(key);
+    }
   }
   for (const PendKey& key : keys) flush(key, FlushReason::kCapacity);
 }
 
 void BatchFabric::deliver_frame(const Message& m) {
-  const BatchFrame& frame = payload_as<BatchFrame>(m);
+  // Frames are this batcher's own and each arrives once, so the fan-out
+  // empties it: the subs' payloads are released now, not when the pool
+  // hands the frame out again.
+  BatchFrame& frame = *std::any_cast<const PoolPtr<BatchFrame>&>(m.payload);
   sim::CounterSet& ctr = inner_.counters();
   for (const Message& sub : frame.subs) {
     Endpoint* ep = nullptr;
@@ -178,6 +193,7 @@ void BatchFabric::deliver_frame(const Message& m) {
     if (clock != nullptr) clock->observe(sub.clock);
     ep->on_message(sub);
   }
+  frame.subs.clear();
 }
 
 }  // namespace flecc::net

@@ -50,6 +50,7 @@
 #include <vector>
 
 #include "net/fabric.hpp"
+#include "net/pool.hpp"
 
 namespace flecc::net {
 
@@ -61,8 +62,9 @@ inline constexpr PortId kBatchPort = 0xfffffffe;
 /// Simulated framing overhead added to the sum of sub-message bytes.
 inline constexpr std::size_t kBatchHeaderBytes = 16;
 
-/// The payload of a kBatchFrame message: the coalesced sub-messages,
-/// in send order, each with its original addressing/type/clock intact.
+/// The payload of a kBatchFrame message, boxed as a PoolPtr<BatchFrame>
+/// from the sending batcher's pool: the coalesced sub-messages, in send
+/// order, each with its original addressing/type/clock intact.
 struct BatchFrame {
   std::vector<Message> subs;
 };
@@ -117,6 +119,8 @@ class BatchFabric : public Fabric {
     NodeId to_node;
     friend auto operator<=>(const PendKey&, const PendKey&) = default;
   };
+  /// A node pair's record lives as long as the fabric, so its `subs`
+  /// buffer is reused by every train; an empty record has no train.
   struct Pending {
     std::vector<Message> subs;
     TimerId timer = kInvalidTimerId;
@@ -146,6 +150,9 @@ class BatchFabric : public Fabric {
   std::map<Address, Endpoint*> endpoints_;
   std::map<Address, obs::CausalClock*> clocks_;
   std::set<NodeId> terminals_;
+  /// Multi-message frames travel as PoolPtr handles, which std::any
+  /// stores inline; a recycled frame brings back its `subs` capacity.
+  ObjectPool<BatchFrame> frames_;
   Unbatcher unbatcher_;
   std::uint64_t next_sub_id_ = 1;
 };

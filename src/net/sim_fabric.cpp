@@ -51,7 +51,7 @@ void SimFabric::send(Address from, Address to, std::string type,
                       type.c_str(), obs::kDropLoss, obs::agent_key(to));
     return;
   }
-  const auto route = topology_.route(from.node, to.node);
+  const std::optional<Route>& route = topology_.route(from.node, to.node);
   if (!route) {
     counters_.inc("msg.dropped.no_route");
     FLECC_TRACE_EVENT(obs_trace_, sim_.now(), obs::EventKind::kMsgDropped,
@@ -113,42 +113,61 @@ void SimFabric::send(Address from, Address to, std::string type,
     tracked = true;
   }
 
-  Message msg;
+  std::uint32_t slot = 0;
+  if (free_in_flight_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    slot = free_in_flight_.back();
+    free_in_flight_.pop_back();
+  }
+  InFlight& rec = in_flight_[slot];
+  Message& msg = rec.msg;
   msg.id = next_msg_id_++;
   msg.from = from;
   msg.to = to;
   msg.type = std::move(type);
   msg.payload = std::move(payload);
   msg.bytes = bytes;
+  msg.clock = 0;
   if (auto cit = clocks_.find(from); cit != clocks_.end()) {
     msg.clock = cit->second->tick();
   }
+  rec.sent_at = sim_.now();
+  rec.tracked = tracked;
+  sim_.schedule_after(delay, [this, slot] { deliver(slot); });
+}
 
-  const sim::Time sent_at = sim_.now();
-  sim_.schedule_after(delay, [this, msg = std::move(msg), sent_at,
-                              tracked]() mutable {
-    if (tracked) note_drained(msg.to);
-    auto it = endpoints_.find(msg.to);
-    if (it == endpoints_.end()) {
-      counters_.inc("msg.dropped.unbound");
-      FLECC_TRACE_EVENT(obs_trace_, sim_.now(), obs::EventKind::kMsgDropped,
-                        obs::Role::kFabric, obs::agent_key(msg.from), 0,
-                        msg.type.c_str(), obs::kDropUnbound,
-                        obs::agent_key(msg.to));
-      return;
-    }
-    ++delivered_;
-    counters_.inc_cat("msg.delivered.", msg.type);
-    counters_.inc("msg.delivered");
-    if (trace_) {
-      trace_(TraceEntry{msg.id, msg.from, msg.to, msg.type, msg.bytes,
-                        sent_at, sim_.now()});
-    }
-    if (auto cit = clocks_.find(msg.to); cit != clocks_.end()) {
-      cit->second->observe(msg.clock);
-    }
-    it->second->on_message(msg);
-  });
+void SimFabric::deliver(std::uint32_t slot) {
+  // Free the record first: the handler may send, which may reuse it or
+  // grow the vector. The message itself dies after the handler returns.
+  InFlight& rec = in_flight_[slot];
+  const Message msg = std::move(rec.msg);
+  const sim::Time sent_at = rec.sent_at;
+  const bool tracked = rec.tracked;
+  free_in_flight_.push_back(slot);
+
+  if (tracked) note_drained(msg.to);
+  auto it = endpoints_.find(msg.to);
+  if (it == endpoints_.end()) {
+    counters_.inc("msg.dropped.unbound");
+    FLECC_TRACE_EVENT(obs_trace_, sim_.now(), obs::EventKind::kMsgDropped,
+                      obs::Role::kFabric, obs::agent_key(msg.from), 0,
+                      msg.type.c_str(), obs::kDropUnbound,
+                      obs::agent_key(msg.to));
+    return;
+  }
+  ++delivered_;
+  counters_.inc_cat("msg.delivered.", msg.type);
+  counters_.inc("msg.delivered");
+  if (trace_) {
+    trace_(TraceEntry{msg.id, msg.from, msg.to, msg.type, msg.bytes, sent_at,
+                      sim_.now()});
+  }
+  if (auto cit = clocks_.find(msg.to); cit != clocks_.end()) {
+    cit->second->observe(msg.clock);
+  }
+  it->second->on_message(msg);
 }
 
 void SimFabric::note_drained(const Address& to) {

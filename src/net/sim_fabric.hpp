@@ -133,6 +133,18 @@ class SimFabric : public Fabric {
   /// A tracked bulk delivery completed toward `to`.
   void note_drained(const Address& to);
 
+  /// A sent message waiting for its delivery event. Records are reused
+  /// through a free list, so the event captures only the record's index
+  /// and std::function stores it without allocating.
+  struct InFlight {
+    Message msg;
+    sim::Time sent_at = 0;
+    bool tracked = false;  // counted in dest_flow_ (flow control)
+  };
+
+  /// The delivery event of in-flight record `slot`.
+  void deliver(std::uint32_t slot);
+
   sim::Simulator& sim_;
   Topology topology_;
   Config cfg_;
@@ -144,6 +156,8 @@ class SimFabric : public Fabric {
   std::unordered_map<Address, obs::CausalClock*, AddressHash> clocks_;
   std::unordered_map<Address, DestFlow, AddressHash> dest_flow_;
   std::unordered_map<Address, sim::Duration, AddressHash> endpoint_delay_;
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_in_flight_;
   sim::CounterSet counters_;
   TraceHook trace_;
   obs::TraceBuffer* obs_trace_ = nullptr;

@@ -61,12 +61,14 @@ void Topology::set_link_latency(LinkId id, sim::Duration latency) {
   route_cache_.clear();
 }
 
-std::optional<Route> Topology::route(NodeId src, NodeId dst) const {
+const std::optional<Route>& Topology::route(NodeId src, NodeId dst) const {
   if (src >= nodes_.size() || dst >= nodes_.size()) {
     throw std::out_of_range("Topology::route: unknown node");
   }
   if (src == dst) {
-    return Route{{}, 0, std::numeric_limits<double>::infinity(), true};
+    static const std::optional<Route> local =
+        Route{{}, 0, std::numeric_limits<double>::infinity(), true};
+    return local;
   }
   const auto key = std::make_pair(src, dst);
   if (auto it = route_cache_.find(key); it != route_cache_.end()) {
@@ -115,8 +117,7 @@ std::optional<Route> Topology::route(NodeId src, NodeId dst) const {
     std::reverse(r.links.begin(), r.links.end());
     result = std::move(r);
   }
-  route_cache_[key] = result;
-  return result;
+  return route_cache_.emplace(key, std::move(result)).first->second;
 }
 
 sim::Duration Topology::transfer_delay(const Route& r, std::size_t bytes) {

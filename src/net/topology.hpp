@@ -69,7 +69,12 @@ class Topology {
   /// Minimum-latency route between two nodes over `up` links.
   /// nullopt if the nodes are disconnected. src == dst yields an empty
   /// route with zero latency and infinite bandwidth.
-  [[nodiscard]] std::optional<Route> route(NodeId src, NodeId dst) const;
+  ///
+  /// The result is a reference into the route cache, valid until the
+  /// next mutation of this topology (add_node, add_link or a set_link_*
+  /// call); copy it to keep it longer.
+  [[nodiscard]] const std::optional<Route>& route(NodeId src,
+                                                  NodeId dst) const;
 
   /// Convenience: end-to-end delay for a message of `bytes` along the
   /// route: propagation + bottleneck transmission time.

@@ -5,7 +5,7 @@
 namespace flecc::psf {
 
 std::optional<DeploymentPlan> Planner::plan(const ServiceRequest& req) const {
-  const auto route = env_.topology().route(req.client, req.origin);
+  const auto& route = env_.topology().route(req.client, req.origin);
   if (!route.has_value()) return std::nullopt;
 
   DeploymentPlan out;

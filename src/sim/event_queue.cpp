@@ -5,21 +5,41 @@
 
 namespace flecc::sim {
 
+namespace {
+
+EventId make_id(std::uint32_t slot, std::uint32_t gen) {
+  return (static_cast<EventId>(gen) << 32) | slot;
+}
+
+}  // namespace
+
 EventId EventQueue::push(Time when, std::function<void()> fn, bool daemon) {
-  const EventId id = next_id_++;
-  heap_.push(Entry{when, next_seq_++, id, std::move(fn), daemon});
-  pending_.emplace(id, daemon);
+  std::uint32_t slot = 0;
+  if (free_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.live = true;
+  s.daemon = daemon;
+  heap_.push(Entry{when, next_seq_++, slot, s.gen});
+  ++live_;
   if (!daemon) ++non_daemon_live_;
-  return id;
+  return make_id(slot, s.gen);
 }
 
 bool EventQueue::cancel(EventId id) {
-  // Cancelled entries stay in the heap and are skipped lazily when they
-  // reach the top (drop_dead_head).
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return false;
-  if (!it->second) --non_daemon_live_;
-  pending_.erase(it);
+  // The heap entry stays and is skipped lazily when it reaches the top
+  // (drop_dead_head).
+  if (!pending(id)) return false;
+  const auto slot = static_cast<std::uint32_t>(id);
+  // Destroyed on return, once the slot is consistent again.
+  const std::function<void()> fn = std::move(slots_[slot].fn);
+  release(slot);
   return true;
 }
 
@@ -36,24 +56,33 @@ EventQueue::Popped EventQueue::pop() {
   if (heap_.empty()) {
     throw std::logic_error("EventQueue::pop on empty queue");
   }
-  // priority_queue::top() returns const&; we move the callback out and
-  // pop immediately after, so the mutation is not observable.
-  Entry& top = const_cast<Entry&>(heap_.top());
-  Popped out{top.when, top.id, std::move(top.fn), top.daemon};
+  const Entry top = heap_.top();
   heap_.pop();
-  if (!out.daemon) --non_daemon_live_;
-  pending_.erase(out.id);
+  Slot& s = slots_[top.slot];
+  Popped out{top.when, make_id(top.slot, top.gen), std::move(s.fn), s.daemon};
+  release(top.slot);
   return out;
 }
 
 void EventQueue::clear() {
   while (!heap_.empty()) heap_.pop();
-  pending_.clear();
-  non_daemon_live_ = 0;
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    if (slots_[slot].live) cancel(make_id(slot, slots_[slot].gen));
+  }
+}
+
+void EventQueue::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.live = false;
+  if (++s.gen == 0) s.gen = 1;
+  --live_;
+  if (!s.daemon) --non_daemon_live_;
+  free_.push_back(slot);
 }
 
 void EventQueue::drop_dead_head() const {
-  while (!heap_.empty() && pending_.count(heap_.top().id) == 0) {
+  while (!heap_.empty() &&
+         slots_[heap_.top().slot].gen != heap_.top().gen) {
     heap_.pop();
   }
 }

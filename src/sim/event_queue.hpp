@@ -2,20 +2,24 @@
 //
 // Events scheduled for the same instant execute in scheduling order
 // (FIFO), which makes simulations reproducible regardless of heap
-// internals. Cancellation is O(1) amortized via lazy deletion.
+// internals. Callbacks live in a slot vector with a free list, and an
+// event id names a slot plus its generation, so scheduling, firing and
+// cancelling allocate nothing once the vectors have grown to the run's
+// peak. Cancellation is O(1); a cancelled event's heap entry is skipped
+// lazily when it reaches the head.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/time.hpp"
 
 namespace flecc::sim {
 
-/// Handle identifying a scheduled event; usable to cancel it.
+/// Handle identifying a scheduled event; usable to cancel it. The high
+/// 32 bits are the slot's generation (never 0), the low 32 the slot.
 using EventId = std::uint64_t;
 
 /// Sentinel returned when no event exists.
@@ -27,6 +31,10 @@ inline constexpr EventId kInvalidEventId = 0;
 /// gossip ticks) that should not keep a run-to-quiescence loop alive.
 /// The queue tracks how many live events are non-daemon so the
 /// simulator can stop once only daemons remain.
+///
+/// An id stays safe to use after its event fired or was cancelled: the
+/// slot's generation moves on when it is freed, so `cancel` and
+/// `pending` on a stale id never touch the event that reuses the slot.
 class EventQueue {
  public:
   /// Insert a callback to fire at absolute time `when`.
@@ -39,14 +47,16 @@ class EventQueue {
 
   /// True if the given event is still pending.
   [[nodiscard]] bool pending(EventId id) const {
-    return pending_.count(id) != 0;
+    const auto slot = static_cast<std::uint32_t>(id);
+    return slot < slots_.size() && slots_[slot].live &&
+           slots_[slot].gen == static_cast<std::uint32_t>(id >> 32);
   }
 
   /// True if no live (non-cancelled) events remain.
-  [[nodiscard]] bool empty() const { return pending_.empty(); }
+  [[nodiscard]] bool empty() const { return live_ == 0; }
 
   /// Number of live events.
-  [[nodiscard]] std::size_t size() const { return pending_.size(); }
+  [[nodiscard]] std::size_t size() const { return live_; }
 
   /// True if at least one live non-daemon event remains.
   [[nodiscard]] bool has_non_daemon() const { return non_daemon_live_ > 0; }
@@ -64,16 +74,21 @@ class EventQueue {
   };
   Popped pop();
 
-  /// Drop every pending event.
+  /// Drop every pending event; none of their ids stays pending.
   void clear();
 
  private:
+  struct Slot {
+    std::function<void()> fn;
+    std::uint32_t gen = 1;  // never 0, so no id equals kInvalidEventId
+    bool live = false;
+    bool daemon = false;
+  };
   struct Entry {
     Time when;
     std::uint64_t seq;  // tie-break: FIFO among same-time events
-    EventId id;
-    std::function<void()> fn;
-    bool daemon;
+    std::uint32_t slot;
+    std::uint32_t gen;  // the slot's generation when pushed
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const noexcept {
@@ -82,14 +97,19 @@ class EventQueue {
     }
   };
 
-  // Pops heap entries whose ids are no longer pending (cancelled).
+  /// Returns a popped or cancelled event's slot to the free list and
+  /// moves its generation on, which kills the slot's heap entry and id.
+  void release(std::uint32_t slot);
+
+  // Pops heap entries whose slot has moved to a later generation.
   void drop_dead_head() const;
 
   mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::unordered_map<EventId, bool> pending_;  // id -> daemon flag
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
+  std::size_t live_ = 0;
   std::size_t non_daemon_live_ = 0;
   std::uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;  // 0 is kInvalidEventId
 };
 
 }  // namespace flecc::sim

@@ -68,18 +68,6 @@ std::vector<Token> tokenize(std::string_view src) {
                        src[j] == '.')) {
         ++j;
       }
-      // optional exponent
-      if (j < n && (src[j] == 'e' || src[j] == 'E')) {
-        std::size_t k = j + 1;
-        if (k < n && (src[k] == '+' || src[k] == '-')) ++k;
-        if (k < n && std::isdigit(static_cast<unsigned char>(src[k])) != 0) {
-          while (k < n &&
-                 std::isdigit(static_cast<unsigned char>(src[k])) != 0) {
-            ++k;
-          }
-          j = k;
-        }
-      }
       const std::string text(src.substr(i, j - i));
       char* endp = nullptr;
       const double value = std::strtod(text.c_str(), &endp);
@@ -99,12 +87,6 @@ std::vector<Token> tokenize(std::string_view src) {
         push(TokenKind::kTrue, start, std::move(text));
       } else if (text == "false") {
         push(TokenKind::kFalse, start, std::move(text));
-      } else if (text == "and") {
-        push(TokenKind::kAndAnd, start, std::move(text));
-      } else if (text == "or") {
-        push(TokenKind::kOrOr, start, std::move(text));
-      } else if (text == "not") {
-        push(TokenKind::kNot, start, std::move(text));
       } else {
         push(TokenKind::kIdentifier, start, std::move(text));
       }

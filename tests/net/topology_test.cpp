@@ -74,6 +74,21 @@ TEST(TopologyTest, PicksMinimumLatencyPath) {
   EXPECT_EQ(r2->links, std::vector<LinkId>{direct});
 }
 
+// route() hands out a reference into its cache; a mutation must empty
+// the cache, so the next call sees the new latency even where the path
+// itself does not change.
+TEST(TopologyTest, RouteAfterSetLinkLatencyIsNotStale) {
+  std::vector<NodeId> hosts;
+  Topology t = Topology::lan(2, {}, &hosts);
+  const Route before = *t.route(hosts[0], hosts[1]);
+  const sim::Duration rest = before.latency - t.link(before.links[0]).latency;
+  t.set_link_latency(before.links[0], 500);
+  const auto& after = t.route(hosts[0], hosts[1]);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->links, before.links);
+  EXPECT_EQ(after->latency, 500 + rest);
+}
+
 TEST(TopologyTest, LinkDownForcesReroute) {
   Topology t;
   const NodeId a = t.add_node();

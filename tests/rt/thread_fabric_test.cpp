@@ -84,6 +84,28 @@ TEST(ThreadFabricTest, UnboundDestinationCounted) {
   EXPECT_EQ(fabric.counters().get("msg.dropped.unbound"), 1u);
 }
 
+// post_to's unbound branch is the only place the in-flight count drops
+// outside a mailbox thread: without it drain() would wait forever.
+TEST(ThreadFabricTest, PostToUnboundEndpointIsDroppedAndDrains) {
+  ThreadFabric fabric;
+  CountingEndpoint ep;
+  const net::Address gone{0, 1};
+  fabric.bind(gone, ep);
+  fabric.unbind(gone);
+  fabric.post(gone, [] {});
+  fabric.schedule(gone, 0, [] {});
+  // The timer is due at once; wait for the scheduler thread to drop it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fabric.counters_snapshot().get("task.dropped.unbound") < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(fabric.counters_snapshot().get("task.dropped.unbound"), 2u);
+  fabric.drain();
+  EXPECT_EQ(ep.count.load(), 0);
+}
+
 TEST(ThreadFabricTest, TimersFireAndCancel) {
   ThreadFabric fabric;
   CountingEndpoint ep;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace flecc::sim {
@@ -114,6 +115,70 @@ TEST(EventQueueTest, CancelHeadThenNextTimeSkipsIt) {
   q.push(2, [] {});
   EXPECT_TRUE(q.cancel(head));
   EXPECT_EQ(q.next_time(), 2);
+}
+
+// A popped or cancelled event's slot is reused by the next push; the old
+// id names the slot's previous generation and must not reach the new
+// event (the FSMs keep timer ids after their timers fire).
+TEST(EventQueueTest, FiredIdDoesNotReachTheEventReusingItsSlot) {
+  EventQueue q;
+  const EventId old_id = q.push(10, [] {});
+  q.pop().fn();
+  int fired = 0;
+  const EventId new_id = q.push(20, [&] { ++fired; });
+  ASSERT_EQ(static_cast<std::uint32_t>(new_id),
+            static_cast<std::uint32_t>(old_id));  // same slot
+  EXPECT_NE(new_id, old_id);
+  EXPECT_FALSE(q.pending(old_id));
+  EXPECT_FALSE(q.cancel(old_id));
+  EXPECT_TRUE(q.pending(new_id));
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(EventQueueTest, CancelledIdDoesNotReachTheEventReusingItsSlot) {
+  EventQueue q;
+  const EventId old_id = q.push(10, [] {});
+  ASSERT_TRUE(q.cancel(old_id));
+  int fired = 0;
+  const EventId new_id = q.push(20, [&] { ++fired; });
+  ASSERT_EQ(static_cast<std::uint32_t>(new_id),
+            static_cast<std::uint32_t>(old_id));  // same slot
+  EXPECT_FALSE(q.pending(old_id));
+  EXPECT_FALSE(q.cancel(old_id));
+  EXPECT_TRUE(q.pending(new_id));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.next_time(), 20);
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(EventQueueTest, ClearLeavesNoEarlierIdPending) {
+  EventQueue q;
+  std::vector<EventId> before;
+  for (int i = 0; i < 5; ++i) before.push_back(q.push(i, [] {}, i % 2 == 0));
+  q.clear();
+  EXPECT_FALSE(q.has_non_daemon());
+  const EventId after = q.push(7, [] {});
+  for (const EventId id : before) {
+    EXPECT_FALSE(q.pending(id));
+    EXPECT_FALSE(q.cancel(id));
+  }
+  EXPECT_TRUE(q.pending(after));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.pop().id, after);
+}
+
+TEST(EventQueueTest, NoIdIsInvalid) {
+  EventQueue q;
+  for (int round = 0; round < 100; ++round) {
+    const EventId fired = q.push(round, [] {});
+    const EventId cancelled = q.push(round, [] {});
+    EXPECT_NE(fired, kInvalidEventId);
+    EXPECT_NE(cancelled, kInvalidEventId);
+    EXPECT_TRUE(q.cancel(cancelled));
+    EXPECT_EQ(q.pop().id, fired);
+  }
 }
 
 class EventQueueStressTest : public ::testing::TestWithParam<int> {};

@@ -42,7 +42,6 @@ TEST(ParserTest, UnaryOperators) {
   EXPECT_EQ(parsed("!x"), "!(x)");
   EXPECT_EQ(parsed("!!x"), "!(!(x))");
   EXPECT_EQ(parsed("--3"), "-(-(3))");
-  EXPECT_EQ(parsed("not x"), "!(x)");
 }
 
 TEST(ParserTest, UnaryBindsTighterThanBinary) {
@@ -72,6 +71,11 @@ TEST(ParserTest, CollectVariablesNoneForConstants) {
 TEST(ParserTest, ErrorOnTrailingTokens) {
   EXPECT_THROW(parse("1 + 2 3"), ParseError);
   EXPECT_THROW(parse("x y"), ParseError);
+  // Operators have one spelling, and numbers no exponent: the words and
+  // the exponent's letter are identifiers.
+  EXPECT_THROW(parse("true and false"), ParseError);
+  EXPECT_THROW(parse("not x"), ParseError);
+  EXPECT_THROW(parse("1e3"), ParseError);
 }
 
 TEST(ParserTest, ErrorOnUnbalancedParens) {
