@@ -995,9 +995,6 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(recorder.total_emitted()),
                   static_cast<unsigned long long>(recorder.total_dropped()),
                   trace_path);
-      if (!obs::kTraceEnabled) {
-        std::printf("# (built with FLECC_TRACE=OFF: the trace is empty)\n");
-      }
     }
     verdict = "# all convergence checks passed; two same-seed runs were "
               "bit-identical";

@@ -209,10 +209,6 @@ int main(int argc, char** argv) {
   if (monitor) {
     checker.finalize();
     std::printf("\n%s", checker.health_report().c_str());
-    if (!obs::kTraceEnabled) {
-      std::printf("(built with FLECC_TRACE=OFF: the monitor saw no "
-                  "events)\n");
-    }
     return checker.violations().empty() ? 0 : 1;
   }
   return 0;

@@ -22,6 +22,9 @@ headers they document:
    migration-outcome windows, the rebuild window, the migration timeout
    and resend budget) have the value in PROTOCOL.md that their
    `constexpr` has in src/.
+7. Every `-DFLECC_<NAME>` build option the reference docs and the
+   verify skill name is an option() or CACHE variable of the top-level
+   CMakeLists.txt (CHANGES.md and ROADMAP.md keep history, unchecked).
 
 Exit status 0 = clean, 1 = violations (each printed as file:line).
 """
@@ -44,6 +47,10 @@ DOC_COMMENT_FILES = [
 # `struct Name {` / `class Name final {` at any nesting; not forward
 # declarations (`struct Name;`) and not `enum class`.
 DECL_RE = re.compile(r"^\s*(?:struct|class)\s+([A-Za-z_]\w*)\b(?!.*;\s*$)")
+
+# Docs whose `-DFLECC_<NAME>` build options must exist (check 7).
+BUILD_DOCS = ["README.md", "DESIGN.md", "OBSERVABILITY.md", "PERFORMANCE.md",
+              "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"]
 
 errors: list[str] = []
 
@@ -263,6 +270,18 @@ def main() -> int:
     if "--serve" not in readme or "flecc_top" not in readme:
         errors.append("README.md: the live-telemetry quickstart "
                       "(--serve + flecc_top) is missing")
+
+    # Build options: a deleted option must not linger in the build
+    # instructions.
+    cmake = (REPO / "CMakeLists.txt").read_text()
+    options = set(re.findall(r"\boption\(\s*(FLECC_\w+)", cmake))
+    options |= set(re.findall(r"\bset\(\s*(FLECC_\w+)[^)]*\bCACHE\b", cmake))
+    for rel in BUILD_DOCS:
+        for i, line in enumerate((REPO / rel).read_text().splitlines()):
+            for name in re.findall(r"-D(FLECC_\w+)", line):
+                if name not in options:
+                    errors.append(f"{rel}:{i + 1}: names -D{name}, which is "
+                                  "not an option of CMakeLists.txt")
 
     if errors:
         print(f"docs lint: {len(errors)} problem(s)")

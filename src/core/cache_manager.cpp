@@ -76,8 +76,10 @@ CacheManager::CacheManager(net::Fabric& fabric, net::Address self,
   if (!cfg_.push_trigger.empty()) push_trigger_.emplace(cfg_.push_trigger);
   if (!cfg_.pull_trigger.empty()) pull_trigger_.emplace(cfg_.pull_trigger);
   fabric_.bind(self_, *this);
-  fabric_.set_clock(self_, &clock_);
-  if (cfg_.trace != nullptr) cfg_.trace->set_clock(&clock_);
+  if (cfg_.trace != nullptr) {
+    fabric_.set_clock(self_, &clock_);
+    cfg_.trace->set_clock(&clock_);
+  }
   breaker_ = flow::CircuitBreaker(flow::CircuitBreaker::Config{
       cfg_.breaker_threshold, cfg_.breaker_open_timeout});
   breaker_.set_transition_hook(
@@ -349,7 +351,7 @@ void CacheManager::detach() {
   for (net::TimerId& timer : retry_timers_) cancel(timer);
   cancel(trigger_timer_);
   stop_heartbeats();
-  fabric_.set_clock(self_, nullptr);
+  if (cfg_.trace != nullptr) fabric_.set_clock(self_, nullptr);
   fabric_.unbind(self_);
 }
 
@@ -524,8 +526,8 @@ void CacheManager::give_up_current(const char* why) {
   pump();
 }
 
-void CacheManager::on_breaker_transition(
-    [[maybe_unused]] flow::BreakerState from, flow::BreakerState to) {
+void CacheManager::on_breaker_transition(flow::BreakerState from,
+                                         flow::BreakerState to) {
   stats_.inc_cat("breaker.", flow::to_string(to));
   FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(),
                     obs::EventKind::kBreakerTransition,

@@ -531,10 +531,10 @@ class CacheManager : public net::Endpoint {
   sim::Time last_dir_traffic_ = 0;
 
   sim::CounterSet stats_;
-  /// Lamport clock for causal trace stamping; registered with the
-  /// fabric (sends tick it, deliveries observe the sender's stamp) and
-  /// with cfg_.trace (events carry its value). No-op when tracing is
-  /// compiled out.
+  /// Lamport clock for causal trace stamping; registered only when
+  /// cfg_.trace is set, with the fabric (sends tick it, deliveries
+  /// observe the sender's stamp) and with cfg_.trace (events carry its
+  /// value). An untraced manager's messages carry clock 0.
   obs::CausalClock clock_;
 };
 

@@ -58,7 +58,7 @@ DirectoryManager::DirectoryManager(net::Fabric& fabric, net::Address self,
                  SettledRounds(kSettledRoundWindow)}},
       migration_outcomes_(kSettledRoundWindow),
       merged_ops_(kMergedOpWindow) {
-  [[maybe_unused]] std::size_t replayed = 0;  // traced only
+  std::size_t replayed = 0;
   bool recovering = false;
   if (cfg_.durability != nullptr) {
     const std::uint64_t prev = cfg_.durability->generation();
@@ -83,8 +83,10 @@ DirectoryManager::DirectoryManager(net::Fabric& fabric, net::Address self,
   }
 
   fabric_.bind(self_, *this);
-  fabric_.set_clock(self_, &clock_);
-  if (cfg_.trace != nullptr) cfg_.trace->set_clock(&clock_);
+  if (cfg_.trace != nullptr) {
+    fabric_.set_clock(self_, &clock_);
+    cfg_.trace->set_clock(&clock_);
+  }
   arm_liveness_timer();
 
   if (recovering) {
@@ -117,7 +119,7 @@ DirectoryManager::~DirectoryManager() {
   cancel(rebuild_resend_timer_);
   for (auto& [token, r] : fetch_rounds_) cancel_timers(r);
   if (invalidation_.has_value()) cancel_timers(*invalidation_);
-  fabric_.set_clock(self_, nullptr);
+  if (cfg_.trace != nullptr) fabric_.set_clock(self_, nullptr);
   fabric_.unbind(self_);
 }
 
@@ -667,7 +669,7 @@ void DirectoryManager::handle_pull(const net::Message& m) {
 
   stats_.inc("op.pull.fetch_round");
   r.id = next_token_++;
-  FLECC_TRACE_ONLY(r.span = obs::span_id(m.from, req.req);)
+  r.span = obs::span_id(m.from, req.req);
   open_round(std::move(r));
 }
 
@@ -689,9 +691,8 @@ void DirectoryManager::handle_push(const net::Message& m) {
 
 void DirectoryManager::merge_update(const ObjectImage& image, ViewId source,
                                     const props::PropertySet& touched,
-                                    [[maybe_unused]] const char* path,
-                                    [[maybe_unused]] std::uint64_t round,
-                                    [[maybe_unused]] std::uint64_t span) {
+                                    const char* path, std::uint64_t round,
+                                    std::uint64_t span) {
   primary_.merge_into_object(image, touched);
   ++version_;
   last_merge_at_ = fabric_.now();
@@ -774,7 +775,7 @@ void DirectoryManager::start_next_acquire() {
     r.id = next_epoch_++;
     r.requester = req.view;
     r.req = req.req;
-    FLECC_TRACE_ONLY(r.span = obs::span_id(rec->cache_addr, req.req);)
+    r.span = obs::span_id(rec->cache_addr, req.req);
 
     // Read-only acquires under the read/write-semantics extension can
     // share: they do not invalidate other read-only holders. A plain
@@ -857,7 +858,7 @@ DirectoryManager::Round* DirectoryManager::find_round(RoundKind kind,
 }
 
 void DirectoryManager::send_command(const Round& r, const ViewRecord& target,
-                                    [[maybe_unused]] obs::EventKind event) {
+                                    obs::EventKind event) {
   const char* type = kind_info(r.kind).command;
   FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), event, obs::Role::kDirectory,
                     obs::agent_key(self_), r.span, type, r.id, target.id);
@@ -1244,8 +1245,7 @@ void DirectoryManager::on_migrate_timeout(ViewId v) {
   send_phase(it->second);
 }
 
-void DirectoryManager::abort_migration(ViewId v,
-                                       [[maybe_unused]] const char* why) {
+void DirectoryManager::abort_migration(ViewId v, const char* why) {
   auto it = migrations_.find(v);
   if (it == migrations_.end()) return;
   stats_.inc("migrate.aborted");
@@ -1543,7 +1543,7 @@ void DirectoryManager::arm_rebuild_resend() {
 }
 
 void DirectoryManager::send_probe(const ViewRecord& rec,
-                                  [[maybe_unused]] obs::EventKind event) {
+                                  obs::EventKind event) {
   FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(), event, obs::Role::kDirectory,
                     obs::agent_key(self_), 0, msg::kDirectoryRebuild,
                     generation_, rec.id);

@@ -23,7 +23,7 @@ struct Message {
   std::any payload;
   std::size_t bytes = 0;
   /// Sender's Lamport clock at send time (obs causal tracing); 0 when
-  /// the sender has no clock registered or tracing is compiled out.
+  /// the sender has no clock registered (an untraced endpoint).
   /// Metadata only — protocol FSMs never read it.
   std::uint64_t clock = 0;
 };

@@ -60,9 +60,7 @@ void SimFabric::send(Address from, Address to, std::string type,
     return;
   }
   sim::Duration delay =
-      (cfg_.model_contention ? contended_delay(*route, bytes)
-                             : Topology::transfer_delay(*route, bytes)) +
-      cfg_.per_message_overhead;
+      Topology::transfer_delay(*route, bytes) + cfg_.per_message_overhead;
   if (!endpoint_delay_.empty()) {
     if (auto dit = endpoint_delay_.find(to); dit != endpoint_delay_.end()) {
       delay += dit->second;  // slow-endpoint service-time inflation
@@ -177,22 +175,6 @@ void SimFabric::note_drained(const Address& to) {
   if (it->second.shedding && it->second.outstanding <= cfg_.flow.low()) {
     it->second.shedding = false;
   }
-}
-
-sim::Duration SimFabric::contended_delay(const Route& route,
-                                         std::size_t bytes) {
-  sim::Time at = sim_.now();
-  for (const LinkId link : route.links) {
-    const LinkSpec& spec = topology_.link(link);
-    auto& free_at = link_free_at_[link];
-    const sim::Time start = std::max(at, free_at);
-    if (start > at) counters_.inc("msg.queued");
-    const auto tx = static_cast<sim::Duration>(
-        static_cast<double>(bytes) / spec.bandwidth_bytes_per_us);
-    free_at = start + tx;            // the link is busy while transmitting
-    at = start + tx + spec.latency;  // then the bits propagate
-  }
-  return at - sim_.now();
 }
 
 void SimFabric::partition(const std::vector<Address>& group_a,

@@ -30,12 +30,6 @@ class SimFabric : public Fabric {
     double loss_probability = 0.0;
     /// Seed for the loss process.
     std::uint64_t seed = 1;
-    /// Model per-link transmission contention: each link serializes
-    /// transmissions (store-and-forward), so bursts through a shared
-    /// link queue behind each other. Off by default: the uncontended
-    /// model keeps message-count experiments independent of burst
-    /// timing.
-    bool model_contention = false;
     /// Bounded per-destination queues + Busy synthesis (net/flow.hpp).
     /// Depth tracking (the flow.queue.peak gauge) engages as soon as
     /// `flow.is_control` is set, even with queue_capacity == 0, so an
@@ -116,11 +110,6 @@ class SimFabric : public Fabric {
   [[nodiscard]] std::uint64_t sent_count() const noexcept { return sent_; }
 
  private:
-  /// End-to-end delay under the contention model: per hop, wait for the
-  /// link to free up, transmit (bytes/bandwidth), then propagate; link
-  /// busy times advance as a side effect.
-  sim::Duration contended_delay(const Route& route, std::size_t bytes);
-
   [[nodiscard]] bool partition_blocks(NodeId from, NodeId to) const;
 
   /// Per-destination bulk-queue state (flow control). `shedding` is the
@@ -151,7 +140,6 @@ class SimFabric : public Fabric {
   sim::Rng loss_rng_;
   std::set<NodeId> partition_a_;
   std::set<NodeId> partition_b_;
-  std::unordered_map<LinkId, sim::Time> link_free_at_;
   std::unordered_map<Address, Endpoint*, AddressHash> endpoints_;
   std::unordered_map<Address, obs::CausalClock*, AddressHash> clocks_;
   std::unordered_map<Address, DestFlow, AddressHash> dest_flow_;

@@ -96,7 +96,8 @@ void InvariantMonitor::process(const TraceEvent& e) {
   // Causality: a Lamport stamp never moves backwards within one agent
   // (each agent is the single writer of its buffer, so its events
   // reach the sink in emission order). Stamp 0 means "no clock"
-  // (fabric drop events, FLECC_TRACE=OFF senders, old traces) — skip.
+  // (fabric drop events, buffers without an endpoint clock, old
+  // traces; an untraced endpoint's messages also carry 0) — skip.
   if (e.clock != 0) {
     AgentState& st = agent(e.agent);
     ++checks_[idx(Invariant::kCausality)];

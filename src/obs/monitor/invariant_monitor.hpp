@@ -45,10 +45,6 @@
 // the per-kind tallies, the op latencies and the recovery and migration
 // epochs, and obs::summarize() (tools/flecc_trace) is a monitor run
 // over the trace, so the two tools read one set of numbers.
-//
-// The monitor is deliberately compiled in both FLECC_TRACE configs
-// (it is analysis-side code, like trace_io); under FLECC_TRACE=OFF it
-// simply never receives events.
 #pragma once
 
 #include <cstdint>

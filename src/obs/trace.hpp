@@ -1,19 +1,13 @@
 // Protocol observability: typed trace events, per-agent single-writer
-// ring buffers, and the instrumentation macros used by the FSMs and
-// fabrics (ISSUE: observability layer; OBSERVABILITY.md is the
-// canonical event reference).
+// ring buffers, and the instrumentation macro used by the FSMs and
+// fabrics (OBSERVABILITY.md is the canonical event reference).
 //
 // Design constraints:
-//   * Zero overhead when compiled out. Building with -DFLECC_TRACE=OFF
-//     defines FLECC_TRACE_ENABLED=0; the FLECC_TRACE_EVENT macro then
-//     expands to nothing (arguments are not even evaluated) and
-//     TraceBuffer becomes an empty shell, so instrumented hot paths are
-//     byte-for-byte identical to un-instrumented ones. The TraceEvent
-//     struct and the sink/analysis APIs stay defined in both
-//     configurations so trace_io, tools/flecc_trace and the tests
-//     always compile.
-//   * Near-zero overhead when compiled in but idle: every emission site
-//     is a single branch on a nullable TraceBuffer*.
+//   * Switched at run time. Every emission site is one branch on a
+//     nullable TraceBuffer*: when it is null, FLECC_TRACE_EVENT skips
+//     the emission and does not evaluate its arguments, and the owning
+//     endpoint registers no CausalClock, so an untraced component does
+//     no trace work and its messages carry clock 0.
 //   * Lock-free recording. Each protocol agent (one cache manager, the
 //     directory, one fabric) owns a private TraceBuffer and is its only
 //     writer, so emission is one relaxed load, one 80-byte store and
@@ -36,15 +30,7 @@
 #include "net/address.hpp"
 #include "sim/time.hpp"
 
-#if !defined(FLECC_TRACE_ENABLED)
-#define FLECC_TRACE_ENABLED 1
-#endif
-
 namespace flecc::obs {
-
-/// True when the build records trace events (FLECC_TRACE=ON). Tests use
-/// this to skip recording-dependent assertions under FLECC_TRACE=OFF.
-inline constexpr bool kTraceEnabled = FLECC_TRACE_ENABLED != 0;
 
 /// Everything the protocol can tell the trace about itself. One event
 /// kind per observable protocol fact; see OBSERVABILITY.md for the
@@ -227,12 +213,11 @@ class TraceSink {
   virtual void on_event(const TraceEvent& e) = 0;
 };
 
-#if FLECC_TRACE_ENABLED
-
-/// Per-agent Lamport clock. The owning endpoint registers it with its
+/// Per-agent Lamport clock. A traced endpoint registers it with its
 /// fabric (net::Fabric::set_clock) so sends tick it and deliveries
 /// observe the sender's stamp, and with its TraceBuffer so every
-/// emitted event carries the current value. Atomic because ThreadFabric
+/// emitted event carries the current value; an untraced one registers
+/// nothing, so its sends carry stamp 0. Atomic because ThreadFabric
 /// ticks from sender threads while the owner emits from its mailbox.
 class CausalClock {
  public:
@@ -411,83 +396,18 @@ class TraceRecorder {
   TraceSink* sink_ = nullptr;
 };
 
-#else  // FLECC_TRACE_ENABLED == 0: recording compiles away entirely.
-
-/// No-op shell (FLECC_TRACE=OFF); see the enabled variant above. Keeps
-/// the tick/observe surface so fabric and FSM code compiles unchanged;
-/// stamps are never produced, so Message::clock and TraceEvent::clock
-/// stay 0 in this configuration.
-class CausalClock {
- public:
-  std::uint64_t tick() noexcept { return 0; }
-  std::uint64_t observe(std::uint64_t) noexcept { return 0; }
-  [[nodiscard]] std::uint64_t value() const noexcept { return 0; }
-};
-
-/// No-op shell (FLECC_TRACE=OFF). Same surface as the recording
-/// version so instrumented code and tests compile unchanged.
-class TraceBuffer {
- public:
-  explicit TraceBuffer(std::size_t = 0) noexcept {}
-  TraceBuffer(const TraceBuffer&) = delete;
-  TraceBuffer& operator=(const TraceBuffer&) = delete;
-  void set_clock(const CausalClock*) noexcept {}
-  void set_sink(TraceSink*) noexcept {}
-  void emit(const TraceEvent&) noexcept {}
-  [[nodiscard]] std::uint64_t emitted() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t dropped() const noexcept { return 0; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return 0; }
-  [[nodiscard]] std::vector<TraceEvent> snapshot() const { return {}; }
-};
-
-/// No-op shell (FLECC_TRACE=OFF); see the enabled variant above.
-class TraceRecorder {
- public:
-  explicit TraceRecorder(std::size_t = 4096) noexcept {}
-  TraceBuffer* make_buffer(const std::string& name, std::size_t = 0) {
-    for (auto& [n, b] : buffers_) {
-      if (n == name) return b.get();
-    }
-    buffers_.emplace_back(name, std::make_unique<TraceBuffer>());
-    return buffers_.back().second.get();
-  }
-  void attach_sink(TraceSink*) noexcept {}
-  [[nodiscard]] std::size_t buffer_count() const noexcept {
-    return buffers_.size();
-  }
-  [[nodiscard]] std::uint64_t total_emitted() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t total_dropped() const noexcept { return 0; }
-  [[nodiscard]] std::vector<TraceEvent> snapshot() const { return {}; }
-
- private:
-  std::vector<std::pair<std::string, std::unique_ptr<TraceBuffer>>> buffers_;
-};
-
-#endif  // FLECC_TRACE_ENABLED
-
 }  // namespace flecc::obs
 
-// ---- instrumentation macros -------------------------------------------
+// ---- instrumentation macro --------------------------------------------
 //
 // FLECC_TRACE_EVENT(sink, at, kind, role, agent, span, label[, a[, b]])
-// emits into the nullable obs::TraceBuffer* `sink`. Under
-// FLECC_TRACE=OFF the arguments are not evaluated, so hot paths carry
-// no residue; consequently trace arguments must be side-effect free.
-//
-// FLECC_TRACE_ONLY(...) compiles its argument only when tracing is on —
-// for trace-only statements (bookkeeping fields, helper locals).
-#if FLECC_TRACE_ENABLED
+// emits into the nullable obs::TraceBuffer* `sink`. When `sink` is null
+// the remaining arguments are not evaluated, so an untraced hot path
+// pays one branch; consequently trace arguments must be side-effect
+// free.
 #define FLECC_TRACE_EVENT(sink, ...)                          \
   do {                                                        \
     if ((sink) != nullptr) {                                  \
       (sink)->emit(::flecc::obs::make_event(__VA_ARGS__));    \
     }                                                         \
   } while (0)
-#define FLECC_TRACE_ONLY(...) __VA_ARGS__
-#else
-#define FLECC_TRACE_EVENT(sink, ...)        \
-  do {                                      \
-    (void)sizeof(sink); /* unevaluated */   \
-  } while (0)
-#define FLECC_TRACE_ONLY(...)
-#endif

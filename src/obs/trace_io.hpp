@@ -1,8 +1,7 @@
 // Trace sinks and loaders: serialize obs::TraceEvent streams to JSONL
 // (one event per line, the interchange format consumed by
 // tools/flecc_trace and by jq-style ad-hoc analysis) and to CSV (for
-// spreadsheets/gnuplot), and parse JSONL back. Works identically under
-// FLECC_TRACE=OFF (snapshots are just empty).
+// spreadsheets/gnuplot), and parse JSONL back.
 #pragma once
 
 #include <iosfwd>

@@ -4,7 +4,7 @@
 // baseline); with a journal the restarted manager replays the buffered
 // write set and unacked push intents, resumes its view under a bumped
 // incarnation, and every update reaches the primary exactly once —
-// gated by the I2/I3 conformance monitor where tracing is compiled in.
+// gated by the I2/I3 conformance monitor.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -133,13 +133,11 @@ TEST(CmJournalTest, JournalReplayDeliversBufferedWritesExactlyOnce) {
   EXPECT_EQ(h.primary_.cell(1), 6);
   EXPECT_EQ(h.primary_.cell(2), 3);
 
-  if (obs::kTraceEnabled) {
-    InvariantMonitor checker;
-    checker.run(rec.snapshot());
-    EXPECT_TRUE(checker.violations().empty()) << checker.health_report();
-    EXPECT_GE(checker.check_count(obs::monitor::Invariant::kExactlyOnceMerge),
-              1u);
-  }
+  InvariantMonitor checker;
+  checker.run(rec.snapshot());
+  EXPECT_TRUE(checker.violations().empty()) << checker.health_report();
+  EXPECT_GE(checker.check_count(obs::monitor::Invariant::kExactlyOnceMerge),
+            1u);
 }
 
 TEST(CmJournalTest, InFlightPushReplayedAfterCrashMergesOnce) {

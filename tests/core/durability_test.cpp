@@ -301,13 +301,11 @@ TEST(GenerationFencingTest, DelayedPreCrashExtractionsAreFenced) {
   EXPECT_EQ(h.primary_.merges(), merges_before);
   EXPECT_EQ(h.primary_.cell(5), 0);
   EXPECT_EQ(h.primary_.cell(6), 0);
-  if (obs::kTraceEnabled) {
-    std::size_t fenced_events = 0;
-    for (const auto& e : trace.snapshot()) {
-      if (e.kind == obs::EventKind::kMsgFenced) ++fenced_events;
-    }
-    EXPECT_EQ(fenced_events, 2u);  // feeds recovery.fenced_messages
+  std::size_t fenced_events = 0;
+  for (const auto& e : trace.snapshot()) {
+    if (e.kind == obs::EventKind::kMsgFenced) ++fenced_events;
   }
+  EXPECT_EQ(fenced_events, 2u);  // feeds recovery.fenced_messages
 }
 
 TEST(GenerationFencingTest, StaleHeartbeatIsAnsweredUnknown) {

@@ -125,7 +125,6 @@ struct MonitoredProtocol : ::testing::Test {
 };
 
 TEST_F(MonitoredProtocol, CleanStrongRunPassesWithRealCoverage) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
   build();
   sim.run();  // registration
   for (int round = 0; round < 3; ++round) {
@@ -175,7 +174,6 @@ struct MutatedTrace : MonitoredProtocol {
 };
 
 TEST_F(MutatedTrace, I1FiresWhenAHolderIsNeverInvalidated) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
   auto events = record_clean_run();
   // A directory that grants without invalidating a conflicting holder,
   // the canonical exclusivity bug: before the second grant (to View2),
@@ -211,7 +209,6 @@ TEST_F(MutatedTrace, I1FiresWhenAHolderIsNeverInvalidated) {
 }
 
 TEST_F(MutatedTrace, I2FiresOnReplayedMerge) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
   auto events = record_clean_run();
   // A directory that forgot its dedup window applies some merge twice.
   auto it = std::find_if(events.begin(), events.end(),
@@ -230,7 +227,6 @@ TEST_F(MutatedTrace, I2FiresOnReplayedMerge) {
 }
 
 TEST_F(MutatedTrace, I3FiresOnDroppedMerge) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
   auto events = record_clean_run();
   // A directory that lost an extraction: erase the FIRST merge (there
   // is a later completed push/kill from the same agent, so the echo
@@ -249,7 +245,6 @@ TEST_F(MutatedTrace, I3FiresOnDroppedMerge) {
 }
 
 TEST_F(MutatedTrace, I4FiresOnWeakGrantAfterStrongSwitch) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
   auto events = record_clean_run();
   // A cache manager that kept serving weak pulls after acknowledging
   // the switch to STRONG: inject the completed pull after a switch.

@@ -96,12 +96,10 @@ TEST(ViewMigrationTest, WarmMoveRebindsViewAndKeepsEveryUpdate) {
   EXPECT_TRUE(pushed);
   EXPECT_EQ(h.primary_.cell(4), 2);
 
-  if (obs::kTraceEnabled) {
-    InvariantMonitor checker;
-    checker.run(rec.snapshot());
-    EXPECT_TRUE(checker.violations().empty()) << checker.health_report();
-    EXPECT_EQ(checker.unresolved_migration_epochs(), 0u);
-  }
+  InvariantMonitor checker;
+  checker.run(rec.snapshot());
+  EXPECT_TRUE(checker.violations().empty()) << checker.health_report();
+  EXPECT_EQ(checker.unresolved_migration_epochs(), 0u);
 }
 
 TEST(ViewMigrationTest, DeadDestinationAbortsAndSourceResumes) {

@@ -202,8 +202,7 @@ Fingerprint run(Scenario s) {
   return fp;
 }
 
-/// The recorded fingerprints. Under FLECC_TRACE=OFF no events are
-/// emitted, so only the counter hash is compared.
+/// The recorded fingerprints.
 struct Expected {
   std::uint64_t trace;
   std::uint64_t counters;
@@ -213,9 +212,7 @@ void expect_fingerprint(Scenario s, Expected want) {
   const Fingerprint got = run(s);
   EXPECT_EQ(got.counters, want.counters)
       << "counter hash 0x" << std::hex << got.counters;
-#if FLECC_TRACE_ENABLED
   EXPECT_EQ(got.trace, want.trace) << "trace hash 0x" << std::hex << got.trace;
-#endif
 }
 
 TEST(ProtocolFingerprintTest, WeakValidityRounds) {

@@ -137,7 +137,6 @@ TEST_F(Fixture, UnboundSubMessageDroppedNotFatal) {
 }
 
 TEST_F(Fixture, CausalClocksTickAndObservePerSubMessage) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
   obs::CausalClock sender, receiver;
   Recorder rb1;
   batch->bind(b1, rb1);
@@ -175,7 +174,6 @@ TEST(BatchFabricStandalone, FrameTraceEventsRoundTripThroughTraceIo) {
   // frame is one drop carrying the whole train. That event must survive
   // the JSONL encode/decode unchanged so offline analysis of a batched
   // chaos run keeps working.
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
   sim::Simulator sim;
   std::vector<NodeId> hosts;
   auto topo = Topology::lan(2, LinkSpec{}, &hosts);

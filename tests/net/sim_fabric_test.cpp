@@ -88,6 +88,20 @@ TEST_F(Fixture, BiggerMessagesArriveLater) {
   EXPECT_EQ(rb.at[1] - rb.at[0], 100);
 }
 
+TEST_F(Fixture, UncontendedModelIgnoresBursts) {
+  Recorder rb;
+  rb.sim = &sim;
+  fabric->bind(b, rb);
+  for (int i = 0; i < 5; ++i) {
+    fabric->send(a, b, "t.burst", i, 100000);  // 100us tx at 1000 B/us
+  }
+  sim.run();
+  ASSERT_EQ(rb.at.size(), 5u);
+  // Links do not serialize transmissions: every message of the burst
+  // arrives after one transfer delay (100us propagation + 100us tx).
+  for (const auto at : rb.at) EXPECT_EQ(at, 200);
+}
+
 TEST_F(Fixture, UnboundDestinationCounted) {
   fabric->send(a, b, "test.void", 0, 10);
   sim.run();

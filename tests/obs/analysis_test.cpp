@@ -1,6 +1,6 @@
 // Trace analysis tests: summarize() tallies and latency pairing,
 // metrics export, span listing, and the sequence renderer. Events are
-// built by hand so these run identically under FLECC_TRACE=OFF.
+// built by hand, so no protocol run is needed.
 #include "obs/analysis.hpp"
 
 #include <gtest/gtest.h>

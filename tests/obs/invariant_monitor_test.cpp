@@ -2,8 +2,8 @@
 // invariant (I1-I4, causality) both passes on a conforming stream and
 // fires on a minimally mutated one, plus the liveness warnings, the
 // feedback filter, and metrics export. These are pure analysis-side
-// tests: they run identically under FLECC_TRACE=OFF because the
-// monitor consumes plain TraceEvent values.
+// tests: the monitor consumes plain TraceEvent values, so no protocol
+// run is needed.
 #include "obs/monitor/invariant_monitor.hpp"
 
 #include <gtest/gtest.h>
@@ -235,8 +235,8 @@ TEST(InvariantMonitorTest, CausalityFiresOnReplyBeforeRequest) {
 }
 
 TEST(InvariantMonitorTest, ZeroClocksAreSkippedNotViolations) {
-  // FLECC_TRACE=OFF senders and fabric drops stamp no clock; a mix of
-  // stamped and unstamped events must not trip causality.
+  // Fabric drops and buffers without an endpoint clock stamp 0; a mix
+  // of stamped and unstamped events must not trip causality.
   std::vector<TraceEvent> events = {
       cm(10, kA, EventKind::kMsgSent, 0, "flecc.heartbeat", 0, 0, 9),
       cm(20, kA, EventKind::kMsgSent, 0, "flecc.heartbeat", 0, 0, 0),
@@ -283,7 +283,6 @@ TEST(InvariantMonitorTest, IgnoresItsOwnFindingKindsOnInput) {
 }
 
 TEST(InvariantMonitorTest, EmitsFindingsIntoTheConfiguredBuffer) {
-  if (!kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
   TraceBuffer out(16);
   InvariantMonitor::Config cfg;
   cfg.out = &out;
@@ -299,7 +298,6 @@ TEST(InvariantMonitorTest, EmitsFindingsIntoTheConfiguredBuffer) {
 }
 
 TEST(InvariantMonitorTest, MonitorAttachedToItsOwnOutBufferDoesNotFeedBack) {
-  if (!kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
   TraceBuffer out(16);
   InvariantMonitor::Config cfg;
   cfg.out = &out;

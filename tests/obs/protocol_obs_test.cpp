@@ -37,7 +37,6 @@ void run_workload(FleccTestbed& tb, std::size_t ops = 3) {
 }
 
 TEST(ProtocolObsTest, CleanRunProducesPairedSpans) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
   obs::TraceRecorder rec;
   TestbedOptions opts = small_opts();
   opts.trace = &rec;
@@ -60,7 +59,6 @@ TEST(ProtocolObsTest, CleanRunProducesPairedSpans) {
 }
 
 TEST(ProtocolObsTest, EveryOpSpanCrossesCmAndDm) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
   obs::TraceRecorder rec;
   TestbedOptions opts = small_opts();
   opts.trace = &rec;
@@ -90,7 +88,6 @@ TEST(ProtocolObsTest, EveryOpSpanCrossesCmAndDm) {
 }
 
 TEST(ProtocolObsTest, LossyRunShowsRetransmitsDropsAndDedup) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
   obs::TraceRecorder rec;
   TestbedOptions opts = small_opts();
   opts.trace = &rec;
@@ -111,7 +108,6 @@ TEST(ProtocolObsTest, LossyRunShowsRetransmitsDropsAndDedup) {
 }
 
 TEST(ProtocolObsTest, CrashedViewGetsEvicted) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
   obs::TraceRecorder rec;
   TestbedOptions opts = small_opts();
   opts.trace = &rec;
@@ -144,7 +140,6 @@ TEST(ProtocolObsTest, RecordingDoesNotPerturbTheProtocol) {
 }
 
 TEST(ProtocolObsTest, ModeSwitchIsTraced) {
-  if (!obs::kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
   obs::TraceRecorder rec;
   TestbedOptions opts = small_opts();
   opts.trace = &rec;

@@ -1,7 +1,6 @@
 // TraceBuffer / TraceRecorder unit tests: ring wraparound, drop
-// accounting, multi-agent interleaving, span ids, and the event
-// constructors. Recording-dependent assertions are skipped under
-// FLECC_TRACE=OFF (the shells legitimately record nothing).
+// accounting, multi-agent interleaving, span ids, the event
+// constructors, and the FLECC_TRACE_EVENT macro.
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -64,7 +63,6 @@ TEST(AgentKeyTest, RoundTripsAddresses) {
 }
 
 TEST(TraceBufferTest, CapacityRoundsUpToPowerOfTwo) {
-  if (!kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
   EXPECT_EQ(TraceBuffer(1).capacity(), 8u);
   EXPECT_EQ(TraceBuffer(8).capacity(), 8u);
   EXPECT_EQ(TraceBuffer(9).capacity(), 16u);
@@ -72,7 +70,6 @@ TEST(TraceBufferTest, CapacityRoundsUpToPowerOfTwo) {
 }
 
 TEST(TraceBufferTest, RecordsInOrderBelowCapacity) {
-  if (!kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
   TraceBuffer buf(16);
   for (int i = 0; i < 10; ++i) {
     buf.emit(ev(i, EventKind::kMsgSent, 1));
@@ -85,7 +82,6 @@ TEST(TraceBufferTest, RecordsInOrderBelowCapacity) {
 }
 
 TEST(TraceBufferTest, WraparoundKeepsNewestAndCountsDrops) {
-  if (!kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
   TraceBuffer buf(8);
   for (int i = 0; i < 20; ++i) {
     buf.emit(ev(i, EventKind::kMsgSent, 1));
@@ -99,7 +95,6 @@ TEST(TraceBufferTest, WraparoundKeepsNewestAndCountsDrops) {
 }
 
 TEST(TraceBufferTest, WraparoundManyTimesStaysConsistent) {
-  if (!kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
   TraceBuffer buf(8);
   for (int round = 0; round < 100; ++round) {
     buf.emit(ev(round, EventKind::kOpStarted, 9, round + 1));
@@ -122,7 +117,6 @@ TEST(TraceRecorderTest, MakeBufferIsIdempotentPerName) {
 }
 
 TEST(TraceRecorderTest, MergedSnapshotIsTimeSortedAcrossAgents) {
-  if (!kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
   TraceRecorder rec;
   TraceBuffer* cm0 = rec.make_buffer("cm.0");
   TraceBuffer* cm1 = rec.make_buffer("cm.1");
@@ -153,7 +147,6 @@ TEST(TraceRecorderTest, MergedSnapshotIsTimeSortedAcrossAgents) {
 }
 
 TEST(TraceRecorderTest, TieTimestampsKeepRegistrationOrder) {
-  if (!kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
   TraceRecorder rec;
   TraceBuffer* first = rec.make_buffer("a");
   TraceBuffer* second = rec.make_buffer("b");
@@ -177,10 +170,6 @@ TEST(TraceMacroTest, EmitsIntoNonNullSink) {
   TraceBuffer* sink = &buf;
   FLECC_TRACE_EVENT(sink, 33, EventKind::kDedupHit, Role::kDirectory, 5, 77,
                     "flecc.pullReq", 1, 2);
-  if (!kTraceEnabled) {
-    EXPECT_EQ(buf.emitted(), 0u);
-    return;
-  }
   ASSERT_EQ(buf.emitted(), 1u);
   const auto snap = buf.snapshot();
   EXPECT_EQ(snap[0].at, 33);
@@ -209,7 +198,6 @@ class CountingSink : public TraceSink {
 // after the attach_sink call — late-created per-agent buffers used to
 // miss the sink entirely.
 TEST(TraceSinkTest, AttachCoversExistingAndFutureBuffers) {
-  if (!kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
   TraceRecorder rec(16);
   TraceBuffer* early = rec.make_buffer("early");
   CountingSink sink;
@@ -228,7 +216,6 @@ TEST(TraceSinkTest, AttachCoversExistingAndFutureBuffers) {
 }
 
 TEST(TraceSinkTest, SinkSeesClockStampedEvents) {
-  if (!kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
 
   class CaptureSink : public TraceSink {
    public:

@@ -5,7 +5,8 @@
 // to its op_started through one span id. The same properties are
 // re-checked by the online InvariantMonitor (zero causality
 // violations, non-trivial check counts). A ThreadFabric variant covers
-// the concurrent-runtime clock plumbing.
+// the concurrent-runtime clock plumbing, and a last case pins that only
+// a traced endpoint stamps its messages.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,8 @@
 #include "airline/travel_agent_view.hpp"
 #include "core/cache_manager.hpp"
 #include "core/directory_manager.hpp"
+#include "core/messages.hpp"
+#include "net/sim_fabric.hpp"
 #include "obs/monitor/invariant_monitor.hpp"
 #include "rt/thread_fabric.hpp"
 
@@ -57,7 +60,6 @@ void expect_spans_stitched(const std::vector<TraceEvent>& events) {
 }
 
 TEST(TraceCausalityTest, ChaosRunKeepsClocksMonotoneAndSpansStitched) {
-  if (!kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
   // Mini chaos soak: loss, a partition long enough for eviction (the
   // cut agents reconnect and re-register afterwards), heartbeats on.
   TraceRecorder rec;
@@ -115,7 +117,6 @@ TEST(TraceCausalityTest, ChaosRunKeepsClocksMonotoneAndSpansStitched) {
 }
 
 TEST(TraceCausalityTest, MidOpModeSwitchKeepsSpanAndClocks) {
-  if (!kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
   TraceRecorder rec;
   airline::TestbedOptions opts;
   opts.trace = &rec;
@@ -173,7 +174,6 @@ TEST(TraceCausalityTest, MidOpModeSwitchKeepsSpanAndClocks) {
 }
 
 TEST(TraceCausalityTest, ThreadFabricStampsAndNeverRegresses) {
-  if (!kTraceEnabled) GTEST_SKIP() << "built with FLECC_TRACE=OFF";
   // Concurrent runtime: two agent threads and the directory emit into
   // per-writer buffers; the monitor consumes inline from all three.
   rt::ThreadFabric fabric;
@@ -230,6 +230,89 @@ TEST(TraceCausalityTest, ThreadFabricStampsAndNeverRegresses) {
   EXPECT_EQ(checker.violation_count(monitor::Invariant::kCausality), 0u)
       << checker.health_report();
   EXPECT_GT(checker.check_count(monitor::Invariant::kCausality), 50u);
+}
+
+/// Keeps every message delivered to it, clock stamp included.
+struct KeepAll : net::Endpoint {
+  std::vector<net::Message> received;
+  void on_message(const net::Message& m) override { received.push_back(m); }
+};
+
+/// The RegisterReqs a cache manager sends to a directory that never
+/// answers: the first transmission and its retransmissions.
+std::vector<net::Message> register_reqs_sent(TraceBuffer* trace) {
+  sim::Simulator sim;
+  std::vector<net::NodeId> hosts;
+  net::SimFabric fabric(sim, net::Topology::lan(2, {}, &hosts));
+  KeepAll directory;
+  const net::Address dir_addr{hosts[0], 1};
+  fabric.bind(dir_addr, directory);
+  airline::TravelAgentView ars({100});
+  core::CacheManager::Config cfg;
+  cfg.view_name = "causality.Agent";
+  cfg.properties = ars.properties();
+  cfg.trace = trace;
+  core::CacheManager cm(fabric, net::Address{hosts[1], 1}, dir_addr, ars,
+                        cfg);
+  sim.run_until(sim::seconds(4));
+  return directory.received;
+}
+
+/// The RegisterAcks a directory sends for two framed RegisterReqs.
+std::vector<net::Message> register_acks_sent(TraceBuffer* trace) {
+  sim::Simulator sim;
+  std::vector<net::NodeId> hosts;
+  net::SimFabric fabric(sim, net::Topology::lan(2, {}, &hosts));
+  auto db = airline::FlightDatabase::uniform(100, 1, 1 << 20);
+  airline::FlightDatabaseAdapter adapter(db);
+  core::DirectoryManager::Config dcfg;
+  dcfg.trace = trace;
+  const net::Address dir_addr{hosts[0], 1};
+  core::DirectoryManager directory(fabric, dir_addr, adapter, dcfg);
+  KeepAll cache;
+  const net::Address cache_addr{hosts[1], 1};
+  fabric.bind(cache_addr, cache);
+  core::msg::RegisterReq rr;
+  rr.view_name = "causality.Agent";
+  rr.properties = airline::TravelAgentView({100}).properties();
+  for (const std::uint64_t req : {1u, 2u}) {
+    rr.req = req;
+    fabric.send(cache_addr, dir_addr, core::msg::kRegisterReq, rr, 64);
+    sim.run_until(sim.now() + sim::msec(10));
+  }
+  return cache.received;
+}
+
+/// `sent` all have type `type`, and carry clock 0 when untraced, else
+/// non-zero clocks that rise from send to send.
+void expect_stamps(const std::vector<net::Message>& sent, const char* type,
+                   bool traced) {
+  ASSERT_GE(sent.size(), 2u);
+  std::uint64_t last = 0;
+  for (const net::Message& m : sent) {
+    EXPECT_EQ(m.type, type);
+    if (traced) {
+      EXPECT_GT(m.clock, last);
+      last = m.clock;
+    } else {
+      EXPECT_EQ(m.clock, 0u);
+    }
+  }
+}
+
+TEST(TraceCausalityTest, OnlyTracedEndpointsStampTheirMessages) {
+  // Only a traced cache manager or directory registers its Lamport
+  // clock with the fabric; an untraced one does no clock work, so what
+  // it sends carries stamp 0.
+  for (const bool traced : {false, true}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    TraceBuffer cm_buf(64);
+    TraceBuffer dm_buf(64);
+    expect_stamps(register_reqs_sent(traced ? &cm_buf : nullptr),
+                  core::msg::kRegisterReq, traced);
+    expect_stamps(register_acks_sent(traced ? &dm_buf : nullptr),
+                  core::msg::kRegisterAck, traced);
+  }
 }
 
 }  // namespace

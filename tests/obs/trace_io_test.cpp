@@ -1,6 +1,6 @@
 // JSONL/CSV sink tests: round-trip fidelity, escaping, malformed-line
-// handling. These run identically under FLECC_TRACE=OFF because the
-// serializers operate on plain TraceEvent values.
+// handling. The serializers operate on plain TraceEvent values, so no
+// protocol run is needed.
 #include "obs/trace_io.hpp"
 
 #include <gtest/gtest.h>
