@@ -46,6 +46,32 @@ std::optional<trigger::Trigger> reparse_validity(const std::string& src) {
   return validity;
 }
 
+// The round ledgers keep view ids in ascending vectors, searched by
+// bisection.
+bool contains(const std::vector<ViewId>& ids, ViewId v) {
+  return std::binary_search(ids.begin(), ids.end(), v);
+}
+
+void insert_sorted(std::vector<ViewId>& ids, ViewId v) {
+  const auto it = std::lower_bound(ids.begin(), ids.end(), v);
+  if (it == ids.end() || *it != v) ids.insert(it, v);
+}
+
+bool erase_sorted(std::vector<ViewId>& ids, ViewId v) {
+  const auto it = std::lower_bound(ids.begin(), ids.end(), v);
+  if (it == ids.end() || *it != v) return false;
+  ids.erase(it);
+  return true;
+}
+
+/// The first of `entries` (ascending by .view) whose view is not below v.
+template <typename Entries>
+auto lower_bound_view(Entries& entries, ViewId v) {
+  return std::lower_bound(
+      entries.begin(), entries.end(), v,
+      [](const auto& e, ViewId id) { return e.view < id; });
+}
+
 }  // namespace
 
 DirectoryManager::DirectoryManager(net::Fabric& fabric, net::Address self,
@@ -240,7 +266,7 @@ std::uint64_t DirectoryManager::quality(ViewId v) const {
   if (r == nullptr) return 0;
   // Live sources count through the conflict index (static map first);
   // departed ones by the property snapshot the log kept.
-  std::uint64_t n = log_.unseen_departed(r->properties, r->last_sync);
+  std::uint64_t n = log_.unseen_departed(*r->properties, r->last_sync);
   for (const ViewId id : index_[v].neighbours) {
     n += log_.unseen_from(id, r->last_sync);
   }
@@ -271,7 +297,7 @@ bool DirectoryManager::rule_conflicts(const ViewRecord& a,
       break;
   }
   // Definition 1: dynConfl via property-set intersection.
-  return a.properties.conflicts_with(b.properties);
+  return a.properties->conflicts_with(*b.properties);
 }
 
 void DirectoryManager::link(ViewRecord& rec) {
@@ -555,20 +581,21 @@ void DirectoryManager::handle_register(const net::Message& m) {
   }
   rec->cache_addr = m.from;
   rec->last_seen_at = fabric_.now();
-  describe(*rec, req.view_name, req.properties, req.mode,
-           req.validity_trigger, std::move(validity));
+  describe(*rec, req.view_name,
+           std::make_shared<const props::PropertySet>(req.properties),
+           req.mode, req.validity_trigger, std::move(validity));
   wal_append(register_record(*rec));
   reply(m.from, req.req, msg::kRegisterAck,
         msg::RegisterAck{rec->id, true, {}, req.req, generation_});
 }
 
 void DirectoryManager::describe(ViewRecord& rec, const std::string& name,
-                                const props::PropertySet& properties,
+                                props::SharedPropertySet properties,
                                 Mode mode, const std::string& validity_src,
                                 std::optional<trigger::Trigger> validity) {
   if (find(rec.id) != nullptr) unlink(rec);
   rec.name = name;
-  rec.properties = properties;
+  rec.properties = std::move(properties);
   rec.mode = mode;
   rec.validity_src = validity_src;
   rec.validity = std::move(validity);
@@ -585,7 +612,7 @@ void DirectoryManager::handle_init(const net::Message& m) {
   touch(*rec);
   note_in_progress(m.from, req.req);
   msg::InitReply out;
-  out.image = primary_.extract_from_object(rec->properties);
+  out.image = primary_.extract_from_object(*rec->properties);
   out.image.set_version(version_);
   out.req = req.req;
   out.gen = generation_;
@@ -612,18 +639,12 @@ void DirectoryManager::handle_pull(const net::Message& m) {
     // Environment: t (global time, ms), _age (ms since last merge into
     // the primary), _unseen (the requester's quality), layered over any
     // variables the primary component exposes.
-    trigger::VariableStore meta;
-    meta.set("t", sim::to_ms(fabric_.now()));
-    meta.set("_age", sim::to_ms(fabric_.now() - last_merge_at_));
-    meta.set("_unseen", static_cast<double>(unseen));
-    bool good;
-    if (const trigger::Env* pv = primary_.variables(); pv != nullptr) {
-      trigger::LayeredEnv env(meta, *pv);
-      good = rec->validity->evaluate(env);
-    } else {
-      good = rec->validity->evaluate(meta);
-    }
-    need_fetch = !good;
+    const trigger::OverlayEnv env(
+        {{"t", sim::to_ms(fabric_.now())},
+         {"_age", sim::to_ms(fabric_.now() - last_merge_at_)},
+         {"_unseen", static_cast<double>(unseen)}},
+        primary_.variables());
+    need_fetch = !rec->validity->evaluate(env);
     if (need_fetch) {
       FLECC_TRACE_EVENT(cfg_.trace, fabric_.now(),
                         obs::EventKind::kTriggerFired, obs::Role::kDirectory,
@@ -643,10 +664,12 @@ void DirectoryManager::handle_pull(const net::Message& m) {
   r.req = req.req;
   r.unseen_before = unseen;
   if (need_fetch) {
-    for (const ViewId id : conflicting_views(req.view)) {
+    const std::vector<ViewId>& conflicting = conflicting_views(req.view);
+    r.outstanding.reserve(conflicting.size());
+    for (const ViewId id : conflicting) {
       // A migrating view is sealed: it cannot answer a FetchReq, and
       // its dirty state reaches the primary through the handoff anyway.
-      if (find(id)->active && !migrating(id)) r.outstanding.insert(id);
+      if (find(id)->active && !migrating(id)) r.outstanding.push_back(id);
     }
   }
   if (r.outstanding.empty()) return answer_requester(r);
@@ -690,10 +713,10 @@ void DirectoryManager::handle_push(const net::Message& m) {
 }
 
 void DirectoryManager::merge_update(const ObjectImage& image, ViewId source,
-                                    const props::PropertySet& touched,
+                                    const props::SharedPropertySet& touched,
                                     const char* path, std::uint64_t round,
                                     std::uint64_t span) {
-  primary_.merge_into_object(image, touched);
+  primary_.merge_into_object(image, *touched);
   ++version_;
   last_merge_at_ = fabric_.now();
   log_.record(MergeRecord{version_, source, touched});
@@ -783,11 +806,13 @@ void DirectoryManager::start_next_acquire() {
     // Fig. 2, steps 12-14).
     const bool ro_share =
         cfg_.use_rw_semantics && req.intent == AccessIntent::kReadOnly;
-    for (const ViewId id : conflicting_views(req.view)) {
+    const std::vector<ViewId>& conflicting = conflicting_views(req.view);
+    r.outstanding.reserve(conflicting.size());
+    for (const ViewId id : conflicting) {
       const ViewRecord& other = *find(id);
       if (!other.active) continue;
       if (ro_share && !other.exclusive) continue;  // RO can coexist
-      r.outstanding.insert(id);
+      r.outstanding.push_back(id);
     }
     if (r.outstanding.empty()) {
       answer_requester(r);
@@ -819,10 +844,29 @@ const DirectoryManager::RoundKindInfo& DirectoryManager::kind_info(
   return kKinds[static_cast<std::size_t>(kind)];
 }
 
+const props::SharedPropertySet* DirectoryManager::RoundLedger::snapshot(
+    ViewId v) const {
+  const auto it = lower_bound_view(target_props, v);
+  return it != target_props.end() && it->view == v ? &it->properties
+                                                   : nullptr;
+}
+
+void DirectoryManager::RoundLedger::file_snapshot(
+    ViewId v, props::SharedPropertySet properties) {
+  const auto it = lower_bound_view(target_props, v);
+  if (it != target_props.end() && it->view == v) {
+    it->properties = std::move(properties);
+  } else {
+    target_props.insert(it, TargetProps{v, std::move(properties)});
+  }
+}
+
 void DirectoryManager::open_round(Round r) {
   const RoundKindInfo& k = kind_info(r.kind);
+  // outstanding ascends, so the snapshots do too.
+  r.ledger.target_props.reserve(r.outstanding.size());
   for (const ViewId id : r.outstanding) {
-    r.ledger.target_props.emplace(id, find(id)->properties);
+    r.ledger.target_props.push_back(TargetProps{id, find(id)->properties});
   }
   r.resends_left = cfg_.command_retries;
   // Filed before its appends: a compaction that one of them triggers
@@ -833,9 +877,9 @@ void DirectoryManager::open_round(Round r) {
   if (cfg_.durability != nullptr) {
     // Checkpoint the round opening per target so a straggler reply or
     // echo arriving after a crash can still merge from the archive.
-    for (const auto& [id, props] : open.ledger.target_props) {
-      wal_append(
-          round_record(WalKind::kRoundOpen, open.kind, open.id, id, props));
+    for (const TargetProps& t : open.ledger.target_props) {
+      wal_append(round_record(WalKind::kRoundOpen, open.kind, open.id,
+                              t.view, t.properties));
     }
   }
   for (const ViewId id : open.outstanding) {
@@ -940,23 +984,23 @@ void DirectoryManager::handle_round_reply(RoundKind kind, std::uint64_t id,
       stats_.inc("recovery.revived_round");
       settled = &archive(kind).file(id);
     }
-    if (settled != nullptr && dirty && settled->merged.count(view) == 0 &&
+    if (settled != nullptr && dirty && !contains(settled->merged, view) &&
         merge_round_image(kind, id, *settled, view, image, k.late_path, 0)) {
       stats_.inc(k.late_merged);
     }
     return;
   }
-  if (r->outstanding.count(view) == 0) {
+  if (!contains(r->outstanding, view)) {
     // Duplicate delivery (command resend + original both answered): the
     // first copy already merged; merging again would double-count.
     stats_.inc("msg.duplicate.dropped");
     return;
   }
-  if (dirty && r->ledger.merged.count(view) == 0) {
+  if (dirty && !contains(r->ledger.merged, view)) {
     merge_round_image(kind, id, r->ledger, view, image, k.path, r->span);
   }
   if (kind == RoundKind::kInvalidate) release_target(view);
-  r->outstanding.erase(view);
+  erase_sorted(r->outstanding, view);
   if (r->outstanding.empty()) complete_round(*r);
 }
 
@@ -968,7 +1012,7 @@ void DirectoryManager::process_echoes(
     const char* path = kind_info(kind).echo_path;
     if (Round* r = find_round(kind, e.round); r != nullptr) {
       // The echo beat (or replaced) the reply of a live round.
-      if (r->ledger.merged.count(e.view) != 0) {
+      if (contains(r->ledger.merged, e.view)) {
         stats_.inc("echo.duplicate");
         continue;
       }
@@ -977,7 +1021,7 @@ void DirectoryManager::process_echoes(
         stats_.inc("echo.merged");
       }
       if (kind == RoundKind::kInvalidate) release_target(e.view);
-      if (r->outstanding.erase(e.view) != 0 && r->outstanding.empty()) {
+      if (erase_sorted(r->outstanding, e.view) && r->outstanding.empty()) {
         complete_round(*r);
       }
       continue;
@@ -994,7 +1038,7 @@ void DirectoryManager::process_echoes(
     if (settled == nullptr) {
       // Evicted from the window: the reply must have merged long ago.
       stats_.inc("echo.unknown");
-    } else if (settled->merged.count(e.view) != 0) {
+    } else if (contains(settled->merged, e.view)) {
       stats_.inc("echo.duplicate");
     } else if (merge_round_image(kind, e.round, *settled, e.view, e.image,
                                  path, 0)) {
@@ -1010,16 +1054,15 @@ bool DirectoryManager::merge_round_image(RoundKind kind, std::uint64_t id,
                                          std::uint64_t span) {
   // The live record's properties if any, else the round's snapshot (the
   // source was liveness-evicted while its reply was in flight).
-  const props::PropertySet* ps = nullptr;
-  if (const auto* rec = find(view); rec != nullptr) {
-    ps = &rec->properties;
-  } else if (auto it = ledger.target_props.find(view);
-             it != ledger.target_props.end()) {
-    ps = &it->second;
-  }
+  const ViewRecord* rec = find(view);
+  const props::SharedPropertySet* ps =
+      rec != nullptr ? &rec->properties : ledger.snapshot(view);
   if (ps == nullptr) return false;
   merge_update(image, view, *ps, path, id, span);
-  ledger.merged.insert(view);
+  // Sized at the first merge: a round whose targets all answer clean
+  // allocates no merged list.
+  if (ledger.merged.empty()) ledger.merged.reserve(ledger.target_props.size());
+  insert_sorted(ledger.merged, view);
   if (cfg_.durability != nullptr) {
     wal_append(round_record(WalKind::kRoundMerge, kind, id, view));
   }
@@ -1059,7 +1102,7 @@ void DirectoryManager::cancel_timers(Round& r) {
 void DirectoryManager::answer_requester(const Round& r) {
   ViewRecord* rec = find(r.requester);
   if (rec == nullptr) return;  // the requester died while the round ran
-  ObjectImage image = primary_.extract_from_object(rec->properties);
+  ObjectImage image = primary_.extract_from_object(*rec->properties);
   image.set_version(version_);
   rec->active = true;
   if (r.kind == RoundKind::kInvalidate) rec->exclusive = true;
@@ -1160,7 +1203,7 @@ void DirectoryManager::complete_fetch_or_acquire_for_dead_view(ViewId v) {
   // waiting on it, fetch rounds in token order, then the invalidation.
   for (auto it = fetch_rounds_.begin(); it != fetch_rounds_.end();) {
     Round& r = (it++)->second;  // completing r erases its node
-    r.outstanding.erase(v);
+    erase_sorted(r.outstanding, v);
     if (r.outstanding.empty()) complete_round(r);
   }
   if (!invalidation_.has_value()) return;
@@ -1170,7 +1213,7 @@ void DirectoryManager::complete_fetch_or_acquire_for_dead_view(ViewId v) {
     close_round(*invalidation_);
     start_next_acquire();
   } else {
-    invalidation_->outstanding.erase(v);
+    erase_sorted(invalidation_->outstanding, v);
     if (invalidation_->outstanding.empty()) complete_round(*invalidation_);
   }
 }
@@ -1212,13 +1255,13 @@ void DirectoryManager::send_phase(PendingMigration& mig) {
     inst.view = mig.view;
     inst.epoch = mig.epoch;
     inst.view_name = rec->name;
-    inst.properties = rec->properties;
+    inst.properties = *rec->properties;
     inst.mode = rec->mode;
     inst.validity_trigger = rec->validity_src;
     inst.exclusive = rec->exclusive;
     // A fresh primary extraction (the handoff delta is already merged):
     // the destination starts valid without a separate pull round.
-    inst.image = primary_.extract_from_object(rec->properties);
+    inst.image = primary_.extract_from_object(*rec->properties);
     inst.image.set_version(version_);
     inst.gen = generation_;
     stats_.inc("migrate.install.sent");
@@ -1370,11 +1413,11 @@ WalRecord DirectoryManager::register_record(const ViewRecord& rec) const {
 
 WalRecord DirectoryManager::round_record(WalKind wal, RoundKind kind,
                                          std::uint64_t round, ViewId v,
-                                         const props::PropertySet& props) {
+                                         props::SharedPropertySet props) {
   WalRecord w;
   w.kind = wal;
   w.view = v;
-  w.properties = props;
+  w.properties = std::move(props);
   w.ns = kind_info(kind).ns;
   w.round = round;
   return w;
@@ -1438,13 +1481,13 @@ std::size_t DirectoryManager::replay_checkpoint(
         if (auto* rec = find(w.view); rec != nullptr) rec->mode = w.mode;
         break;
       case WalKind::kRoundOpen:
-        archive(kind_of(w.ns)).file(w.round).target_props[w.view] =
-            w.properties;
+        archive(kind_of(w.ns)).file(w.round).file_snapshot(w.view,
+                                                           w.properties);
         break;
       case WalKind::kRoundMerge:
         // Creates the slot if kRoundOpen never made it to disk (revived
         // rounds): the exactly-once marker must survive regardless.
-        archive(kind_of(w.ns)).file(w.round).merged.insert(w.view);
+        insert_sorted(archive(kind_of(w.ns)).file(w.round).merged, w.view);
         break;
       case WalKind::kOpMerged:
         merged_ops_.file(MergedOpKey{w.node, w.port, w.req});
@@ -1477,9 +1520,9 @@ void DirectoryManager::compact_wal() {
   // compacted would (fetch rounds by token, then the invalidation).
   auto snap_ledger = [&](RoundKind kind, std::uint64_t round,
                          const RoundLedger& ledger) {
-    for (const auto& [view, props] : ledger.target_props) {
-      snap.push_back(
-          round_record(WalKind::kRoundOpen, kind, round, view, props));
+    for (const TargetProps& t : ledger.target_props) {
+      snap.push_back(round_record(WalKind::kRoundOpen, kind, round, t.view,
+                                  t.properties));
     }
     for (const ViewId view : ledger.merged) {
       snap.push_back(round_record(WalKind::kRoundMerge, kind, round, view));
@@ -1572,8 +1615,10 @@ void DirectoryManager::handle_rebuild_reply(const net::Message& m) {
   }
   // The cache manager is authoritative over the (possibly stale)
   // checkpoint: adopt its registration data and cached-copy state.
-  describe(*rec, rep.view_name, rep.properties, rep.mode,
-           rep.validity_trigger, reparse_validity(rep.validity_trigger));
+  describe(*rec, rep.view_name,
+           std::make_shared<const props::PropertySet>(rep.properties),
+           rep.mode, rep.validity_trigger,
+           reparse_validity(rep.validity_trigger));
   rec->active = rep.active;
   rec->exclusive = rep.exclusive;
   rec->last_sync = version_;

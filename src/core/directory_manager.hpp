@@ -190,7 +190,10 @@ class DirectoryManager : public net::Endpoint {
     ViewId id = kInvalidViewId;
     net::Address cache_addr;
     std::string name;
-    props::PropertySet properties;
+    /// Immutable for the life of the registration: a resume or
+    /// re-announce installs a new set, so merge records and round
+    /// snapshots that share the old one keep it.
+    props::SharedPropertySet properties;
     Mode mode = Mode::kWeak;
     std::optional<trigger::Trigger> validity;
     std::string validity_src;  // trigger source, kept for checkpointing
@@ -293,16 +296,31 @@ class DirectoryManager : public net::Endpoint {
   };
   [[nodiscard]] static const RoundKindInfo& kind_info(RoundKind kind);
 
+  /// One target's property snapshot: the set it was registered with
+  /// when the round opened.
+  struct TargetProps {
+    ViewId view = kInvalidViewId;
+    props::SharedPropertySet properties;
+  };
+
   /// The exactly-once state of one round, kept in the settled-round
-  /// archive after the round closes.
+  /// archive after the round closes. Both lists ascend by view id and
+  /// are reserved to the round's targets, the snapshots when it opens
+  /// and the merged list at its first merge, so a round costs a fixed
+  /// number of allocations whatever its fan-out.
   struct RoundLedger {
     /// Property snapshot per target: a reply must merge even if its
     /// source was liveness-evicted while it was in flight (its extracted
     /// deltas exist nowhere else).
-    std::map<ViewId, props::PropertySet> target_props;
+    std::vector<TargetProps> target_props;
     /// Targets whose extraction has merged (reply or echo); the guard
     /// against merging the same extraction twice.
-    std::set<ViewId> merged;
+    std::vector<ViewId> merged;
+
+    /// `v`'s snapshot, or nullptr.
+    [[nodiscard]] const props::SharedPropertySet* snapshot(ViewId v) const;
+    /// File `v`'s snapshot, replacing an earlier one (WAL replay).
+    void file_snapshot(ViewId v, props::SharedPropertySet properties);
   };
 
   /// One open round. Fetch rounds run many at once; invalidation rounds
@@ -317,7 +335,7 @@ class DirectoryManager : public net::Endpoint {
     /// Trace span of the originating pull or acquire (obs::span_id of
     /// the requester's address and req); 0 when tracing is off.
     std::uint64_t span = 0;
-    std::set<ViewId> outstanding;  // targets yet to answer
+    std::vector<ViewId> outstanding;  // targets yet to answer, ascending
     RoundLedger ledger;
     net::TimerId timeout = net::kInvalidTimerId;
     net::TimerId resend_timer = net::kInvalidTimerId;
@@ -373,7 +391,7 @@ class DirectoryManager : public net::Endpoint {
   /// rebuild re-announce, WAL replay): unlink rec if it is indexed, set
   /// the fields, and link it again.
   void describe(ViewRecord& rec, const std::string& name,
-                const props::PropertySet& properties, Mode mode,
+                props::SharedPropertySet properties, Mode mode,
                 const std::string& validity_src,
                 std::optional<trigger::Trigger> validity);
   ViewRecord* find(ViewId v);
@@ -404,7 +422,7 @@ class DirectoryManager : public net::Endpoint {
   /// token or invalidate epoch (0 for push/kill); `span` the
   /// originating op's span. All three are trace/monitor metadata only.
   void merge_update(const ObjectImage& image, ViewId source,
-                    const props::PropertySet& touched, const char* path,
+                    const props::SharedPropertySet& touched, const char* path,
                     std::uint64_t round, std::uint64_t span);
   void start_next_acquire();
 
@@ -509,7 +527,7 @@ class DirectoryManager : public net::Endpoint {
   /// checkpoint record.
   [[nodiscard]] static WalRecord round_record(
       WalKind wal, RoundKind kind, std::uint64_t round, ViewId v,
-      const props::PropertySet& props = {});
+      props::SharedPropertySet props = nullptr);
   /// A merged-op marker: the sender's (node, port) and request id.
   using MergedOpKey = std::tuple<std::uint32_t, std::uint32_t, std::uint64_t>;
   /// The kOpMerged checkpoint record of one merged-op marker.

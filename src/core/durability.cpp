@@ -1,5 +1,7 @@
 #include "core/durability.hpp"
 
+#include <iterator>
+
 namespace flecc::core {
 
 void MemoryDurabilityStore::append(const WalRecord& rec) {
@@ -8,7 +10,8 @@ void MemoryDurabilityStore::append(const WalRecord& rec) {
 }
 
 void MemoryDurabilityStore::flush() {
-  durable_.insert(durable_.end(), buffered_.begin(), buffered_.end());
+  durable_.insert(durable_.end(), std::make_move_iterator(buffered_.begin()),
+                  std::make_move_iterator(buffered_.end()));
   buffered_.clear();
 }
 

@@ -52,8 +52,8 @@ struct WalRecord {
   /// View name (kRegister).
   std::string name;
   /// Registered properties (kRegister) or the round's property snapshot
-  /// for the target view (kRoundOpen).
-  props::PropertySet properties;
+  /// for the target view (kRoundOpen): the view's shared, immutable set.
+  props::SharedPropertySet properties;
   Mode mode = Mode::kWeak;  // kRegister, kModeChange
   /// Validity-trigger source (kRegister; empty = none).
   std::string validity;

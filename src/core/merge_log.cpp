@@ -57,7 +57,7 @@ std::uint64_t MergeLog::unseen_departed(const props::PropertySet& viewer_props,
     rec = std::lower_bound(
         rec, records_.end(), *v,
         [](const MergeRecord& r, Version x) { return r.version < x; });
-    if (rec->touched.conflicts_with(viewer_props)) ++n;
+    if (rec->touched->conflicts_with(viewer_props)) ++n;
   }
   return n;
 }

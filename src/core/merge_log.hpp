@@ -8,7 +8,8 @@
 // version index, so the directory counts one conflicting source's
 // unseen merges by binary search instead of walking the log. Records
 // whose source has left (retire()) move to one departed index and are
-// judged by the property snapshot they carry.
+// judged by the property set they carry, the one their source was
+// registered with (shared, not copied).
 #pragma once
 
 #include <cstddef>
@@ -25,7 +26,7 @@ namespace flecc::core {
 struct MergeRecord {
   Version version = 0;
   ViewId source = kInvalidViewId;  // kInvalidViewId = direct primary write
-  props::PropertySet touched;      // properties covered by the merge
+  props::SharedPropertySet touched;  // properties covered by the merge
 };
 
 class MergeLog {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -76,5 +77,11 @@ class PropertySet {
  private:
   std::map<std::string, Domain> by_name_;
 };
+
+/// A registered view's property set: fixed for the life of the
+/// registration, so every record that keeps it (merge records, round
+/// snapshots, checkpoint records) holds this one immutable value instead
+/// of a copy.
+using SharedPropertySet = std::shared_ptr<const PropertySet>;
 
 }  // namespace flecc::props

@@ -7,10 +7,13 @@
 // never interprets the variables, it just reads numbers by name.
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
-#include <vector>
+#include <string_view>
 
 namespace flecc::trigger {
 
@@ -47,21 +50,28 @@ class VariableStore : public Env {
   std::map<std::string, double> vars_;
 };
 
-/// An Env overlay: reads `front` first, then `back`. Used to layer the
-/// builtin time variable `t` (and directory metadata such as `_age`)
-/// over the view's own variables without copying.
-class LayeredEnv : public Env {
+/// A few named values held inline, read before an optional base Env.
+/// It puts the builtin time variable `t` (and directory metadata such as
+/// `_age`) over the view's own variables without copying them, and
+/// without allocating.
+class OverlayEnv final : public Env {
  public:
-  LayeredEnv(const Env& front, const Env& back) : front_(front), back_(back) {}
+  struct Var {
+    std::string_view name;  // not owned: must outlive the env
+    double value = 0.0;
+  };
+  static constexpr std::size_t kMaxVars = 3;
+
+  /// `vars` shadow `base` (nullptr: no base); of two equal names the
+  /// first wins. Throws std::length_error past kMaxVars.
+  OverlayEnv(std::initializer_list<Var> vars, const Env* base);
   [[nodiscard]] std::optional<double> lookup(
-      const std::string& name) const override {
-    if (auto v = front_.lookup(name)) return v;
-    return back_.lookup(name);
-  }
+      const std::string& name) const override;
 
  private:
-  const Env& front_;
-  const Env& back_;
+  std::array<Var, kMaxVars> vars_{};
+  std::size_t size_ = 0;
+  const Env* base_;
 };
 
 }  // namespace flecc::trigger

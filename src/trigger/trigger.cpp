@@ -77,10 +77,8 @@ Trigger& Trigger::operator=(const Trigger& other) {
 }
 
 bool Trigger::evaluate(double t, const Env& env) const {
-  VariableStore time_env;
-  time_env.set("t", t);
-  LayeredEnv layered(time_env, env);
-  return eval(*root_, layered) != 0.0;
+  const OverlayEnv timed({{"t", t}}, &env);
+  return eval(*root_, timed) != 0.0;
 }
 
 bool Trigger::evaluate(const Env& env) const {

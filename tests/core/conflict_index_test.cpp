@@ -131,7 +131,7 @@ class ConflictIndexFuzz {
         auto src = expected.find(r.source);
         if (src != expected.end()
                 ? reference_conflicts(map_, da, src->second)
-                : r.touched.conflicts_with(da.properties)) {
+                : r.touched->conflicts_with(da.properties)) {
           ++unseen;
         }
       }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 namespace flecc::core {
 namespace {
 
@@ -9,6 +11,12 @@ props::PropertySet flights(std::int64_t lo, std::int64_t hi) {
   props::PropertySet ps;
   ps.set("Flights", props::Domain::interval(lo, hi));
   return ps;
+}
+
+/// A merge record's property set, shared as the directory shares a
+/// registered view's.
+props::SharedPropertySet touched(std::int64_t lo, std::int64_t hi) {
+  return std::make_shared<const props::PropertySet>(flights(lo, hi));
 }
 
 TEST(MergeLogTest, EmptyLogHasNoUnseen) {
@@ -20,9 +28,9 @@ TEST(MergeLogTest, EmptyLogHasNoUnseen) {
 
 TEST(MergeLogTest, CountsRemoteConflictingMerges) {
   MergeLog log;
-  log.record({1, 2, flights(0, 10)});
-  log.record({2, 3, flights(5, 15)});
-  log.record({3, 4, flights(20, 30)});  // disjoint from viewer
+  log.record({1, 2, touched(0, 10)});
+  log.record({2, 3, touched(5, 15)});
+  log.record({3, 4, touched(20, 30)});  // disjoint from viewer
   EXPECT_EQ(log.unseen_from(2, 0), 1u);
   EXPECT_EQ(log.unseen_departed(flights(0, 10), 0), 0u);
   // Once the sources leave, their records are judged by the touched
@@ -36,9 +44,9 @@ TEST(MergeLogTest, ExcludesOwnMerges) {
   // Sources are indexed apart, so a viewer counts its neighbours'
   // merges and never its own.
   MergeLog log;
-  log.record({1, 1, flights(0, 10)});
-  log.record({2, 2, flights(0, 10)});
-  log.record({3, 2, flights(0, 10)});
+  log.record({1, 1, touched(0, 10)});
+  log.record({2, 2, touched(0, 10)});
+  log.record({3, 2, touched(0, 10)});
   EXPECT_EQ(log.unseen_from(1, 0), 1u);
   EXPECT_EQ(log.unseen_from(2, 0), 2u);
   EXPECT_EQ(log.unseen_from(3, 0), 0u);
@@ -47,7 +55,7 @@ TEST(MergeLogTest, ExcludesOwnMerges) {
 TEST(MergeLogTest, SinceFiltersSeenVersions) {
   MergeLog log;
   for (Version v = 1; v <= 10; ++v) {
-    log.record({v, 99, flights(0, 10)});
+    log.record({v, 99, touched(0, 10)});
   }
   EXPECT_EQ(log.unseen_from(99, 0), 10u);
   EXPECT_EQ(log.unseen_from(99, 7), 3u);
@@ -62,7 +70,7 @@ TEST(MergeLogTest, SinceFiltersSeenVersions) {
 TEST(MergeLogTest, PruneDropsOldRecords) {
   MergeLog log;
   for (Version v = 1; v <= 10; ++v) {
-    log.record({v, v % 2 == 0 ? ViewId{98} : ViewId{99}, flights(0, 10)});
+    log.record({v, v % 2 == 0 ? ViewId{98} : ViewId{99}, touched(0, 10)});
   }
   log.retire(98);
   EXPECT_EQ(log.prune_below(4), 4u);
@@ -80,9 +88,9 @@ TEST(MergeLogTest, PruneDropsOldRecords) {
 
 TEST(MergeLogTest, ConflictFilterUsesProperties) {
   MergeLog log;
-  log.record({1, 2, flights(0, 4)});
-  log.record({2, 2, flights(5, 9)});
-  log.record({3, 2, flights(3, 6)});
+  log.record({1, 2, touched(0, 4)});
+  log.record({2, 2, touched(5, 9)});
+  log.record({3, 2, touched(3, 6)});
   log.retire(2);
   EXPECT_EQ(log.unseen_departed(flights(0, 2), 0), 1u);   // only [0,4]
   EXPECT_EQ(log.unseen_departed(flights(4, 5), 0), 3u);   // touches all
@@ -94,12 +102,12 @@ TEST(MergeLogTest, RetireKeepsInterleavedSourcesOrdered) {
   // Three sources interleaved; they retire out of order, one record
   // lands after its source left, and the log is pruned in between.
   for (Version v = 1; v <= 12; ++v) {
-    log.record({v, static_cast<ViewId>(v % 3 + 1), flights(v, v)});
+    log.record({v, static_cast<ViewId>(v % 3 + 1), touched(v, v)});
   }
   log.retire(3);  // 2, 5, 8, 11
   EXPECT_EQ(log.prune_below(3), 3u);
   log.retire(1);  // 6, 9, 12 (3 was pruned)
-  log.record({13, 7, flights(13, 13)});
+  log.record({13, 7, touched(13, 13)});
   log.retire(7);
   EXPECT_EQ(log.unseen_from(2, 0), 3u);  // 4, 7, 10
   // Departed: 5, 6, 8, 9, 11, 12, 13 — each touches only its own flight.

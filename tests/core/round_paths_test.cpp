@@ -1,13 +1,15 @@
 // Every path of the directory's demand-fetch and invalidation rounds
 // (PROTOCOL.md, "Delta echoes and the settled-round archive"), run once
 // per round kind: a live dirty reply, a duplicate reply, a late reply
-// merged from the settled-round archive, push-borne echoes for live,
-// settled, forgotten and pre-crash rounds, an echo of a live round's
-// merged reply, a WAL compaction while a round is open and one after a
-// round settled, command resends, and the death of a target or of the
-// requester mid-round. Then two answers outside any round: the ack of a
-// framed kill for a view already gone, replayed from the dedup window,
-// and a push that makes its view an active holder again.
+// merged from the settled-round archive (also from a target that
+// deregistered meanwhile, under the round's property snapshot),
+// push-borne echoes for live, settled, forgotten and pre-crash rounds,
+// an echo of a live round's merged reply, a WAL compaction while a
+// round is open and one after a round settled, command resends, and the
+// death of a target or of the requester mid-round. Then two answers
+// outside any round: the ack of a framed kill for a view already gone,
+// replayed from the dedup window, and a push that makes its view an
+// active holder again.
 //
 // Requester and targets are scripted endpoints that speak only when
 // told to, so every reply, echo and duplicate lands exactly where the
@@ -299,6 +301,31 @@ TEST_P(RoundPathsTest, LateDirtyReplyMergesOnceFromTheArchive) {
   EXPECT_EQ(dm(names().late), 1u);
   EXPECT_EQ(dm(names().late_merged), 1u);
   EXPECT_EQ(total(), 5);
+
+  target().answer(kind(), round, 5);  // a second late copy
+  settle();
+  EXPECT_EQ(dm(names().late), 2u);
+  EXPECT_EQ(dm(names().late_merged), 1u);
+  EXPECT_EQ(total(), 5);
+}
+
+TEST_P(RoundPathsTest, LateReplyOfADeregisteredTargetMergesWithItsSnapshot) {
+  start(1);
+  const std::uint64_t round = open_round();
+  target().kill();  // deregisters; the round settles without its reply
+  settle();
+  ASSERT_FALSE(h_->directory_->known(target().id()));
+  ASSERT_EQ(completions(), 1u);
+
+  target().answer(kind(), round, 5);
+  settle();
+  EXPECT_EQ(dm(names().late_merged), 1u);
+  EXPECT_EQ(total(), 5);
+  ASSERT_EQ(h_->directory_->merge_log().size(), 1u);
+  const MergeRecord& merge = h_->directory_->merge_log().records().back();
+  EXPECT_EQ(merge.source, target().id());
+  ASSERT_NE(merge.touched, nullptr);
+  EXPECT_EQ(*merge.touched, cells(0, 9));  // the snapshot taken at opening
 
   target().answer(kind(), round, 5);  // a second late copy
   settle();

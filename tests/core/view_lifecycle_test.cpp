@@ -1,5 +1,6 @@
 // Every step of a view's life at the directory that no other suite
-// drives to its edge: registration rejections and journal resumes, the
+// drives to its edge: registration rejections and journal resumes (and
+// that a resume leaves earlier merges under their old properties), the
 // post-restart rebuild round and the checkpoint replay before it, the
 // settle paths of a live migration and the two guards that keep STRONG
 // arbitration and fetch rounds away from a sealed view, the merged-op
@@ -334,6 +335,30 @@ TEST_F(ViewLifecycleTest, ResumeOfAViewThatIsGoneRegistersFresh) {
   EXPECT_NE(p.ack()->view, gone);
   EXPECT_TRUE(dir().known(p.ack()->view));
   EXPECT_FALSE(dir().known(gone));
+}
+
+TEST_F(ViewLifecycleTest, AMergeKeepsThePropertiesItWasMadeUnder) {
+  start();
+  Peer& a = peer(0);
+  Peer& low = peer(1);  // cells [0, 9], like a's first registration
+  Peer& high = peer(2, 1, /*register_it=*/false);
+  high.register_view("kv.View", cells(20, 29));
+  settle();
+  high.init();
+  settle();
+
+  a.push(5);  // merged under cells [0, 9]
+  settle();
+  a.register_view("kv.View", cells(20, 29), {}, a.id(), /*incarnation=*/2);
+  settle();
+  ASSERT_TRUE(a.ack()->accepted);
+  ASSERT_EQ(dm("view.resumed"), 1u);
+  a.kill(0, 100);  // the merge is now judged by the set it was made under
+  settle();
+  ASSERT_FALSE(dir().known(a.id()));
+
+  EXPECT_EQ(dir().quality(low.id()), 1u);
+  EXPECT_EQ(dir().quality(high.id()), 0u);
 }
 
 // ---- the rebuild round ----------------------------------------------------

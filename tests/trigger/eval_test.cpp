@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "trigger/errors.hpp"
 #include "trigger/parser.hpp"
 
@@ -107,13 +109,21 @@ TEST(TriggerTest, BadSourceThrowsParseError) {
   EXPECT_THROW(Trigger("1 +"), ParseError);
 }
 
-TEST(LayeredEnvTest, FrontShadowsBack) {
-  VariableStore front{{"x", 1.0}};
+TEST(OverlayEnvTest, FrontShadowsBack) {
   VariableStore back{{"x", 2.0}, {"y", 3.0}};
-  LayeredEnv env(front, back);
+  const OverlayEnv env({{"x", 1.0}}, &back);
   EXPECT_DOUBLE_EQ(*env.lookup("x"), 1.0);
   EXPECT_DOUBLE_EQ(*env.lookup("y"), 3.0);
   EXPECT_FALSE(env.lookup("z").has_value());
+}
+
+TEST(OverlayEnvTest, HoldsAtMostThreeValuesAndNeedsNoBase) {
+  const OverlayEnv env({{"t", 1.0}, {"_age", 2.0}, {"_unseen", 3.0}},
+                       nullptr);
+  EXPECT_DOUBLE_EQ(*env.lookup("_unseen"), 3.0);
+  EXPECT_FALSE(env.lookup("x").has_value());
+  EXPECT_THROW(OverlayEnv({{"a", 1}, {"b", 2}, {"c", 3}, {"d", 4}}, nullptr),
+               std::length_error);
 }
 
 // ---- table-driven evaluation sweep --------------------------------------
